@@ -8,18 +8,21 @@ Subcommands::
     qflip sweep --grid N [--margin R] [--out PATH] [--format json|csv] [--jobs N]
     qflip check-pair --lhs p1,p2,... --rhs q1,q2,...
 
-Exit codes: 0 on success, 1 when an experiment assertion fails, 2 on usage
+Exit codes: 0 on success, 1 when a certification check fails, 2 on usage
 errors.  ``QFLIP_JOBS`` sets the default worker count for ``sweep``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import multiprocessing
 import os
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from math import pi
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,11 +36,12 @@ from .constructions import (
     axes_experiment,
     flipper_experiment,
     general_flip_experiment,
+    route_tolerance,
 )
-from .cubic import CubicSpectrum, cubic_coefficients
-from .ordering import DegenerateSpectraError, classify_ordering
-from .report import CSV_HEADER, ReportRecord, fmt_float, json_line
-from .schmidt import SpectrumTieError, Verdict, incomparable_3dim, verdict
+from .cubic import cubic_coefficients
+from .ordering import OrderingMismatchError, check_atlas, pattern_labels
+from .report import CSV_HEADER, ReportRecord, fmt_float, json_line, sweep_chunks
+from .schmidt import VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdict, verdict_codes
 
 
 @dataclass(frozen=True)
@@ -64,13 +68,17 @@ class SweepConfig:
             raise ValueError("jobs must be at least 1")
 
 
-def _emit(lines: list[str], out_path: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(blocks: Iterable[str], out_path: str | None) -> None:
+    """Write each block followed by a newline, streaming, to ``out_path`` or stdout."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            for block in blocks:
+                fh.write(block)
+                fh.write("\n")
     else:
-        sys.stdout.write(text)
+        for block in blocks:
+            sys.stdout.write(block)
+            sys.stdout.write("\n")
 
 
 def _emit_record(record: ReportRecord, fmt: str, out_path: str | None) -> None:
@@ -162,6 +170,8 @@ def _parse_probs(text: str, name: str) -> np.ndarray:
         raise ValueError(f"{name}: {exc}") from exc
     if values.size < 2:
         raise ValueError(f"{name} needs at least two entries")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} entries must be finite")
     if np.any(values < -1e-12) or abs(values.sum() - 1.0) > 1e-6:
         raise ValueError(f"{name} must be a probability vector summing to 1")
     return np.sort(values)[::-1]
@@ -193,91 +203,99 @@ def _eval_chunk(chunk):
     return kernels.grid_eval(a, c, theta)
 
 
-def _run_sweep(cfg: SweepConfig) -> tuple[list[str], dict]:
+def _grid_eval(flat_a, flat_c, flat_t, jobs: int) -> dict:
+    if jobs == 1:
+        return kernels.grid_eval(flat_a, flat_c, flat_t)
+    chunks = [
+        (flat_a[s], flat_c[s], flat_t[s])
+        for s in (
+            slice(i * len(flat_a) // jobs, (i + 1) * len(flat_a) // jobs)
+            for i in range(jobs)
+        )
+        if s.start != s.stop
+    ]
+    with multiprocessing.Pool(jobs) as pool:
+        parts = pool.map(_eval_chunk, chunks)
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+
+
+def _where(points, j: int) -> str:
+    return f"a={points['a'][j]!r}, c={points['c'][j]!r}, theta={points['theta'][j]!r}"
+
+
+def _run_sweep(cfg: SweepConfig) -> tuple[Iterator[str], dict]:
+    """Evaluate and certify every grid point beyond the margin, in one batch.
+
+    Every check runs on the whole batch before this returns: analytic and
+    numeric spectra agree within the route tolerance built on ``eps_spec``,
+    every verdict is Incomparable and every ordering matches the atlas.  A
+    failure raises :class:`VerificationError` (or
+    :class:`OrderingMismatchError`), so nothing has been written yet.
+    Returns the record blocks, formatted lazily, and the summary.
+    """
     n = cfg.grid_n
     ticks = np.arange(1, n + 1) / (n + 1)
-    a_axis, c_axis, t_axis = ticks, ticks, ticks * pi
-    aa, cc, tt = np.meshgrid(a_axis, c_axis, t_axis, indexing="ij")
+    aa, cc, tt = np.meshgrid(ticks, ticks, ticks * pi, indexing="ij")
     flat_a, flat_c, flat_t = aa.ravel(), cc.ravel(), tt.ravel()
+    data = _grid_eval(flat_a, flat_c, flat_t, cfg.jobs)
 
-    if cfg.jobs == 1:
-        data = kernels.grid_eval(flat_a, flat_c, flat_t)
-    else:
-        chunks = [
-            (flat_a[s], flat_c[s], flat_t[s])
-            for s in (
-                slice(i * len(flat_a) // cfg.jobs, (i + 1) * len(flat_a) // cfg.jobs)
-                for i in range(cfg.jobs)
-            )
-            if s.start != s.stop
-        ]
-        with multiprocessing.Pool(cfg.jobs) as pool:
-            parts = pool.map(_eval_chunk, chunks)
-        data = {
-            key: np.concatenate([part[key] for part in parts]) for key in parts[0]
-        }
-
-    lines = []
-    pattern_counts: dict[str, int] = {}
-    non_incomparable = 0
-    emitted = 0
-    max_err_seen = 0.0
-    degeneracy_mask = np.abs(data["degeneracy"]) > cfg.margin
-    idx_a, idx_c, idx_t = np.unravel_index(np.arange(flat_a.size), (n, n, n))
-
-    for i in range(flat_a.size):
-        if not degeneracy_mask[i]:
-            continue
-        num_i = data["num_alpha"][i]
-        num_f = data["num_beta"][i]
-        v = verdict(num_i, num_f, eps=cfg.eps_tie)
-        if v is not Verdict.INCOMPARABLE:
-            non_incomparable += 1
-        spec_i = CubicSpectrum(data["A"][i], data["B"][i], data["theta_i"][i], data["alpha"][i])
-        spec_f = CubicSpectrum(data["A"][i], data["Bprime"][i], data["theta_f"][i], data["beta"][i])
-        try:
-            ordering = classify_ordering(spec_i, spec_f)
-            label = ordering.label
-            pattern_counts[label] = pattern_counts.get(label, 0) + 1
-        except DegenerateSpectraError:
-            label = None
-        record = ReportRecord(
-            experiment_id="sweep",
-            params={
-                "a": float(flat_a[i]),
-                "c": float(flat_c[i]),
-                "theta": float(flat_t[i]),
-                "ia": int(idx_a[i]),
-                "ic": int(idx_c[i]),
-                "itheta": int(idx_t[i]),
-            },
-            lambda_initial=[float(x) for x in num_i],
-            lambda_final=[float(x) for x in num_f],
-            A=float(data["A"][i]),
-            B=float(data["B"][i]),
-            Bprime=float(data["Bprime"][i]),
-            ordering=label,
-            verdict=str(v),
-            max_analytic_numeric_error=float(data["max_err"][i]),
-            degeneracy_flag=False,
+    certified = np.flatnonzero(np.abs(data["degeneracy"]) > cfg.margin)
+    if certified.size == 0:
+        raise VerificationError(
+            f"no grid point lies beyond the degeneracy margin {cfg.margin:g}; nothing was certified"
         )
-        lines.append(record.to_csv_row() if cfg.fmt == "csv" else record.to_json_line())
-        emitted += 1
-        if data["max_err"][i] > max_err_seen:
-            max_err_seen = float(data["max_err"][i])
+    rows = {key: value[certified] for key, value in data.items()}
+    rows["a"], rows["c"], rows["theta"] = flat_a[certified], flat_c[certified], flat_t[certified]
 
+    # Recomputed from both routes rather than trusted from the kernel's max_err.
+    rows["max_err"] = np.maximum(
+        np.max(np.abs(rows["alpha"] - rows["num_alpha"]), axis=1),
+        np.max(np.abs(rows["beta"] - rows["num_beta"]), axis=1),
+    )
+    tol = route_tolerance(rows["A"], rows["B"], rows["Bprime"], base=cfg.eps_spec)
+    disagree = ~(rows["max_err"] <= tol)  # NaN counts as a disagreement
+    if disagree.any():
+        j = int(np.argmax(disagree))
+        raise VerificationError(
+            f"analytic and numeric spectra disagree beyond {cfg.eps_spec:g} at "
+            f"{int(disagree.sum())} points, first at {_where(rows, j)} "
+            f"(error {rows['max_err'][j]:.3e})"
+        )
+    verdicts = np.array([str(v) for v in VERDICT_BY_CODE], dtype=object)[
+        verdict_codes(rows["num_alpha"], rows["num_beta"], cfg.eps_tie)
+    ]
+    comparable = verdicts != "Incomparable"
+    if comparable.any():
+        j = int(np.argmax(comparable))
+        raise VerificationError(
+            f"{int(comparable.sum())} non-incomparable verdicts, first {verdicts[j]} at {_where(rows, j)}"
+        )
+    ordering = pattern_labels(
+        check_atlas(rows["A"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"])
+    )
+
+    ia, ic, itheta = np.unravel_index(certified, (n, n, n))
+    columns = {
+        "a": rows["a"], "c": rows["c"], "theta": rows["theta"],
+        "ia": ia, "ic": ic, "itheta": itheta,
+        "alpha1": rows["num_alpha"][:, 0], "alpha2": rows["num_alpha"][:, 1], "alpha3": rows["num_alpha"][:, 2],
+        "beta1": rows["num_beta"][:, 0], "beta2": rows["num_beta"][:, 1], "beta3": rows["num_beta"][:, 2],
+        "A": rows["A"], "B": rows["B"], "Bprime": rows["Bprime"],
+        "ordering": ordering, "verdict": verdicts, "max_err": rows["max_err"],
+    }
+    pattern_counts = Counter(label for label in ordering.tolist() if label is not None)
     summary = {
         "experiment_id": "sweep-summary",
         "grid": n,
         "margin": cfg.margin,
         "points_total": int(flat_a.size),
-        "points_emitted": emitted,
-        "points_degenerate_skipped": int(flat_a.size - int(degeneracy_mask.sum())),
+        "points_emitted": int(certified.size),
+        "points_degenerate_skipped": int(flat_a.size - certified.size),
         "pattern_counts": dict(sorted(pattern_counts.items())),
-        "max_analytic_numeric_error": max_err_seen,
-        "non_incomparable_count": non_incomparable,
+        "max_analytic_numeric_error": float(rows["max_err"].max()),
+        "non_incomparable_count": 0,  # any other verdict failed the sweep above
     }
-    return lines, summary
+    return sweep_chunks(cfg.fmt, columns), summary
 
 
 def _cmd_sweep(args) -> int:
@@ -288,7 +306,7 @@ def _cmd_sweep(args) -> int:
         fmt=args.format,
         jobs=args.jobs,
     )
-    lines, summary = _run_sweep(cfg)
+    chunks, summary = _run_sweep(cfg)
     if cfg.fmt == "csv":
         counts = ";".join(f"{k}={v}" for k, v in summary["pattern_counts"].items())
         summary_line = (
@@ -299,18 +317,15 @@ def _cmd_sweep(args) -> int:
             f" non_incomparable_count={summary['non_incomparable_count']}"
             f" pattern_counts={counts}"
         )
-        _emit([CSV_HEADER, *lines, summary_line], cfg.output_path)
+        _emit(itertools.chain([CSV_HEADER], chunks, [summary_line]), cfg.output_path)
     else:
-        _emit([*lines, json_line(summary)], cfg.output_path)
+        _emit(itertools.chain(chunks, [json_line(summary)]), cfg.output_path)
     print(
         f"sweep: {summary['points_emitted']} records, "
         f"max analytic/numeric error {summary['max_analytic_numeric_error']:.3e}, "
         f"{summary['non_incomparable_count']} non-incomparable verdicts",
         file=sys.stderr,
     )
-    if summary["non_incomparable_count"] > 0:
-        print("sweep: non-incomparable verdicts found", file=sys.stderr)
-        return 1
     return 0
 
 
@@ -382,7 +397,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except VerificationError as exc:
+    except (VerificationError, OrderingMismatchError, ArithmeticError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -23,7 +23,7 @@ from .bloch import (
     qubit_to_bloch,
     random_qubit,
 )
-from .cubic import CubicSpectrum, boundary_proximity, cubic_coefficients, cubic_roots
+from .cubic import CubicSpectrum, cubic_coefficients, cubic_roots
 from .linalg import DimensionError, kron, partial_trace
 from .ordering import DegenerateSpectraError, OrderingPattern, classify_ordering
 from .schmidt import PureState, Verdict, schmidt_decompose, verdict
@@ -52,18 +52,24 @@ class VerificationError(RuntimeError):
     """An experiment's built-in assertion failed."""
 
 
-def _route_tolerance(coeff_a: float, *b_vals: float) -> float:
+def route_tolerance(coeff_a, *b_vals, base: float | None = None):
     """Cross-route agreement tolerance, widened near repeated-root boundaries.
 
-    Within ~1e-9 of |B| = 2 A^{3/2} the closed-form roots split a near-double
-    pair only to O(sqrt(eps)) while the eigensolver stays fully accurate, so
-    the two routes legitimately differ by up to ~4 sqrt(A * eps) there.
+    ``base`` (default ``SPECTRUM_AGREEMENT_TOL``) applies away from the
+    boundaries.  Where some |B| lies within a relative 1e-9 of the
+    repeated-root boundary 2 A^{3/2}, the closed-form roots split a
+    near-double pair only to O(sqrt(eps)) while the eigensolver stays fully
+    accurate, so the two routes legitimately differ by up to ~4 sqrt(A * eps)
+    there.  Works elementwise on arrays of A and B values.
     """
-    tol = SPECTRUM_AGREEMENT_TOL
+    if base is None:
+        base = SPECTRUM_AGREEMENT_TOL
+    edge = 2.0 * coeff_a * np.sqrt(coeff_a)
+    widened = 4.0 * np.sqrt(coeff_a * 1e-15)
+    near = False
     for b_val in b_vals:
-        if boundary_proximity(coeff_a, b_val) < 1e-9:
-            tol = max(tol, 4.0 * sqrt(max(coeff_a, 0.0) * 1e-15))
-    return tol
+        near = near | (np.abs(edge - np.abs(b_val)) < 1e-9 * edge)
+    return np.where(near & (widened > base), widened, base)
 
 
 def _qutrit_sum(blocks: list[np.ndarray], phases: list[complex]) -> PureState:
@@ -224,7 +230,7 @@ def general_flip_experiment(
             np.max(np.abs(analytic_f.roots - numeric_f)),
         )
     )
-    route_tol = _route_tolerance(coeff_a, coeff_b, coeff_bp)
+    route_tol = float(route_tolerance(coeff_a, coeff_b, coeff_bp))
     if max_err > route_tol:
         raise VerificationError(
             f"analytic and numeric spectra disagree by {max_err:.3e} at {p}"

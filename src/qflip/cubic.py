@@ -87,18 +87,6 @@ def cubic_roots(a_coeff: float, b_val: float) -> CubicSpectrum:
     return CubicSpectrum(a_coeff, b_val, theta, roots)
 
 
-def boundary_proximity(a_coeff: float, b_val: float) -> float:
-    """Normalized distance of |B| from the repeated-root boundary 2 A^{3/2}.
-
-    At zero the cubic has a double root and the closed-form split of the two
-    close roots degrades to O(sqrt(machine eps)); callers comparing the trig
-    roots against an eigensolver should widen their tolerance accordingly.
-    """
-    if a_coeff <= 0.0:
-        return 0.0
-    return abs(1.0 - abs(b_val) / (2.0 * a_coeff * sqrt(a_coeff)))
-
-
 def labeled_roots(a_coeff: float, angle3: float) -> np.ndarray:
     """Roots in printed-label order for the representative angle ``angle3``.
 

@@ -15,7 +15,10 @@ wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import pi
+
+import numpy as np
 
 from .cubic import CubicSpectrum, labeled_roots
 
@@ -76,13 +79,20 @@ class OrderingPattern:
 
     @property
     def label(self) -> str:
-        return f"{self.pattern_id}:{'>'.join(self.chain)}"
+        return _pattern_label(self.pattern_id, self.chain)
+
+
+_REGION_NAMES = tuple(REGION_BOUNDS)
 
 
 def region_of(angle3: float) -> str:
     """Quadrant of an angle in [0, 2pi), half-open on the right."""
-    x = angle3 % (2.0 * pi)
-    return f"Q{int(x // (pi / 2.0)) % 4 + 1}"
+    return _REGION_NAMES[int(_region_index(angle3))]
+
+
+def _region_index(angle3):
+    """Quadrant index 0..3 of each angle taken mod 2pi, half-open on the right."""
+    return (angle3 % (2.0 * pi)) // (pi / 2.0) % 4
 
 
 def _label_values(a_coeff: float, angle3_i: float, angle3_f: float) -> dict[str, float]:
@@ -94,12 +104,122 @@ def _label_values(a_coeff: float, angle3_i: float, angle3_f: float) -> dict[str,
     }
 
 
-def _chain_holds(values: dict[str, float], chain: tuple[str, ...], tol: float) -> bool:
-    return all(values[x] >= values[y] - tol for x, y in zip(chain, chain[1:]))
-
-
 def _is_boundary(angle3: float) -> bool:
     return abs(angle3 % (pi / 2.0)) <= BOUNDARY_TOL or (pi / 2.0) - (angle3 % (pi / 2.0)) <= BOUNDARY_TOL
+
+
+_LABELS = ("a1", "a2", "a3", "b1", "b2", "b3")
+# labeled_roots evaluates cos(offset + sign * angle3 / 3) for the labels 1, 2, 3.
+_ROOT_OFFSET = np.array([2.0 * pi / 3.0, 0.0, 2.0 * pi / 3.0])
+_ROOT_SIGN = np.array([1.0, 1.0, -1.0])
+
+
+def _pattern_id(region_i: int, region_f: int) -> str:
+    return _REGION_NAMES[region_i] + _REGION_NAMES[region_f]
+
+
+def _pattern_label(pattern_id: str, chain: tuple[str, ...]) -> str:
+    return f"{pattern_id}:{'>'.join(chain)}"
+
+
+# The four representative pairs of a row, as (initial, final) representative
+# indices: principal/principal, principal/mirror, mirror/principal, mirror/mirror.
+_REP_I = np.array([0, 0, 1, 1])
+_REP_F = np.array([0, 1, 0, 1])
+# Where each pair's labels a1..a3, b1..b3 sit among a row's twelve labeled
+# roots, laid out as [spectrum][representative][label].
+_PAIR_LABELS = np.concatenate([3 * _REP_I[:, None] + np.arange(3), 6 + 3 * _REP_F[:, None] + np.arange(3)], axis=1)
+
+
+@lru_cache(maxsize=8)
+def _atlas_tables(atlas: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The atlas items as arrays: a 4x4 table from region indices to an entry
+    number (-1 where the atlas has no entry), and per representative pair and
+    entry the chain as indices into a row's twelve labeled roots.  Keyed by
+    the items, so the check always runs against the current contents of
+    :data:`PATTERN_ATLAS`."""
+    table = np.full((4, 4), -1, dtype=np.intp)
+    chains = np.empty((len(atlas), 6), dtype=np.intp)
+    for k, ((ri, rf), chain) in enumerate(atlas):
+        table[_REGION_NAMES.index(ri), _REGION_NAMES.index(rf)] = k
+        chains[k] = [_LABELS.index(x) for x in chain]
+    return table, _PAIR_LABELS[:, chains]  # [pair, entry, j] = _PAIR_LABELS[pair, chains[entry, j]]
+
+
+def check_atlas(
+    a_coeff,
+    b_val,
+    bprime_val,
+    theta_i,
+    theta_f,
+    gap_tol: float = DEGENERACY_GAP_TOL,
+    tie_tol: float = CHAIN_TIE_TOL,
+) -> np.ndarray:
+    """Verify the labeled-root ordering of many spectrum pairs against the atlas.
+
+    Takes per-row arrays (or scalars, for one row) of the shared coefficient
+    A, the two B values and the principal third-angles of the initial and
+    final cubics.  For every row, each representative angle 3t (principal)
+    and 2pi - 3t (mirror) of each spectrum is placed in its quadrant, and all
+    four representative pairs are checked in one stacked pass: the pair must
+    have an atlas entry and the six labeled roots must descend along its
+    chain within ``tie_tol``.
+
+    Returns an integer array of shape (n, 2, 2) holding the quadrant index
+    (0..3 for Q1..Q4) of [spectrum][representative], spectrum 0 initial and
+    1 final, representative 0 principal and 1 mirror.  Rows whose B and
+    Bprime agree within ``gap_tol`` have no ordering to classify; they are
+    not checked and hold -1.  Raises :class:`OrderingMismatchError` when any
+    checked row deviates from the atlas.
+    """
+    a_coeff = np.asarray(a_coeff, dtype=float).reshape(-1)
+    live = np.abs(np.asarray(b_val, dtype=float) - bprime_val).reshape(-1) > gap_tol
+    regions = np.full((a_coeff.size, 2, 2), -1, dtype=np.intp)
+    angle3 = 3.0 * np.array([theta_i, theta_f], dtype=float).reshape(2, -1).T[live]
+    m = angle3.shape[0]
+    if m == 0:
+        return regions
+    reps = np.empty((m, 2, 2))  # (row, spectrum, representative)
+    reps[..., 0] = angle3
+    reps[..., 1] = (2.0 * pi - angle3) % (2.0 * pi)
+    live_regions = _region_index(reps).astype(np.intp)
+    regions[live] = live_regions
+
+    # labeled_roots of every representative, flattened to (row, 12)
+    scale = 2.0 * np.sqrt(a_coeff[live])[:, None, None, None]
+    roots = ((1.0 - scale * np.cos(_ROOT_OFFSET + _ROOT_SIGN * (reps[..., None] / 3.0))) / 3.0).reshape(m, 12)
+
+    def region_pair(row, k):
+        return _REGION_NAMES[live_regions[row, 0, _REP_I[k]]], _REGION_NAMES[live_regions[row, 1, _REP_F[k]]]
+
+    table, gather = _atlas_tables(tuple(PATTERN_ATLAS.items()))
+    entry = table[live_regions[:, 0, _REP_I], live_regions[:, 1, _REP_F]]  # (row, pair)
+    missing = entry < 0
+    if missing.any():
+        pair = region_pair(*np.argwhere(missing)[0])
+        raise OrderingMismatchError(f"region pair {pair} has no atlas entry")
+    # each pair's six roots in the order of its atlas chain: (row, pair, 6)
+    ordered = roots[np.arange(m)[:, None, None], gather[np.arange(4), entry]]
+    holds = (ordered[..., :-1] >= ordered[..., 1:] - tie_tol).all(axis=-1)
+    if not holds.all():
+        row, k = np.argwhere(~holds)[0]
+        pair = region_pair(row, k)
+        observed = dict(zip(_LABELS, roots[row, _PAIR_LABELS[k]].tolist()))
+        raise OrderingMismatchError(
+            f"ordering for region pair {pair} deviates from the atlas chain "
+            f"{'>'.join(PATTERN_ATLAS[pair])}: {observed}"
+        )
+    return regions
+
+
+def pattern_labels(regions: np.ndarray) -> np.ndarray:
+    """Label ``pattern_id:chain`` of each row's principal region pair, as
+    returned by :func:`check_atlas`; None for rows it did not check."""
+    by_code = np.full(17, None, dtype=object)  # code 16: rows check_atlas skipped
+    for (ri, rf), chain in PATTERN_ATLAS.items():
+        by_code[4 * _REGION_NAMES.index(ri) + _REGION_NAMES.index(rf)] = _pattern_label(ri + rf, chain)
+    principal_i, principal_f = regions[:, 0, 0], regions[:, 1, 0]
+    return by_code[np.where(principal_i < 0, 16, 4 * principal_i + principal_f)]
 
 
 def classify_ordering(
@@ -110,49 +230,35 @@ def classify_ordering(
 ) -> OrderingPattern:
     """Classify the six labeled roots of a non-degenerate spectrum pair.
 
-    The primary pattern uses the principal representative angles; every other
-    valid representative combination is verified against the atlas as well
-    and reported in ``witnessed``.  Raises :class:`DegenerateSpectraError`
-    when B and Bprime agree within ``gap_tol`` and
-    :class:`OrderingMismatchError` when an observed ordering is not the
-    atlas's.
+    The primary pattern uses the principal representative angles; every
+    valid representative combination is verified against the atlas by a
+    one-row :func:`check_atlas` and reported in ``witnessed``.  Raises
+    :class:`DegenerateSpectraError` when B and Bprime agree within
+    ``gap_tol`` and :class:`OrderingMismatchError` when an observed ordering
+    is not the atlas's.
     """
     if abs(init.A - fin.A) > 1e-12:
         raise ValueError("spectra do not share the coefficient A")
-    if abs(init.b_val - fin.b_val) <= gap_tol:
+    regions = check_atlas(
+        init.A, init.b_val, fin.b_val, init.theta_angle, fin.theta_angle, gap_tol, tie_tol
+    )[0]
+    if regions[0, 0] < 0:
         raise DegenerateSpectraError(
             f"|B - Bprime| = {abs(init.b_val - fin.b_val):.3e} is below {gap_tol:.0e}"
         )
 
+    reps_i, reps_f = regions.tolist()
+    witnessed = [_pattern_id(ri, rf) for ri in reps_i for rf in reps_f]
+    region_i, region_f = _REGION_NAMES[reps_i[0]], _REGION_NAMES[reps_f[0]]
     t_i = 3.0 * init.theta_angle
     t_f = 3.0 * fin.theta_angle
-    reps_i = sorted({t_i, (2.0 * pi - t_i) % (2.0 * pi)})
-    reps_f = sorted({t_f, (2.0 * pi - t_f) % (2.0 * pi)})
-
-    witnessed = []
-    for ri_angle in reps_i:
-        for rf_angle in reps_f:
-            pair = (region_of(ri_angle), region_of(rf_angle))
-            chain = PATTERN_ATLAS.get(pair)
-            if chain is None:
-                raise OrderingMismatchError(f"region pair {pair} has no atlas entry")
-            values = _label_values(init.A, ri_angle, rf_angle)
-            if not _chain_holds(values, chain, tie_tol):
-                raise OrderingMismatchError(
-                    f"ordering for region pair {pair} deviates from the atlas chain "
-                    f"{'>'.join(chain)}: {values}"
-                )
-            witnessed.append(pair[0] + pair[1])
-
-    region_i, region_f = region_of(t_i), region_of(t_f)
-    primary_chain = PATTERN_ATLAS[(region_i, region_f)]
     primary_values = _label_values(init.A, t_i, t_f)
     sorted_labels = tuple(sorted(primary_values, key=primary_values.get, reverse=True))
     return OrderingPattern(
         pattern_id=region_i + region_f,
         region_initial=region_i,
         region_final=region_f,
-        chain=primary_chain,
+        chain=PATTERN_ATLAS[(region_i, region_f)],
         sorted_labels=sorted_labels,
         witnessed=tuple(dict.fromkeys(witnessed)),
         boundary=_is_boundary(t_i) or _is_boundary(t_f),

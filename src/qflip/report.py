@@ -3,13 +3,15 @@
 JSON is emitted by a tiny purpose-built serializer so that every float is
 printed with 17 significant digits (lossless round trips) and records are
 byte-identical across runs; CSV uses a fixed column order shared by every
-command.
+command.  Sweep records, which come by the thousand, are formatted from
+columns through fixed per-row templates that produce the same bytes as
+:class:`ReportRecord`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -125,3 +127,55 @@ class ReportRecord:
             "true" if self.degeneracy_flag else "false",
         ]
         return ",".join(cell(v) for v in values)
+
+
+# Row templates of sweep records: the exact output of ReportRecord.to_json_line
+# and .to_csv_row for experiment_id "sweep", params {a, c, theta, ia, ic,
+# itheta} and degeneracy_flag False, with every value a %-slot.  Each takes its
+# values in the order of the field tuple beside it.
+_SWEEP_JSON_FIELDS = (
+    "a", "c", "theta", "ia", "ic", "itheta",
+    "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3",
+    "A", "B", "Bprime", "ordering", "verdict", "max_err",
+)
+_SWEEP_JSON_ROW = (
+    '{"experiment_id": "sweep", "params": {"a": %.17g, "c": %.17g, "theta": %.17g, '
+    '"ia": %d, "ic": %d, "itheta": %d}, '
+    '"lambda_initial": [%.17g, %.17g, %.17g], "lambda_final": [%.17g, %.17g, %.17g], '
+    '"A": %.17g, "B": %.17g, "Bprime": %.17g, "ordering": %s, "verdict": %s, '
+    '"maxAnalyticNumericError": %.17g, "degeneracyFlag": false}'
+)
+_SWEEP_CSV_FIELDS = (
+    "a", "c", "theta", "A", "B", "Bprime",
+    "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3",
+    "ordering", "verdict", "max_err",
+)
+_SWEEP_CSV_ROW = ",".join(["%.17g"] * 12 + ["%s", "%s", "%.17g", "false"])
+_TEXT_FIELDS = ("ordering", "verdict")
+
+
+def _csv_text(value: str | None) -> str:
+    return "" if value is None else value
+
+
+def sweep_chunks(fmt: str, columns: dict[str, np.ndarray], chunk_rows: int = 4096) -> Iterator[str]:
+    """Format sweep records from columns, ``chunk_rows`` rows per yielded block.
+
+    ``columns`` maps every field of the sweep row (a, c, theta, ia, ic,
+    itheta, alpha1..3, beta1..3, A, B, Bprime, ordering, verdict, max_err) to
+    an array with one entry per record; ``ordering`` and ``verdict`` are
+    object arrays of strings, ``ordering`` None where a record has none.
+    Each block is its rows joined by newlines, without a trailing newline,
+    and reads exactly as the records' ``to_json_line`` / ``to_csv_row``.
+    """
+    if fmt == "csv":
+        template, fields, render = _SWEEP_CSV_ROW, _SWEEP_CSV_FIELDS, _csv_text
+    else:
+        template, fields, render = _SWEEP_JSON_ROW, _SWEEP_JSON_FIELDS, _json_fragment
+    for start in range(0, len(columns["a"]), chunk_rows):
+        part = [columns[name][start : start + chunk_rows].tolist() for name in fields]
+        for k, name in enumerate(fields):
+            if name in _TEXT_FIELDS:
+                rendered = {x: render(x) for x in set(part[k])}
+                part[k] = [rendered[x] for x in part[k]]
+        yield "\n".join([template % row for row in zip(*part)])

@@ -73,6 +73,16 @@ def _descending_probs(values: Sequence[float]) -> np.ndarray:
     return np.sort(v)[::-1]
 
 
+def _descending_rows(rows: np.ndarray, width: int) -> np.ndarray:
+    """Rows sorted descending and zero-padded on the right to ``width``."""
+    rows = np.sort(rows, axis=1)[:, ::-1]
+    if rows.shape[1] == width:
+        return rows
+    out = np.zeros((rows.shape[0], width))
+    out[:, : rows.shape[1]] = rows
+    return out
+
+
 def schmidt_decompose(state: PureState, cut: Sequence[int]) -> np.ndarray:
     """Descending squared Schmidt coefficients across the given bipartition.
 
@@ -92,32 +102,65 @@ def schmidt_decompose(state: PureState, cut: Sequence[int]) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
+def _partial_sums(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Leading partial sums of two stacks of spectra, shapes (n, k) and (n, m),
+    after sorting each row descending and zero-padding both to a common width."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if lo.ndim != 2 or hi.ndim != 2 or lo.shape[0] != hi.shape[0] or 0 in lo.shape[1:] + hi.shape[1:]:
+        raise ValueError(f"expected (n, k) and (n, m) stacks of spectra, got {lo.shape} and {hi.shape}")
+    width = max(lo.shape[1], hi.shape[1])
+    return np.cumsum(_descending_rows(lo, width), axis=1), np.cumsum(_descending_rows(hi, width), axis=1)
+
+
+def majorizes_rows(lo, hi, eps: float = EPS_TIE) -> np.ndarray:
+    """Row-wise majorization: entry ``j`` is True when row ``j`` of ``lo`` is
+    majorized by row ``j`` of ``hi``, i.e. every leading partial sum of ``lo``
+    is bounded by the matching partial sum of ``hi`` up to the tie tolerance
+    ``eps``.  Rows are sorted descending and the shorter side zero-padded."""
+    sums_lo, sums_hi = _partial_sums(lo, hi)
+    return np.all(sums_lo <= sums_hi + eps, axis=1)
+
+
+# Four-way verdict indexed by 2 * forward + backward.
+VERDICT_BY_CODE = (
+    Verdict.INCOMPARABLE,
+    Verdict.BACKWARD_CERTAIN,
+    Verdict.FORWARD_CERTAIN,
+    Verdict.INTERCONVERTIBLE,
+)
+
+
+def verdict_codes(lhs, rhs, eps: float = EPS_TIE) -> np.ndarray:
+    """Row-wise four-way verdict as indices into :data:`VERDICT_BY_CODE`,
+    with both majorization directions decided as in :func:`majorizes_rows`."""
+    sums_l, sums_r = _partial_sums(lhs, rhs)
+    forward = np.all(sums_l <= sums_r + eps, axis=1)
+    backward = np.all(sums_r <= sums_l + eps, axis=1)
+    return 2 * forward.astype(np.intp) + backward
+
+
+def _row(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).reshape(1, -1)
+
+
 def majorizes(lo, hi, eps: float = EPS_TIE) -> bool:
     """True when ``lo`` is majorized by ``hi`` (lo precedes hi in the order).
 
     Every leading partial sum of ``lo`` must be bounded by the corresponding
     partial sum of ``hi``, up to the tie tolerance ``eps``; the shorter vector
     is zero-padded.  In conversion terms: a state with spectrum ``lo``
-    converts deterministically to one with spectrum ``hi``.
+    converts deterministically to one with spectrum ``hi``.  One-row form of
+    :func:`majorizes_rows`.
     """
-    lo, hi = _descending_probs(lo), _descending_probs(hi)
-    size = max(lo.size, hi.size)
-    lo = np.pad(lo, (0, size - lo.size))
-    hi = np.pad(hi, (0, size - hi.size))
-    return bool(np.all(np.cumsum(lo) <= np.cumsum(hi) + eps))
+    return bool(majorizes_rows(_row(lo), _row(hi), eps)[0])
 
 
 def verdict(lhs, rhs, eps: float = EPS_TIE) -> Verdict:
-    """Combine both majorization directions into the four-way classification."""
-    forward = majorizes(lhs, rhs, eps)
-    backward = majorizes(rhs, lhs, eps)
-    if forward and backward:
-        return Verdict.INTERCONVERTIBLE
-    if forward:
-        return Verdict.FORWARD_CERTAIN
-    if backward:
-        return Verdict.BACKWARD_CERTAIN
-    return Verdict.INCOMPARABLE
+    """Combine both majorization directions into the four-way classification.
+
+    One-row form of :func:`verdict_codes`.
+    """
+    return VERDICT_BY_CODE[verdict_codes(_row(lhs), _row(rhs), eps)[0]]
 
 
 def incomparable_3dim(avec, bvec, eps: float = EPS_TIE) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import qflip.cli as cli
 from qflip.constructions import VerificationError
+from qflip.ordering import PATTERN_ATLAS, OrderingMismatchError
 from qflip.report import CSV_HEADER
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -128,6 +130,14 @@ def test_check_pair_rejects_bad_vector():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("lhs", ["nan,0.5,0.5", "inf,0.5,0.5", "0.5,0.5,-inf"])
+def test_check_pair_rejects_non_finite(lhs, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-pair", "--lhs", lhs, "--rhs", ".5,.5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "general", "--a", "0.5"])
@@ -142,6 +152,64 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "verify", "axes")
     assert code == 1
     assert "forced" in err
+
+
+@pytest.mark.parametrize(
+    "error", [OrderingMismatchError("forced ordering"), ArithmeticError("forced arithmetic")]
+)
+def test_certification_errors_exit_one(error, monkeypatch, capsys):
+    def boom(*args):
+        raise error
+
+    monkeypatch.setattr(cli.kernels, "grid_eval", boom)
+    code, out, err = run_cli(capsys, "sweep", "--grid", "2")
+    assert code == 1
+    assert out == ""
+    assert str(error) in err
+
+
+@pytest.mark.parametrize("offset", [1e-6, float("nan")])
+def test_sweep_enforces_eps_spec(offset, monkeypatch, tmp_path, capsys):
+    real_grid_eval = cli.kernels.grid_eval
+
+    def off_by_offset(*args):
+        data = real_grid_eval(*args)
+        data["num_alpha"][5, 1] += offset
+        return data
+
+    monkeypatch.setattr(cli.kernels, "grid_eval", off_by_offset)
+    target = tmp_path / "sweep.ndjson"
+    code, out, err = run_cli(capsys, "sweep", "--grid", "3", "--out", str(target))
+    assert code == 1
+    assert "disagree" in err
+    assert not target.exists()  # every check runs before the first byte is written
+
+
+def test_sweep_non_incomparable_verdict_fails_before_writing(monkeypatch, tmp_path, capsys):
+    real_grid_eval = cli.kernels.grid_eval
+
+    def equal_spectra(*args):
+        # both routes agree, but the final spectrum equals the initial one
+        data = real_grid_eval(*args)
+        data["beta"][7] = data["alpha"][7]
+        data["num_beta"][7] = data["num_alpha"][7]
+        return data
+
+    monkeypatch.setattr(cli.kernels, "grid_eval", equal_spectra)
+    target = tmp_path / "sweep.ndjson"
+    code, _, err = run_cli(capsys, "sweep", "--grid", "3", "--out", str(target))
+    assert code == 1
+    assert "1 non-incomparable verdicts, first Interconvertible" in err
+    assert not target.exists()
+
+
+def test_sweep_corrupted_atlas_fails_before_writing(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(PATTERN_ATLAS, ("Q2", "Q2"), PATTERN_ATLAS[("Q3", "Q3")])
+    target = tmp_path / "sweep.ndjson"
+    code, _, err = run_cli(capsys, "sweep", "--grid", "4", "--out", str(target))
+    assert code == 1
+    assert "Q2" in err
+    assert not target.exists()
 
 
 def test_sweep_records_and_summary(capsys):
@@ -171,13 +239,11 @@ def test_sweep_records_and_summary(capsys):
 
 
 def test_sweep_wide_margin_filters_everything(capsys):
-    code, out, _ = run_cli(capsys, "sweep", "--grid", "2", "--margin", "0.5")
-    assert code == 0
-    records = [json.loads(line) for line in out.strip().splitlines()]
-    summary = records[-1]
-    assert summary["points_emitted"] == 0
-    assert summary["points_degenerate_skipped"] == 8
-    assert len(records) == 1
+    # a sweep that certifies no point is a vacuous pass, so it fails
+    code, out, err = run_cli(capsys, "sweep", "--grid", "2", "--margin", "0.5")
+    assert code == 1
+    assert out == ""
+    assert "nothing was certified" in err
 
 
 def test_sweep_deterministic_output(tmp_path, capsys):
@@ -220,3 +286,22 @@ def test_module_entry_point_subprocess():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["verdict"] == "Incomparable"
+
+
+# sha256 of `qflip sweep --grid 12` on the numpy backend, pinned so that a
+# change to any layer of the sweep cannot alter its output bytes unnoticed.
+GOLDEN_SWEEP_GRID12 = {
+    "json": "ae02bc873d758add92d2a411e318f7f4011ba312c89d66bb52d9c1847de4c964",
+    "csv": "d8116b0f738bbdd3a9cd96d7efd7fafb1883e57a7052b6f351df16e66fd5da0c",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_SWEEP_GRID12))
+def test_sweep_golden_sha256(fmt):
+    out = subprocess.run(
+        [sys.executable, "-m", "qflip", "sweep", "--grid", "12", "--format", fmt],
+        capture_output=True,
+        env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin", "QFLIP_DISABLE_SPEEDUPS": "1"},
+    )
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest() == GOLDEN_SWEEP_GRID12[fmt]

@@ -1,13 +1,21 @@
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qflip.bloch import FlipParams
+from qflip.cli import SweepConfig, _run_sweep
 from qflip.cubic import cubic_coefficients, cubic_roots
 from qflip.ordering import (
     ALL_PATTERN_IDS,
     PATTERN_ATLAS,
     DegenerateSpectraError,
+    OrderingMismatchError,
+    check_atlas,
     classify_ordering,
+    pattern_labels,
     region_of,
 )
 from qflip.schmidt import SpectrumTieError, Verdict, incomparable_3dim, verdict
@@ -113,3 +121,66 @@ def test_atlas_fully_witnessed_on_coarse_grid():
                 witnessed.update(_classify_params(p).witnessed)
     assert witnessed == set(ALL_PATTERN_IDS)
     assert len(PATTERN_ATLAS) == 8
+
+
+_family_point = st.tuples(
+    st.floats(0.02, 0.98), st.floats(0.02, 0.98), st.floats(0.02, np.pi - 0.02)
+).map(lambda t: FlipParams(a=t[0], c=t[1], theta=t[2]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_family_point, min_size=1, max_size=20))
+def test_batched_atlas_check_matches_classify_ordering(points):
+    spectra = []
+    expected = []
+    for p in points:
+        coeff_a, coeff_b, coeff_bp = cubic_coefficients(p)
+        init, fin = cubic_roots(coeff_a, coeff_b), cubic_roots(coeff_a, coeff_bp)
+        spectra.append((coeff_a, coeff_b, coeff_bp, init.theta_angle, fin.theta_angle))
+        try:
+            expected.append(classify_ordering(init, fin).label)
+        except DegenerateSpectraError:
+            expected.append(None)
+    regions = check_atlas(*np.array(spectra).T)
+    assert pattern_labels(regions).tolist() == expected
+
+
+def test_atlas_check_skips_degenerate_rows():
+    p = FlipParams(a=1.0, c=0.5, theta=1.0)
+    coeff_a, coeff_b, coeff_bp = cubic_coefficients(p)
+    init, fin = cubic_roots(coeff_a, coeff_b), cubic_roots(coeff_a, coeff_bp)
+    regions = check_atlas(coeff_a, coeff_b, coeff_bp, init.theta_angle, fin.theta_angle)
+    assert regions.tolist() == [[[-1, -1], [-1, -1]]]
+    assert pattern_labels(regions).tolist() == [None]
+
+
+ORIGINAL_ATLAS = dict(PATTERN_ATLAS)
+
+
+@contextmanager
+def _atlas_with(pair, chain):
+    """PATTERN_ATLAS with one entry replaced (or removed, for chain None)."""
+    if chain is None:
+        del PATTERN_ATLAS[pair]
+    else:
+        PATTERN_ATLAS[pair] = chain
+    try:
+        yield
+    finally:
+        PATTERN_ATLAS.clear()
+        PATTERN_ATLAS.update(ORIGINAL_ATLAS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(sorted(ORIGINAL_ATLAS)),
+    st.sampled_from([None, *sorted(set(ORIGINAL_ATLAS.values()))]),
+)
+def test_corrupted_atlas_entry_makes_the_sweep_fail(pair, chain):
+    cfg = SweepConfig(grid_n=9)
+    with _atlas_with(pair, chain):
+        if chain == ORIGINAL_ATLAS[pair]:
+            _run_sweep(cfg)
+        else:
+            with pytest.raises(OrderingMismatchError):
+                _run_sweep(cfg)

@@ -7,14 +7,17 @@ from qflip.constructions import AXES_LAMBDA_FINAL, build_axes_state
 from qflip.linalg import DimensionError, kron
 from qflip.schmidt import (
     EPS_TIE,
+    VERDICT_BY_CODE,
     PureState,
     SpectrumTieError,
     Verdict,
     entanglement_entropy,
     incomparable_3dim,
     majorizes,
+    majorizes_rows,
     schmidt_decompose,
     verdict,
+    verdict_codes,
 )
 
 from conftest import random_prob_vector, random_strict_triple, random_unitary
@@ -26,6 +29,72 @@ def _brute_incomparable(a, b, eps=EPS_TIE):
     fwd = all(sum(a[: k + 1]) <= sum(b[: k + 1]) + eps for k in range(len(a)))
     bwd = all(sum(b[: k + 1]) <= sum(a[: k + 1]) + eps for k in range(len(a)))
     return not fwd and not bwd
+
+
+def _brute_majorizes(lo, hi, eps=EPS_TIE):
+    # plain partial-sum loop over descending, zero-padded copies
+    lo = sorted((float(x) for x in lo), reverse=True)
+    hi = sorted((float(x) for x in hi), reverse=True)
+    size = max(len(lo), len(hi))
+    lo += [0.0] * (size - len(lo))
+    hi += [0.0] * (size - len(hi))
+    sum_lo = sum_hi = 0.0
+    for x, y in zip(lo, hi):
+        sum_lo += x
+        sum_hi += y
+        if not sum_lo <= sum_hi + eps:
+            return False
+    return True
+
+
+# Entries are multiples of 1/64 shifted by -1, 0 or +1 tie tolerances, so
+# leading partial sums often coincide or differ by exactly one tolerance.
+_QUANTUM = 1.0 / 64.0
+_entry = st.tuples(st.integers(0, 16), st.integers(-1, 1)).map(lambda t: t[0] * _QUANTUM + t[1] * EPS_TIE)
+
+
+@st.composite
+def _spectrum_stacks(draw):
+    rows = draw(st.integers(1, 6))
+    k, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    lo = draw(st.lists(st.lists(_entry, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    hi = draw(st.lists(st.lists(_entry, min_size=m, max_size=m), min_size=rows, max_size=rows))
+    return lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spectrum_stacks())
+def test_batched_scalar_and_brute_force_majorization_agree(stacks):
+    lo, hi = stacks
+    batched = majorizes_rows(np.array(lo), np.array(hi)).tolist()
+    codes = verdict_codes(np.array(lo), np.array(hi)).tolist()
+    for row, (x, y) in enumerate(zip(lo, hi)):
+        forward, backward = _brute_majorizes(x, y), _brute_majorizes(y, x)
+        assert batched[row] == majorizes(x, y) == forward
+        assert majorizes(y, x) == backward
+        assert VERDICT_BY_CODE[codes[row]] is verdict(x, y)
+        assert verdict(x, y) is {
+            (True, True): Verdict.INTERCONVERTIBLE,
+            (True, False): Verdict.FORWARD_CERTAIN,
+            (False, True): Verdict.BACKWARD_CERTAIN,
+            (False, False): Verdict.INCOMPARABLE,
+        }[(forward, backward)]
+
+
+def test_majorization_tie_at_eps_is_inclusive():
+    # leading sums differing by exactly the tolerance still count as bounded
+    lo = [0.5, 0.25, 0.25]
+    hi = [0.5 - EPS_TIE, 0.25 + EPS_TIE, 0.25]
+    assert majorizes(lo, hi) and _brute_majorizes(lo, hi)
+    assert not majorizes(lo, hi, eps=0.0)
+    assert majorizes_rows([lo, hi], [hi, lo]).tolist() == [True, True]
+
+
+def test_majorizes_rows_rejects_mismatched_stacks():
+    with pytest.raises(ValueError):
+        majorizes_rows(np.ones((2, 3)), np.ones((3, 3)))
+    with pytest.raises(ValueError):
+        majorizes([], [1.0])
 
 
 def test_pure_state_validation():
