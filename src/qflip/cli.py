@@ -9,7 +9,7 @@ Subcommands::
     qflip check-pair --lhs p1,p2,... --rhs q1,q2,...
 
 Exit codes: 0 on success, 1 when a certification check fails, 2 on usage
-errors.  ``QFLIP_JOBS`` sets the default worker count for ``sweep``.
+errors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import multiprocessing
-import os
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -39,7 +38,7 @@ from .constructions import (
     route_tolerance,
 )
 from .cubic import cubic_coefficients
-from .ordering import OrderingMismatchError, check_atlas, pattern_labels
+from .ordering import CHAIN_TIE_TOL, OrderingMismatchError, check_atlas, pattern_labels
 from .report import CSV_HEADER, ReportRecord, fmt_float, json_line, sweep_chunks
 from .schmidt import VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdict, verdict_codes
 
@@ -226,10 +225,11 @@ def _where(points, j: int) -> str:
 def _run_sweep(cfg: SweepConfig) -> tuple[Iterator[str], dict]:
     """Evaluate and certify every grid point beyond the margin, in one batch.
 
-    Every check runs on the whole batch before this returns: analytic and
-    numeric spectra agree within the route tolerance built on ``eps_spec``,
-    every verdict is Incomparable and every ordering matches the atlas.  A
-    failure raises :class:`VerificationError` (or
+    The margin mask depends only on (a, c, theta), so the kernel runs on the
+    certified points alone.  Every check runs on the whole batch before this
+    returns: analytic and numeric spectra agree within the route tolerance
+    built on ``eps_spec``, every verdict is Incomparable and every ordering
+    matches the atlas.  A failure raises :class:`VerificationError` (or
     :class:`OrderingMismatchError`), so nothing has been written yet.
     Returns the record blocks, formatted lazily, and the summary.
     """
@@ -237,15 +237,15 @@ def _run_sweep(cfg: SweepConfig) -> tuple[Iterator[str], dict]:
     ticks = np.arange(1, n + 1) / (n + 1)
     aa, cc, tt = np.meshgrid(ticks, ticks, ticks * pi, indexing="ij")
     flat_a, flat_c, flat_t = aa.ravel(), cc.ravel(), tt.ravel()
-    data = _grid_eval(flat_a, flat_c, flat_t, cfg.jobs)
 
-    certified = np.flatnonzero(np.abs(data["degeneracy"]) > cfg.margin)
+    certified = np.flatnonzero(np.abs(kernels.degeneracy(flat_a, flat_c, flat_t)) > cfg.margin)
     if certified.size == 0:
         raise VerificationError(
             f"no grid point lies beyond the degeneracy margin {cfg.margin:g}; nothing was certified"
         )
-    rows = {key: value[certified] for key, value in data.items()}
-    rows["a"], rows["c"], rows["theta"] = flat_a[certified], flat_c[certified], flat_t[certified]
+    a, c, theta = flat_a[certified], flat_c[certified], flat_t[certified]
+    rows = _grid_eval(a, c, theta, cfg.jobs)
+    rows["a"], rows["c"], rows["theta"] = a, c, theta
 
     # Recomputed from both routes rather than trusted from the kernel's max_err.
     rows["max_err"] = np.maximum(
@@ -270,8 +270,9 @@ def _run_sweep(cfg: SweepConfig) -> tuple[Iterator[str], dict]:
         raise VerificationError(
             f"{int(comparable.sum())} non-incomparable verdicts, first {verdicts[j]} at {_where(rows, j)}"
         )
+    tie_tol = route_tolerance(rows["A"], rows["B"], rows["Bprime"], base=CHAIN_TIE_TOL)
     ordering = pattern_labels(
-        check_atlas(rows["A"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"])
+        check_atlas(rows["A"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"], tie_tol=tie_tol)
     )
 
     ia, ic, itheta = np.unravel_index(certified, (n, n, n))
@@ -374,12 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="evaluate the family over a full grid")
     p_sweep.add_argument("--grid", type=int, required=True, help="points per axis")
     p_sweep.add_argument("--margin", type=float, default=DEFAULT_DEGENERACY_MARGIN)
-    p_sweep.add_argument(
-        "--jobs",
-        type=int,
-        default=int(os.environ.get("QFLIP_JOBS", "1")),
-        help="worker processes (default from QFLIP_JOBS, else 1)",
-    )
+    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes for the kernel")
     _add_output_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -397,7 +393,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (VerificationError, OrderingMismatchError, ArithmeticError) as exc:
+    except (VerificationError, OrderingMismatchError, np.linalg.LinAlgError) as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

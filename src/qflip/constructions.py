@@ -25,7 +25,7 @@ from .bloch import (
 )
 from .cubic import CubicSpectrum, cubic_coefficients, cubic_roots
 from .linalg import DimensionError, kron, partial_trace
-from .ordering import DegenerateSpectraError, OrderingPattern, classify_ordering
+from .ordering import CHAIN_TIE_TOL, DegenerateSpectraError, OrderingPattern, classify_ordering
 from .schmidt import PureState, Verdict, schmidt_decompose, verdict
 
 SPECTRUM_AGREEMENT_TOL = 1e-9
@@ -245,8 +245,9 @@ def general_flip_experiment(
             raise VerificationError(
                 f"expected Incomparable at non-degenerate point {p}, got {result_verdict}"
             )
+        tie_tol = float(route_tolerance(coeff_a, coeff_b, coeff_bp, base=CHAIN_TIE_TOL))
         try:
-            ordering = classify_ordering(analytic_i, analytic_f, tie_tol=route_tol)
+            ordering = classify_ordering(analytic_i, analytic_f, tie_tol=tie_tol)
         except DegenerateSpectraError:
             ordering = None
 

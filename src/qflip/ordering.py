@@ -153,7 +153,7 @@ def check_atlas(
     theta_i,
     theta_f,
     gap_tol: float = DEGENERACY_GAP_TOL,
-    tie_tol: float = CHAIN_TIE_TOL,
+    tie_tol: float | np.ndarray = CHAIN_TIE_TOL,
 ) -> np.ndarray:
     """Verify the labeled-root ordering of many spectrum pairs against the atlas.
 
@@ -163,7 +163,7 @@ def check_atlas(
     and 2pi - 3t (mirror) of each spectrum is placed in its quadrant, and all
     four representative pairs are checked in one stacked pass: the pair must
     have an atlas entry and the six labeled roots must descend along its
-    chain within ``tie_tol``.
+    chain within ``tie_tol``, a scalar or one value per row.
 
     Returns an integer array of shape (n, 2, 2) holding the quadrant index
     (0..3 for Q1..Q4) of [spectrum][representative], spectrum 0 initial and
@@ -200,6 +200,9 @@ def check_atlas(
         raise OrderingMismatchError(f"region pair {pair} has no atlas entry")
     # each pair's six roots in the order of its atlas chain: (row, pair, 6)
     ordered = roots[np.arange(m)[:, None, None], gather[np.arange(4), entry]]
+    tie_tol = np.asarray(tie_tol, dtype=float)
+    if tie_tol.ndim:
+        tie_tol = tie_tol.reshape(-1)[live, None, None]
     holds = (ordered[..., :-1] >= ordered[..., 1:] - tie_tol).all(axis=-1)
     if not holds.all():
         row, k = np.argwhere(~holds)[0]

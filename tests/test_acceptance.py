@@ -2,7 +2,7 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one pass line per
 criterion.  The heavy grid criteria evaluate all 40x40x40 parameter points
-through the active kernel backend.
+through the batched numpy kernel.
 """
 
 import time

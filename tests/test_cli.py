@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -8,8 +9,10 @@ import numpy as np
 import pytest
 
 import qflip.cli as cli
-from qflip.constructions import VerificationError
-from qflip.ordering import PATTERN_ATLAS, OrderingMismatchError
+from qflip import ordering
+from qflip.bloch import FlipParams
+from qflip.constructions import VerificationError, general_flip_experiment, route_tolerance
+from qflip.ordering import CHAIN_TIE_TOL, PATTERN_ATLAS, OrderingMismatchError
 from qflip.report import CSV_HEADER
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -155,7 +158,8 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "error", [OrderingMismatchError("forced ordering"), ArithmeticError("forced arithmetic")]
+    "error",
+    [OrderingMismatchError("forced ordering"), np.linalg.LinAlgError("forced eigensolver failure")],
 )
 def test_certification_errors_exit_one(error, monkeypatch, capsys):
     def boom(*args):
@@ -238,6 +242,48 @@ def test_sweep_records_and_summary(capsys):
         }[(bool(fwd), bool(bwd))] == r["verdict"]
 
 
+def test_sweep_evaluates_only_certified_points(monkeypatch, capsys):
+    real_grid_eval = cli.kernels.grid_eval
+    sizes = []
+
+    def counting(a, c, theta):
+        sizes.append(len(a))
+        return real_grid_eval(a, c, theta)
+
+    monkeypatch.setattr(cli.kernels, "grid_eval", counting)
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "6", "--margin", "0.05")
+    assert code == 0
+    summary = json.loads(out.strip().splitlines()[-1])
+    assert 0 < summary["points_emitted"] < summary["points_total"]
+    assert sizes == [summary["points_emitted"]]
+
+
+def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsys):
+    # both call sites check the chain within route_tolerance(A, B, B', base=CHAIN_TIE_TOL)
+    real_check_atlas = ordering.check_atlas
+    calls = []
+
+    def recording(*args, **kwargs):
+        bound = inspect.signature(real_check_atlas).bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(bound.arguments)
+        return real_check_atlas(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_atlas", recording)
+    monkeypatch.setattr(ordering, "check_atlas", recording)
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "3")
+    assert code == 0
+    for line in out.strip().splitlines()[:-1]:
+        params = json.loads(line)["params"]
+        general_flip_experiment(FlipParams(a=params["a"], c=params["c"], theta=params["theta"]))
+    sweep, *single = calls
+    assert len(single) == 27
+    for call in calls:
+        expected = route_tolerance(call["a_coeff"], call["b_val"], call["bprime_val"], base=CHAIN_TIE_TOL)
+        np.testing.assert_array_equal(call["tie_tol"], expected)
+    np.testing.assert_array_equal([call["tie_tol"] for call in single], sweep["tie_tol"])
+
+
 def test_sweep_wide_margin_filters_everything(capsys):
     # a sweep that certifies no point is a vacuous pass, so it fails
     code, out, err = run_cli(capsys, "sweep", "--grid", "2", "--margin", "0.5")
@@ -270,13 +316,6 @@ def test_sweep_jobs_parallel_matches_serial(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_sweep_jobs_default_from_env(monkeypatch):
-    monkeypatch.setenv("QFLIP_JOBS", "3")
-    parser = cli.build_parser()
-    args = parser.parse_args(["sweep", "--grid", "2"])
-    assert args.jobs == 3
-
-
 def test_module_entry_point_subprocess():
     out = subprocess.run(
         [sys.executable, "-m", "qflip", "verify", "axes"],
@@ -288,7 +327,7 @@ def test_module_entry_point_subprocess():
     assert json.loads(out.stdout)["verdict"] == "Incomparable"
 
 
-# sha256 of `qflip sweep --grid 12` on the numpy backend, pinned so that a
+# sha256 of `qflip sweep --grid 12`, pinned so that a
 # change to any layer of the sweep cannot alter its output bytes unnoticed.
 GOLDEN_SWEEP_GRID12 = {
     "json": "ae02bc873d758add92d2a411e318f7f4011ba312c89d66bb52d9c1847de4c964",
@@ -301,7 +340,7 @@ def test_sweep_golden_sha256(fmt):
     out = subprocess.run(
         [sys.executable, "-m", "qflip", "sweep", "--grid", "12", "--format", fmt],
         capture_output=True,
-        env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin", "QFLIP_DISABLE_SPEEDUPS": "1"},
+        env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"},
     )
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(out.stdout).hexdigest() == GOLDEN_SWEEP_GRID12[fmt]

@@ -1,69 +1,21 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
-import pytest
 
-from qflip import _kernels_py, kernels
+from qflip import kernels
 from qflip.bloch import FlipParams
 from qflip.constructions import general_flip_experiment
 
 from conftest import random_hermitian
 
-try:
-    from qflip import _speedups
-except ImportError:
-    _speedups = None
-
-needs_speedups = pytest.mark.skipif(_speedups is None, reason="compiled extension not built")
-
-SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
-
 
 def test_backend_is_reported():
-    assert kernels.BACKEND in ("compiled", "python")
-    if _speedups is not None and not os.environ.get("QFLIP_DISABLE_SPEEDUPS"):
-        assert kernels.BACKEND == "compiled"
+    assert kernels.BACKEND == "numpy"
 
 
 def test_fallback_eigvalsh_descending(rng):
     h = random_hermitian(rng, 6)
-    vals = _kernels_py.eigvalsh_small(h)
+    vals = kernels.eigvalsh_small(h)
     assert np.all(np.diff(vals) <= 0)
     np.testing.assert_allclose(vals, np.linalg.eigvalsh(h)[::-1], atol=1e-12)
-
-
-@needs_speedups
-def test_compiled_eigvalsh_matches_lapack(rng):
-    for n in range(1, 13):
-        for _ in range(20):
-            h = random_hermitian(rng, n)
-            got = _speedups.eigvalsh_small(h)
-            want = np.linalg.eigvalsh(h)[::-1]
-            np.testing.assert_allclose(got, want, atol=1e-10)
-
-
-@needs_speedups
-def test_compiled_eigvalsh_rejections():
-    with pytest.raises(ValueError):
-        _speedups.eigvalsh_small(np.eye(13))
-    with pytest.raises(ValueError):
-        _speedups.eigvalsh_small(np.ones((2, 3)))
-
-
-@needs_speedups
-def test_grid_eval_backend_parity(rng):
-    n = 400
-    a = rng.uniform(0.02, 0.98, n)
-    c = rng.uniform(0.02, 0.98, n)
-    t = rng.uniform(0.02, np.pi - 0.02, n)
-    fast = _speedups.grid_eval(a, c, t)
-    slow = _kernels_py.grid_eval(a, c, t)
-    assert set(fast) == set(slow)
-    for key in fast:
-        np.testing.assert_allclose(fast[key], slow[key], atol=5e-12, err_msg=key)
 
 
 def test_grid_eval_matches_full_stack(rng):
@@ -83,15 +35,3 @@ def test_grid_eval_matches_full_stack(rng):
         np.testing.assert_allclose(data["beta"][i], result.analytic_final.roots, atol=1e-12)
         np.testing.assert_allclose(data["num_alpha"][i], result.numeric_initial, atol=1e-11)
         np.testing.assert_allclose(data["num_beta"][i], result.numeric_final, atol=1e-11)
-
-
-def test_disable_speedups_env_selects_fallback():
-    code = "import qflip.kernels as k; print(k.BACKEND)"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": SRC_DIR, "QFLIP_DISABLE_SPEEDUPS": "1", "PATH": "/usr/bin:/bin"},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "python"

@@ -171,6 +171,24 @@ def _atlas_with(pair, chain):
         PATTERN_ATLAS.update(ORIGINAL_ATLAS)
 
 
+def test_atlas_check_applies_tie_tolerance_per_row():
+    # B' > 0 witnesses only {Q2, Q3} x {Q2, Q3}, B' < 0 only {Q2, Q3} x {Q1, Q4},
+    # so a wrong chain for Q2Q1 breaks the second row alone
+    rows = []
+    for p in (FlipParams(a=0.9, c=0.9, theta=0.3), FlipParams(a=0.8, c=0.6, theta=2 * np.pi / 3)):
+        coeff_a, coeff_b, coeff_bp = cubic_coefficients(p)
+        rows.append((coeff_a, coeff_b, coeff_bp, cubic_roots(coeff_a, coeff_b).theta_angle,
+                     cubic_roots(coeff_a, coeff_bp).theta_angle))
+    columns = np.array(rows).T
+    with _atlas_with(("Q2", "Q1"), ORIGINAL_ATLAS[("Q3", "Q3")]):
+        with pytest.raises(OrderingMismatchError):
+            check_atlas(*columns)
+        # roots lie in [0, 1], so a tie tolerance of 1 forgives any chain
+        check_atlas(*columns, tie_tol=np.array([1e-12, 1.0]))
+        with pytest.raises(OrderingMismatchError):
+            check_atlas(*columns, tie_tol=np.array([1.0, 1e-12]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(sorted(ORIGINAL_ATLAS)),
