@@ -121,6 +121,11 @@ class FlipParams:
         return self.a * self.b * self.c * self.d * sin(self.theta)
 
 
+def complements(a, c) -> tuple[np.ndarray, np.ndarray]:
+    """The family's b = sqrt(1 - a^2) and d = sqrt(1 - c^2), elementwise, clamped at zero."""
+    return np.sqrt(np.maximum(1.0 - a * a, 0.0)), np.sqrt(np.maximum(1.0 - c * c, 0.0))
+
+
 def canonical_triple(p: FlipParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three family states (|0>, a|0>+b|1>, c|0>+d e^{i theta}|1>)."""
     first = np.array([1.0, 0.0], dtype=complex)

@@ -20,7 +20,7 @@ import multiprocessing
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from math import pi
+from math import isfinite, pi
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,6 +33,7 @@ from .constructions import (
     DEFAULT_FLIPPER_SEED,
     VerificationError,
     axes_experiment,
+    check_margin,
     flipper_experiment,
     general_flip_experiment,
     route_tolerance,
@@ -59,8 +60,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.grid_n < 2:
             raise ValueError("grid must be at least 2")
-        if not 0.0 < self.margin < 1.0:
-            raise ValueError("margin must lie in (0, 1)")
+        check_margin(self.margin)
         if self.eps_tie <= 0.0 or self.eps_spec <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.jobs < 1:
@@ -235,19 +235,18 @@ def _run_sweep(cfg: SweepConfig) -> tuple[Iterator[str], dict]:
     """
     n = cfg.grid_n
     ticks = np.arange(1, n + 1) / (n + 1)
-    aa, cc, tt = np.meshgrid(ticks, ticks, ticks * pi, indexing="ij")
-    flat_a, flat_c, flat_t = aa.ravel(), cc.ravel(), tt.ravel()
-
-    certified = np.flatnonzero(np.abs(kernels.degeneracy(flat_a, flat_c, flat_t)) > cfg.margin)
-    if certified.size == 0:
+    angles = ticks * pi
+    # the measure broadcast over the (a, c, theta) axes, so no N^3 coordinate grid is built
+    measure = kernels.degeneracy(ticks[:, None, None], ticks[None, :, None], angles)
+    ia, ic, itheta = np.nonzero(np.abs(measure) > cfg.margin)
+    if ia.size == 0:
         raise VerificationError(
             f"no grid point lies beyond the degeneracy margin {cfg.margin:g}; nothing was certified"
         )
-    a, c, theta = flat_a[certified], flat_c[certified], flat_t[certified]
+    a, c, theta = ticks[ia], ticks[ic], angles[itheta]
     rows = _grid_eval(a, c, theta, cfg.jobs)
     rows["a"], rows["c"], rows["theta"] = a, c, theta
 
-    # Recomputed from both routes rather than trusted from the kernel's max_err.
     rows["max_err"] = np.maximum(
         np.max(np.abs(rows["alpha"] - rows["num_alpha"]), axis=1),
         np.max(np.abs(rows["beta"] - rows["num_beta"]), axis=1),
@@ -275,7 +274,6 @@ def _run_sweep(cfg: SweepConfig) -> tuple[Iterator[str], dict]:
         check_atlas(rows["A"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"], tie_tol=tie_tol)
     )
 
-    ia, ic, itheta = np.unravel_index(certified, (n, n, n))
     columns = {
         "a": rows["a"], "c": rows["c"], "theta": rows["theta"],
         "ia": ia, "ic": ic, "itheta": itheta,
@@ -289,9 +287,9 @@ def _run_sweep(cfg: SweepConfig) -> tuple[Iterator[str], dict]:
         "experiment_id": "sweep-summary",
         "grid": n,
         "margin": cfg.margin,
-        "points_total": int(flat_a.size),
-        "points_emitted": int(certified.size),
-        "points_degenerate_skipped": int(flat_a.size - certified.size),
+        "points_total": measure.size,
+        "points_emitted": ia.size,
+        "points_degenerate_skipped": measure.size - ia.size,
         "pattern_counts": dict(sorted(pattern_counts.items())),
         "max_analytic_numeric_error": float(rows["max_err"].max()),
         "non_incomparable_count": 0,  # any other verdict failed the sweep above
@@ -330,6 +328,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def finite_float(text: str) -> float:
+    """Type of every float flag: a finite number, anything else a usage error."""
+    if not isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _add_output_flags(parser) -> None:
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -347,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p_verify.add_subparsers(dest="experiment", required=True)
 
     p_axes = vsub.add_parser("axes", help="x/y/z axis-state experiment")
-    p_axes.add_argument("--chi", type=float, default=0.0)
-    p_axes.add_argument("--eta", type=float, default=0.0)
+    p_axes.add_argument("--chi", type=finite_float, default=0.0)
+    p_axes.add_argument("--eta", type=finite_float, default=0.0)
     _add_output_flags(p_axes)
     p_axes.set_defaults(func=_cmd_verify_axes)
 
@@ -358,12 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_flip.set_defaults(func=_cmd_verify_flipper)
 
     p_gen = vsub.add_parser("general", help="general three-state family point")
-    p_gen.add_argument("--a", type=float, required=True)
-    p_gen.add_argument("--c", type=float, required=True)
-    p_gen.add_argument("--theta", type=float, required=True)
-    p_gen.add_argument("--mu", type=float, default=0.0)
-    p_gen.add_argument("--nu", type=float, default=0.0)
-    p_gen.add_argument("--margin", type=float, default=DEFAULT_DEGENERACY_MARGIN)
+    p_gen.add_argument("--a", type=finite_float, required=True)
+    p_gen.add_argument("--c", type=finite_float, required=True)
+    p_gen.add_argument("--theta", type=finite_float, required=True)
+    p_gen.add_argument("--mu", type=finite_float, default=0.0)
+    p_gen.add_argument("--nu", type=finite_float, default=0.0)
+    p_gen.add_argument("--margin", type=finite_float, default=DEFAULT_DEGENERACY_MARGIN)
     p_gen.add_argument(
         "--degenerate-mode",
         action="store_true",
@@ -374,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="evaluate the family over a full grid")
     p_sweep.add_argument("--grid", type=int, required=True, help="points per axis")
-    p_sweep.add_argument("--margin", type=float, default=DEFAULT_DEGENERACY_MARGIN)
+    p_sweep.add_argument("--margin", type=finite_float, default=DEFAULT_DEGENERACY_MARGIN)
     p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes for the kernel")
     _add_output_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)

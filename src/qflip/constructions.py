@@ -23,7 +23,7 @@ from .bloch import (
     qubit_to_bloch,
     random_qubit,
 )
-from .cubic import CubicSpectrum, cubic_coefficients, cubic_roots
+from .cubic import CubicSpectrum, family_spectra
 from .linalg import DimensionError, kron, partial_trace
 from .ordering import CHAIN_TIE_TOL, DegenerateSpectraError, OrderingPattern, classify_ordering
 from .schmidt import PureState, Verdict, schmidt_decompose, verdict
@@ -50,6 +50,12 @@ _QUTRIT_BASIS = tuple(np.eye(3, dtype=complex)[j] for j in range(3))
 
 class VerificationError(RuntimeError):
     """An experiment's built-in assertion failed."""
+
+
+def check_margin(margin: float) -> None:
+    """Reject a degeneracy margin outside (0, 1), NaN included."""
+    if not 0.0 < margin < 1.0:
+        raise ValueError(f"margin must lie in (0, 1), got {margin}")
 
 
 def route_tolerance(coeff_a, *b_vals, base: float | None = None):
@@ -215,11 +221,12 @@ def general_flip_experiment(
     Points with |a b c d sin theta| <= ``margin`` are reported as degenerate
     (no ordering, no incomparability assertion); everywhere else the verdict
     must come out Incomparable, anything less raises
-    :class:`VerificationError`.
+    :class:`VerificationError`.  A margin outside (0, 1) raises
+    :class:`ValueError`.
     """
-    coeff_a, coeff_b, coeff_bp = cubic_coefficients(p)
-    analytic_i = cubic_roots(coeff_a, coeff_b)
-    analytic_f = cubic_roots(coeff_a, coeff_bp)
+    check_margin(margin)
+    analytic_i, analytic_f = family_spectra(p)
+    coeff_a, coeff_b, coeff_bp = analytic_i.A, analytic_i.b_val, analytic_f.b_val
 
     numeric_i = schmidt_decompose(build_family_state(p), cut=[0])
     numeric_f = schmidt_decompose(build_family_state_flipped(p, mu, nu), cut=[0])
@@ -294,8 +301,7 @@ def axes_experiment(chi: float = 0.0, eta: float = 0.0) -> AxesExperimentResult:
     if v is not Verdict.INCOMPARABLE:
         raise VerificationError(f"axes experiment expected Incomparable, got {v}")
 
-    coeff_a, coeff_b, coeff_bp = cubic_coefficients(AXES_PARAMS)
-    ordering = classify_ordering(cubic_roots(coeff_a, coeff_b), cubic_roots(coeff_a, coeff_bp))
+    ordering = classify_ordering(*family_spectra(AXES_PARAMS))
     return AxesExperimentResult(
         chi=chi,
         eta=eta,

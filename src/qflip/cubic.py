@@ -11,21 +11,24 @@ cubic: with cos(3*t) = -Bval / (2 A^{3/2}),
     lam = (1 - 2 sqrt(A) cos(phi)) / 3,  phi in {2pi/3 + t, t, 2pi/3 - t}.
 
 The angle t is only determined up to the mirror 2pi - 3t at the level of its
-cosine; :func:`labeled_roots` evaluates the printed root labels for any
+cosine; :func:`labeled_roots_rows` evaluates the printed root labels for any
 representative so the ordering classifier can reason about both.
+
+The ``_rows`` functions are the only copy of the closed form and work
+elementwise on arrays; the scalar functions are one-row calls of them, so a
+sweep row and a single point get the same coefficients and roots to the bit.
 """
 
 from __future__ import annotations
 
 from cmath import exp as cexp
 from dataclasses import dataclass
-from math import acos, cos, pi, sqrt
 
 import numpy as np
 
-from .bloch import FlipParams
+from .bloch import FlipParams, complements
 
-ROOT_RESIDUAL_TOL = 1e-9
+_TWO_THIRDS_PI = 2.0 * np.pi / 3.0
 
 
 def state_overlap(p: FlipParams) -> complex:
@@ -33,21 +36,63 @@ def state_overlap(p: FlipParams) -> complex:
     return p.a * p.c + p.b * p.d * cexp(1j * p.theta)
 
 
-def cubic_coefficients(p: FlipParams) -> tuple[float, float, float]:
-    """Coefficients (A, B, Bprime) of the two characteristic cubics.
+def cubic_coefficients_rows(a, c, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coefficients (A, B, Bprime) of the two characteristic cubics, elementwise.
 
-    A = [2 a^2 c^2 + |<psi|phi>|^4] / 3 is shared; B = 2 a^2 c^2 |<psi|phi>|^2
-    belongs to the initial state and Bprime = 2 a^2 c^2 Re{<phi|psi>^2} to the
-    flipped one.  They satisfy B - Bprime = 4 a^2 b^2 c^2 d^2 sin^2(theta),
-    so B >= Bprime always, with equality exactly on great-circle parameters.
+    With w = <psi|phi>, A = [2 a^2 c^2 + |w|^4] / 3 is shared;
+    B = 2 a^2 c^2 |w|^2 belongs to the initial state and
+    Bprime = 2 a^2 c^2 Re{w^2} to the flipped one.  They satisfy
+    B - Bprime = 4 a^2 b^2 c^2 d^2 sin^2(theta), so B >= Bprime always, with
+    equality exactly on great-circle parameters.
     """
-    w = state_overlap(p)
-    a2c2 = (p.a * p.c) ** 2
-    w2 = abs(w) ** 2
+    a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float)
+    b, d = complements(a, c)
+    w_re = a * c + b * d * np.cos(theta)
+    w_im = b * d * np.sin(theta)
+    w2 = w_re * w_re + w_im * w_im
+    a2c2 = (a * c) ** 2
     coeff_a = (2.0 * a2c2 + w2 * w2) / 3.0
     coeff_b = 2.0 * a2c2 * w2
-    coeff_bp = 2.0 * a2c2 * (w.real * w.real - w.imag * w.imag)
+    coeff_bp = 2.0 * a2c2 * (w_re * w_re - w_im * w_im)
     return coeff_a, coeff_b, coeff_bp
+
+
+def labeled_roots_rows(a_coeff, t: np.ndarray) -> np.ndarray:
+    """Roots in printed-label order for the third-angles ``t``, elementwise.
+
+    The new last axis holds index 0, the 2pi/3 + t root (always the largest),
+    index 1 the cos(t) root and index 2 the 2pi/3 - t root.  Which of the
+    last two is the middle root depends on the representative: principal
+    angles (3t <= pi) put the cos(t) root last, mirror angles put it in the
+    middle.
+    """
+    phi = np.empty(np.shape(t) + (3,))
+    phi[..., 0], phi[..., 1], phi[..., 2] = _TWO_THIRDS_PI + t, t, _TWO_THIRDS_PI - t
+    return (1.0 - 2.0 * np.sqrt(a_coeff)[..., None] * np.cos(phi)) / 3.0
+
+
+def cubic_roots_rows(a_coeff, b_val) -> tuple[np.ndarray, np.ndarray]:
+    """Solve (1-3x)^3 - 3(1-3x)A + B = 0 for each (A, B) pair.
+
+    Returns ``(roots, t)``: the roots descending along the last axis and the
+    principal third-angle t = arccos(-B / (2 A^{3/2})) / 3.  The arccos
+    argument is clamped to [-1, 1]; the clamp absorbs rounding at the
+    repeated-root boundary |B| = 2 A^{3/2}, which is genuinely reachable.
+    A <= 0 collapses to the triple root 1/3.
+    """
+    a_coeff = np.asarray(a_coeff, dtype=float)
+    b_val = np.asarray(b_val, dtype=float)
+    pos = a_coeff > 0.0
+    denom = 2.0 * np.power(np.where(pos, a_coeff, 1.0), 1.5)
+    t = np.arccos(np.where(pos, np.clip(-b_val / denom, -1.0, 1.0), 0.0)) / 3.0
+    roots = np.sort(labeled_roots_rows(np.where(pos, a_coeff, 0.0), t), axis=-1)[..., ::-1]
+    return np.ascontiguousarray(roots), t
+
+
+def cubic_coefficients(p: FlipParams) -> tuple[float, float, float]:
+    """(A, B, Bprime) of one family point: one row of :func:`cubic_coefficients_rows`."""
+    return tuple(float(x[0]) for x in cubic_coefficients_rows([p.a], [p.c], [p.theta]))
 
 
 @dataclass(frozen=True)
@@ -71,37 +116,22 @@ class CubicSpectrum:
 
 
 def cubic_roots(a_coeff: float, b_val: float) -> CubicSpectrum:
-    """Solve (1-3x)^3 - 3(1-3x)A + B = 0 by the trigonometric formulas.
-
-    The arccos argument is clamped to [-1, 1]; the clamp absorbs rounding at
-    the repeated-root boundary |B| = 2 A^{3/2}, which is genuinely reachable.
-    A = 0 degenerates to the triple root 1/3.
-    """
+    """Solve one cubic, A >= 0: one row of :func:`cubic_roots_rows`."""
     if a_coeff < 0.0:
         raise ValueError(f"A must be nonnegative, got {a_coeff}")
-    if a_coeff == 0.0:
-        return CubicSpectrum(0.0, b_val, acos(0.0) / 3.0, np.full(3, 1.0 / 3.0))
-    arg = min(1.0, max(-1.0, -b_val / (2.0 * a_coeff * sqrt(a_coeff))))
-    theta = acos(arg) / 3.0
-    roots = np.sort(labeled_roots(a_coeff, 3.0 * theta))[::-1]
-    return CubicSpectrum(a_coeff, b_val, theta, roots)
+    roots, t = cubic_roots_rows([a_coeff], [b_val])
+    return CubicSpectrum(a_coeff, b_val, float(t[0]), roots[0])
+
+
+def family_spectra(p: FlipParams) -> tuple[CubicSpectrum, CubicSpectrum]:
+    """Initial and flipped spectra of one family point: one row of
+    coefficients, then both cubics in one two-row call."""
+    coeff_a, coeff_b, coeff_bp = cubic_coefficients(p)
+    roots, t = cubic_roots_rows([coeff_a, coeff_a], [coeff_b, coeff_bp])
+    return tuple(CubicSpectrum(coeff_a, b_val, float(t[k]), roots[k]) for k, b_val in enumerate((coeff_b, coeff_bp)))
 
 
 def labeled_roots(a_coeff: float, angle3: float) -> np.ndarray:
-    """Roots in printed-label order for the representative angle ``angle3``.
-
-    Index 0 is the 2pi/3 + t root (always the largest), index 1 the cos(t)
-    root and index 2 the 2pi/3 - t root, where t = angle3 / 3.  Which of the
-    last two is the middle root depends on the representative: principal
-    angles (angle3 <= pi) put the cos(t) root last, mirror angles put it in
-    the middle.
-    """
-    t = angle3 / 3.0
-    s = sqrt(a_coeff)
-    return np.array(
-        [
-            (1.0 - 2.0 * s * cos(2.0 * pi / 3.0 + t)) / 3.0,
-            (1.0 - 2.0 * s * cos(t)) / 3.0,
-            (1.0 - 2.0 * s * cos(2.0 * pi / 3.0 - t)) / 3.0,
-        ]
-    )
+    """Labeled roots for the representative angle ``angle3`` = 3t: one row of
+    :func:`labeled_roots_rows`."""
+    return labeled_roots_rows(np.array([a_coeff]), np.array([angle3]) / 3.0)[0]

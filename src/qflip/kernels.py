@@ -1,17 +1,19 @@
 """Vectorized numpy kernels for the hot paths.
 
-Descending small-Hermitian eigensolves, trigonometric roots of the depressed
-cubic family, the great-circle measure |a b c d sin theta| and the batched
-per-point evaluation that backs grid sweeps.
+Descending small-Hermitian eigensolves, the great-circle measure
+|a b c d sin theta| and the batched per-point evaluation that backs grid
+sweeps: the closed-form cubic of :mod:`qflip.cubic` beside the numeric Gram
+route it is checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-BACKEND = "numpy"
+from .bloch import complements
+from .cubic import cubic_coefficients_rows, cubic_roots_rows
 
-TWO_THIRDS_PI = 2.0 * np.pi / 3.0
+BACKEND = "numpy"
 
 
 def eigvalsh_small(h: np.ndarray) -> np.ndarray:
@@ -19,45 +21,13 @@ def eigvalsh_small(h: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(h)[::-1].copy()
 
 
-def cubic_roots_batch(a_coeff: np.ndarray, b_val: np.ndarray):
-    """Roots of (1-3x)^3 - 3(1-3x)*A + B = 0 for each (A, B) pair.
-
-    Returns ``(roots, theta)`` where ``roots`` is (n, 3) descending and
-    ``theta`` is the principal third-angle arccos(-B / (2 A^{3/2})) / 3.
-    The arccos argument is clamped to [-1, 1]; A == 0 collapses to the
-    triple root 1/3.
-    """
-    a_coeff = np.asarray(a_coeff, dtype=float)
-    b_val = np.asarray(b_val, dtype=float)
-    pos = a_coeff > 0.0
-    denom = np.where(pos, 2.0 * np.power(np.where(pos, a_coeff, 1.0), 1.5), 1.0)
-    arg = np.clip(-b_val / denom, -1.0, 1.0)
-    arg = np.where(pos, arg, 0.0)
-    theta = np.arccos(arg) / 3.0
-    s = np.sqrt(np.where(pos, a_coeff, 0.0))
-    r_plus = (1.0 - 2.0 * s * np.cos(TWO_THIRDS_PI + theta)) / 3.0
-    r_base = (1.0 - 2.0 * s * np.cos(theta)) / 3.0
-    r_minus = (1.0 - 2.0 * s * np.cos(TWO_THIRDS_PI - theta)) / 3.0
-    roots = np.stack([r_plus, r_minus, r_base], axis=-1)
-    roots = np.sort(roots, axis=-1)[..., ::-1]
-    return np.ascontiguousarray(roots), theta
-
-
-def _complements(a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """b = sqrt(1 - a^2) and d = sqrt(1 - c^2), clamped at zero."""
-    return np.sqrt(np.clip(1.0 - a * a, 0.0, None)), np.sqrt(np.clip(1.0 - c * c, 0.0, None))
-
-
 def degeneracy(a, c, theta) -> np.ndarray:
     """Signed great-circle measure a b c d sin(theta) of each family point.
 
     The three states are coplanar on the Bloch sphere exactly where it
-    vanishes.  The sweep's margin mask and :func:`grid_eval`'s
-    ``degeneracy`` column both come from here, so they cannot drift apart.
+    vanishes; the sweep certifies only points where it exceeds the margin.
     """
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    b, d = _complements(a, c)
+    b, d = complements(a, c)
     return a * b * c * d * np.sin(theta)
 
 
@@ -90,18 +60,11 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray) -> dict:
     c = np.asarray(c, dtype=float)
     theta = np.asarray(theta, dtype=float)
     n = a.shape[0]
-    b, d = _complements(a, c)
+    b, d = complements(a, c)
 
-    w_re = a * c + b * d * np.cos(theta)
-    w_im = b * d * np.sin(theta)
-    w2 = w_re * w_re + w_im * w_im
-    a2c2 = (a * c) ** 2
-    coeff_a = (2.0 * a2c2 + w2 * w2) / 3.0
-    coeff_b = 2.0 * a2c2 * w2
-    coeff_bp = 2.0 * a2c2 * (w_re * w_re - w_im * w_im)
-
-    alpha, theta_i = cubic_roots_batch(coeff_a, coeff_b)
-    beta, theta_f = cubic_roots_batch(coeff_a, coeff_bp)
+    coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(a, c, theta)
+    alpha, theta_i = cubic_roots_rows(coeff_a, coeff_b)
+    beta, theta_f = cubic_roots_rows(coeff_a, coeff_bp)
 
     psi = np.stack([a.astype(complex), b.astype(complex)], axis=-1)
     phi = np.stack([c.astype(complex), d * np.exp(1j * theta)], axis=-1)
@@ -121,20 +84,14 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray) -> dict:
     flipped[:, 2, :] = np.einsum("ni,nj->nij", phi, psi_bar).reshape(n, 4)
     num_beta = _gram_spectra(flipped)
 
-    max_err = np.maximum(
-        np.max(np.abs(alpha - num_alpha), axis=1),
-        np.max(np.abs(beta - num_beta), axis=1),
-    )
     return {
         "A": coeff_a,
         "B": coeff_b,
         "Bprime": coeff_bp,
-        "degeneracy": degeneracy(a, c, theta),
         "alpha": alpha,
         "beta": beta,
         "theta_i": theta_i,
         "theta_f": theta_f,
         "num_alpha": num_alpha,
         "num_beta": num_beta,
-        "max_err": max_err,
     }

@@ -20,7 +20,7 @@ from math import pi
 
 import numpy as np
 
-from .cubic import CubicSpectrum, labeled_roots
+from .cubic import CubicSpectrum, labeled_roots_rows
 
 REGION_BOUNDS = {
     "Q1": "[0, pi/2)",
@@ -95,23 +95,11 @@ def _region_index(angle3):
     return (angle3 % (2.0 * pi)) // (pi / 2.0) % 4
 
 
-def _label_values(a_coeff: float, angle3_i: float, angle3_f: float) -> dict[str, float]:
-    ai = labeled_roots(a_coeff, angle3_i)
-    bf = labeled_roots(a_coeff, angle3_f)
-    return {
-        "a1": ai[0], "a2": ai[1], "a3": ai[2],
-        "b1": bf[0], "b2": bf[1], "b3": bf[2],
-    }
-
-
 def _is_boundary(angle3: float) -> bool:
     return abs(angle3 % (pi / 2.0)) <= BOUNDARY_TOL or (pi / 2.0) - (angle3 % (pi / 2.0)) <= BOUNDARY_TOL
 
 
 _LABELS = ("a1", "a2", "a3", "b1", "b2", "b3")
-# labeled_roots evaluates cos(offset + sign * angle3 / 3) for the labels 1, 2, 3.
-_ROOT_OFFSET = np.array([2.0 * pi / 3.0, 0.0, 2.0 * pi / 3.0])
-_ROOT_SIGN = np.array([1.0, 1.0, -1.0])
 
 
 def _pattern_id(region_i: int, region_f: int) -> str:
@@ -185,9 +173,8 @@ def check_atlas(
     live_regions = _region_index(reps).astype(np.intp)
     regions[live] = live_regions
 
-    # labeled_roots of every representative, flattened to (row, 12)
-    scale = 2.0 * np.sqrt(a_coeff[live])[:, None, None, None]
-    roots = ((1.0 - scale * np.cos(_ROOT_OFFSET + _ROOT_SIGN * (reps[..., None] / 3.0))) / 3.0).reshape(m, 12)
+    # labeled roots of every representative, flattened to (row, 12)
+    roots = labeled_roots_rows(a_coeff[live][:, None, None], reps / 3.0).reshape(m, 12)
 
     def region_pair(row, k):
         return _REGION_NAMES[live_regions[row, 0, _REP_I[k]]], _REGION_NAMES[live_regions[row, 1, _REP_F[k]]]
@@ -255,7 +242,7 @@ def classify_ordering(
     region_i, region_f = _REGION_NAMES[reps_i[0]], _REGION_NAMES[reps_f[0]]
     t_i = 3.0 * init.theta_angle
     t_f = 3.0 * fin.theta_angle
-    primary_values = _label_values(init.A, t_i, t_f)
+    primary_values = dict(zip(_LABELS, labeled_roots_rows(init.A, np.array([t_i, t_f]) / 3.0).ravel().tolist()))
     sorted_labels = tuple(sorted(primary_values, key=primary_values.get, reverse=True))
     return OrderingPattern(
         pattern_id=region_i + region_f,

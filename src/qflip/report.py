@@ -11,6 +11,7 @@ columns through fixed per-row templates that produce the same bytes as
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Any, Iterator
 
 import numpy as np
@@ -38,7 +39,10 @@ CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
 def fmt_float(x: float) -> str:
-    return format(float(x), ".17g")
+    """17 significant digits; NaN and infinities have no JSON form, so they raise."""
+    if not isfinite(x := float(x)):
+        raise ValueError(f"cannot write the non-finite float {x!r}")
+    return format(x, ".17g")
 
 
 def _json_fragment(v: Any) -> str:

@@ -27,12 +27,14 @@ from qflip.bloch import density_to_bloch
 from qflip.cubic import CubicSpectrum, cubic_coefficients
 from qflip.ordering import ALL_PATTERN_IDS, classify_ordering
 from qflip.schmidt import (
+    VERDICT_BY_CODE,
     SpectrumTieError,
     Verdict,
     entanglement_entropy,
     incomparable_3dim,
     schmidt_decompose,
     verdict,
+    verdict_codes,
 )
 
 from conftest import random_prob_vector, random_strict_triple
@@ -55,7 +57,11 @@ def grid():
     elapsed = time.perf_counter() - start
     data["a"], data["c"], data["theta"] = flat
     data["eval_seconds"] = elapsed
-    data["mask"] = np.abs(data["degeneracy"]) > GRID_MARGIN
+    data["mask"] = np.abs(kernels.degeneracy(*flat)) > GRID_MARGIN
+    data["max_err"] = np.maximum(
+        np.max(np.abs(data["alpha"] - data["num_alpha"]), axis=1),
+        np.max(np.abs(data["beta"] - data["num_beta"]), axis=1),
+    )
     return data
 
 
@@ -200,20 +206,20 @@ def test_criterion_6_degenerate_family():
     _report(6, "100 exactly-degenerate points interconvertible; great-circle test matches |B-B'|<=1e-10")
 
 
+def _incomparable_rows(pairs) -> np.ndarray:
+    """Majorization verdict of every (a, b) pair, decided in one batched call."""
+    lhs, rhs = (np.array(side) for side in zip(*pairs))
+    return verdict_codes(lhs, rhs) == VERDICT_BY_CODE.index(Verdict.INCOMPARABLE)
+
+
 def test_criterion_7_criterion_equivalence():
     rng = np.random.default_rng(4242)
-    disagreements = 0
-    for _ in range(100_000):
-        a = random_strict_triple(rng)
-        b = random_strict_triple(rng)
-        if incomparable_3dim(a, b) != (verdict(a, b) is Verdict.INCOMPARABLE):
-            disagreements += 1
+    triples = [(random_strict_triple(rng), random_strict_triple(rng)) for _ in range(100_000)]
+    closed_form = np.array([incomparable_3dim(a, b) for a, b in triples])
+    disagreements = int(np.sum(closed_form != _incomparable_rows(triples)))
     assert disagreements == 0
-    for _ in range(100_000):
-        a = random_prob_vector(rng, 2)
-        b = random_prob_vector(rng, 2)
-        if verdict(a, b) is Verdict.INCOMPARABLE:
-            disagreements += 1
+    pairs = [(random_prob_vector(rng, 2), random_prob_vector(rng, 2)) for _ in range(100_000)]
+    disagreements += int(np.sum(_incomparable_rows(pairs)))
     assert disagreements == 0
     _report(7, "closed-form test agrees with the majorization verdict on 1e5 triples; no 2-dim incomparables in 1e5")
 

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,27 @@ def test_check_pair_rejects_non_finite(lhs, capsys):
         cli.main(["check-pair", "--lhs", lhs, "--rhs", ".5,.5"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "general", "--a", "0.5", "--c", "0.5", "--theta", "1.0", "--mu", "nan"],
+        ["verify", "general", "--a", "0.5", "--c", "0.5", "--theta", "1.0", "--nu", "inf"],
+        ["verify", "general", "--a", "0.5", "--c", "0.5", "--theta", "1.0", "--margin", "nan"],
+        ["verify", "general", "--a", "nan", "--c", "0.5", "--theta", "1.0"],
+        ["verify", "axes", "--chi", "nan"],
+        ["verify", "axes", "--eta=-inf"],
+        ["sweep", "--grid", "3", "--margin", "nan"],
+    ],
+)
+def test_non_finite_float_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "finite" in err
 
 
 def test_usage_error_exit_code():
@@ -282,6 +304,20 @@ def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsy
         expected = route_tolerance(call["a_coeff"], call["b_val"], call["bprime_val"], base=CHAIN_TIE_TOL)
         np.testing.assert_array_equal(call["tie_tol"], expected)
     np.testing.assert_array_equal([call["tie_tol"] for call in single], sweep["tie_tol"])
+
+
+def test_sweep_and_verify_general_print_the_same_coefficients(capsys):
+    # both paths take A, B and Bprime from the same closed form, to the last digit
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "12")
+    assert code == 0
+    lines = out.strip().splitlines()[:-1]
+    coefficients = re.compile(r'"A": [^,]+, "B": [^,]+, "Bprime": [^,]+,')
+    for line in lines[:: len(lines) // 7]:
+        params = json.loads(line)["params"]
+        point = [f"--{k}={params[k]:.17g}" for k in ("a", "c", "theta")]
+        code, single, _ = run_cli(capsys, "verify", "general", *point)
+        assert code == 0
+        assert coefficients.search(single).group() == coefficients.search(line).group()
 
 
 def test_sweep_wide_margin_filters_everything(capsys):

@@ -222,6 +222,13 @@ def test_general_experiment_degenerate_point():
     assert result.ordering is None
 
 
+@pytest.mark.parametrize("margin", [0.0, -1.0, 1.0, float("nan")])
+def test_general_experiment_rejects_margin_outside_unit_interval(margin):
+    # a margin <= 0 would silently turn off the degeneracy exemption
+    with pytest.raises(ValueError, match="margin"):
+        general_flip_experiment(FlipParams(a=0.8, c=0.6, theta=1.0), margin=margin)
+
+
 def test_general_experiment_raises_on_forced_disagreement(monkeypatch):
     import qflip.constructions as cons
 

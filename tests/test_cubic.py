@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from qflip import kernels
 from qflip.bloch import FlipParams, canonical_triple
-from qflip.cubic import cubic_coefficients, cubic_roots, labeled_roots, state_overlap
+from qflip.cubic import (
+    cubic_coefficients,
+    cubic_coefficients_rows,
+    cubic_roots,
+    cubic_roots_rows,
+    labeled_roots,
+    state_overlap,
+)
 
 SQRT2_INV = 1 / np.sqrt(2)
 AXES = FlipParams(a=SQRT2_INV, c=SQRT2_INV, theta=np.pi / 2)
@@ -101,10 +107,19 @@ def test_labeled_roots_mirror_swaps_base_and_minus(rng):
 
 
 def test_batch_roots_match_scalar(rng):
+    # the scalar solver is a one-row call of the batched one: equal to the last bit
     a_vals = rng.uniform(0.01, 0.4, size=200)
     b_vals = np.array([rng.uniform(-2, 2) * av**1.5 for av in a_vals])
-    roots, theta = kernels.cubic_roots_batch(a_vals, b_vals)
+    roots, theta = cubic_roots_rows(a_vals, b_vals)
     for i in range(a_vals.size):
         spec = cubic_roots(a_vals[i], b_vals[i])
-        np.testing.assert_allclose(roots[i], spec.roots, atol=1e-12)
-        assert abs(theta[i] - spec.theta_angle) < 1e-12
+        np.testing.assert_array_equal(roots[i], spec.roots)
+        assert theta[i] == spec.theta_angle
+
+
+def test_scalar_coefficients_match_rows(rng):
+    # one family point gets exactly the coefficients a sweep row gets
+    a, c, theta = rng.uniform(0.02, 0.98, 5000), rng.uniform(0.02, 0.98, 5000), rng.uniform(0.02, 3.12, 5000)
+    rows = np.stack(cubic_coefficients_rows(a, c, theta), axis=1)
+    scalar = [cubic_coefficients(FlipParams(a=a[i], c=c[i], theta=theta[i])) for i in range(a.size)]
+    np.testing.assert_array_equal(rows, scalar)
