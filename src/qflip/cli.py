@@ -39,9 +39,30 @@ from .constructions import (
     route_tolerance,
 )
 from .cubic import cubic_coefficients
-from .ordering import CHAIN_TIE_TOL, OrderingMismatchError, check_atlas, pattern_labels
-from .report import CSV_HEADER, ReportRecord, fmt_float, json_line, sweep_chunks
+from .linalg import DimensionError, HermiticityError
+from .ordering import (
+    CHAIN_TIE_TOL,
+    DegenerateSpectraError,
+    OrderingMismatchError,
+    check_atlas,
+    pattern_labels,
+)
+from .report import CSV_HEADER, NonFiniteError, ReportRecord, fmt_float, json_line, sweep_chunks
 from .schmidt import VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdict, verdict_codes
+
+# Failures raised while certifying, after the arguments were accepted; they
+# exit 1.  Every other ValueError comes from validating the arguments and
+# exits 2 as a usage error.
+CERTIFICATION_ERRORS = (
+    VerificationError,
+    OrderingMismatchError,
+    DegenerateSpectraError,
+    HermiticityError,
+    DimensionError,
+    SpectrumTieError,
+    NonFiniteError,
+    np.linalg.LinAlgError,
+)
 
 
 @dataclass(frozen=True)
@@ -398,7 +419,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (VerificationError, OrderingMismatchError, np.linalg.LinAlgError) as exc:
+    except CERTIFICATION_ERRORS as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -58,7 +58,7 @@ def check_margin(margin: float) -> None:
         raise ValueError(f"margin must lie in (0, 1), got {margin}")
 
 
-def route_tolerance(coeff_a, *b_vals, base: float | None = None):
+def route_tolerance(coeff_a, *b_vals, base: float | np.ndarray | None = None):
     """Cross-route agreement tolerance, widened near repeated-root boundaries.
 
     ``base`` (default ``SPECTRUM_AGREEMENT_TOL``) applies away from the
@@ -237,8 +237,11 @@ def general_flip_experiment(
             np.max(np.abs(analytic_f.roots - numeric_f)),
         )
     )
-    route_tol = float(route_tolerance(coeff_a, coeff_b, coeff_bp))
-    if max_err > route_tol:
+    # the route gate's tolerance and the atlas check's tie tolerance, in one call
+    route_tol, tie_tol = route_tolerance(
+        coeff_a, coeff_b, coeff_bp, base=np.array([SPECTRUM_AGREEMENT_TOL, CHAIN_TIE_TOL])
+    ).tolist()
+    if not max_err <= route_tol:  # NaN counts as a disagreement
         raise VerificationError(
             f"analytic and numeric spectra disagree by {max_err:.3e} at {p}"
         )
@@ -252,7 +255,6 @@ def general_flip_experiment(
             raise VerificationError(
                 f"expected Incomparable at non-degenerate point {p}, got {result_verdict}"
             )
-        tie_tol = float(route_tolerance(coeff_a, coeff_b, coeff_bp, base=CHAIN_TIE_TOL))
         try:
             ordering = classify_ordering(analytic_i, analytic_f, tie_tol=tie_tol)
         except DegenerateSpectraError:

@@ -39,19 +39,22 @@ def _as_matrix(m) -> np.ndarray:
 def kron(a, b) -> np.ndarray:
     """Tensor product; rejects results growing past the dimension cap.
 
-    Two 1-d inputs produce a 1-d state vector, anything else a matrix.
+    Two 1-d inputs produce a 1-d state vector, anything else a matrix.  The
+    product is a plain broadcast outer product, equal to ``np.kron`` to the
+    bit without its per-call axis bookkeeping.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.ndim == 1 and b.ndim == 1:
         if a.size * b.size > DIM_CAP:
             raise DimensionError(f"tensor product of length {a.size * b.size} exceeds the cap of {DIM_CAP}")
-        return np.kron(a, b)
+        return np.multiply.outer(a, b).reshape(-1)
     a, b = _as_matrix(a), _as_matrix(b)
     rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
     if max(rows, cols) > DIM_CAP:
         raise DimensionError(f"tensor product of shape ({rows}, {cols}) exceeds the cap of {DIM_CAP}")
-    return np.kron(a, b)
+    # entry [i, k, j, l] is a[i, j] * b[k, l]: row i * b_rows + k, column j * b_cols + l
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(rows, cols)
 
 
 def dagger(m) -> np.ndarray:

@@ -242,7 +242,10 @@ def classify_ordering(
     region_i, region_f = _REGION_NAMES[reps_i[0]], _REGION_NAMES[reps_f[0]]
     t_i = 3.0 * init.theta_angle
     t_f = 3.0 * fin.theta_angle
-    primary_values = dict(zip(_LABELS, labeled_roots_rows(init.A, np.array([t_i, t_f]) / 3.0).ravel().tolist()))
+    # at a principal angle (3t <= pi) the descending roots carry the labels
+    # 1, 3, 2 (see cubic.labeled_roots_rows), so they need no re-evaluation
+    (a1, a3, a2), (b1, b3, b2) = init.roots.tolist(), fin.roots.tolist()
+    primary_values = dict(zip(_LABELS, (a1, a2, a3, b1, b2, b3)))
     sorted_labels = tuple(sorted(primary_values, key=primary_values.get, reverse=True))
     return OrderingPattern(
         pattern_id=region_i + region_f,

@@ -38,10 +38,14 @@ CSV_COLUMNS = (
 CSV_HEADER = ",".join(CSV_COLUMNS)
 
 
+class NonFiniteError(ValueError):
+    """A NaN or an infinity reached the writer; neither has a JSON form."""
+
+
 def fmt_float(x: float) -> str:
-    """17 significant digits; NaN and infinities have no JSON form, so they raise."""
+    """17 significant digits; NaN and infinities raise :class:`NonFiniteError`."""
     if not isfinite(x := float(x)):
-        raise ValueError(f"cannot write the non-finite float {x!r}")
+        raise NonFiniteError(f"cannot write the non-finite float {x!r}")
     return format(x, ".17g")
 
 

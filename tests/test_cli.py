@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 import qflip.cli as cli
-from qflip import ordering
+from qflip import constructions, ordering
 from qflip.bloch import FlipParams
 from qflip.constructions import VerificationError, general_flip_experiment, route_tolerance
-from qflip.ordering import CHAIN_TIE_TOL, PATTERN_ATLAS, OrderingMismatchError
-from qflip.report import CSV_HEADER
+from qflip.linalg import DimensionError, HermiticityError
+from qflip.ordering import CHAIN_TIE_TOL, PATTERN_ATLAS, DegenerateSpectraError, OrderingMismatchError
+from qflip.report import CSV_HEADER, NonFiniteError
+from qflip.schmidt import SpectrumTieError
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -181,7 +183,15 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "error",
-    [OrderingMismatchError("forced ordering"), np.linalg.LinAlgError("forced eigensolver failure")],
+    [
+        OrderingMismatchError("forced ordering"),
+        np.linalg.LinAlgError("forced eigensolver failure"),
+        HermiticityError("forced hermiticity defect"),
+        DimensionError("forced dimension mismatch"),
+        SpectrumTieError("forced spectrum tie"),
+        NonFiniteError("forced non-finite value"),
+        DegenerateSpectraError("forced degenerate pair"),
+    ],
 )
 def test_certification_errors_exit_one(error, monkeypatch, capsys):
     def boom(*args):
@@ -191,7 +201,59 @@ def test_certification_errors_exit_one(error, monkeypatch, capsys):
     code, out, err = run_cli(capsys, "sweep", "--grid", "2")
     assert code == 1
     assert out == ""
-    assert str(error) in err
+    assert f"verification failed: {error}" in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        HermiticityError("forced hermiticity defect"),
+        DimensionError("forced dimension mismatch"),
+        SpectrumTieError("forced spectrum tie"),
+    ],
+)
+def test_single_point_certification_errors_exit_one(error, monkeypatch, capsys):
+    # internal ValueErrors raised while certifying are failures, not usage errors
+    def boom(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(constructions, "schmidt_decompose", boom)
+    code, out, err = run_cli(capsys, "verify", "general", "--a", "0.3", "--c", "0.7", "--theta", "1.2")
+    assert code == 1
+    assert out == ""
+    assert f"verification failed: {error}" in err
+
+
+def test_single_point_nan_spectrum_fails_the_route_gate(monkeypatch, capsys):
+    monkeypatch.setattr(constructions, "schmidt_decompose", lambda state, cut: np.full(3, np.nan))
+    code, out, err = run_cli(capsys, "verify", "general", "--a", "0.3", "--c", "0.7", "--theta", "1.2")
+    assert code == 1
+    assert out == ""
+    assert "disagree" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_value_at_the_writer_exits_one(fmt, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "cubic_coefficients", lambda p: (float("nan"), 0.25, 0.0))
+    code, out, err = run_cli(capsys, "verify", "axes", "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert "verification failed: cannot write the non-finite float nan" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "general", "--a", "2", "--c", "0.5", "--theta", "1.0"],
+        ["verify", "general", "--a", "0.5", "--c", "0.5", "--theta", "1.0", "--margin", "1.5"],
+        ["sweep", "--grid", "1"],
+    ],
+)
+def test_argument_validation_errors_exit_two(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("offset", [1e-6, float("nan")])
@@ -380,3 +442,35 @@ def test_sweep_golden_sha256(fmt):
     )
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(out.stdout).hexdigest() == GOLDEN_SWEEP_GRID12[fmt]
+
+
+# sha256 of each single-point command's output, pinned like the sweep's so
+# that a change on the one-point route cannot alter its bytes unnoticed.
+GOLDEN_SINGLE_POINT = {
+    ("verify", "axes"): {
+        "json": "2753c34d8d526435125cb7843e69efc2bb733d1c4b05b2f173d07a6e085af60d",
+        "csv": "d14d90b5f9b7330df4bcba174248a71ea9da9be4267cd523672da915606a4a7b",
+    },
+    ("verify", "flipper", "--seed", "3"): {
+        "json": "9763f3d1fc710163000d8b4d57b31a3ce646f1757dda6c890202e3e830e12b34",
+        "csv": "b32fec29d73a36d7640460680e394c0af1e48d168749eb60d8c886beceaf7b38",
+    },
+    ("verify", "general", "--a", "0.3", "--c", "0.7", "--theta", "1.2", "--mu", "0.4", "--nu", "2.0"): {
+        "json": "2ee57ed6aefc9d327eca78186ca92143a47553fe7b25592801b0780c0bd7ec4e",
+        "csv": "d89bc7d520e0a8a678e1d3f781ea34236be1023d3b40d1b0e89ad2b9817583ab",
+    },
+    ("check-pair", "--lhs", ".51,.30,.19", "--rhs", ".49,.36,.15"): {
+        "json": "a61feac02aec818fe6fed8923edb1895dc467fb77f3e8edcdb2971e06eb5cb6f",
+        "csv": "d983b19e46ca00478212da1ff42fbee8febce87675304f6adc8cfc95740a4d52",
+    },
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize(
+    "argv", list(GOLDEN_SINGLE_POINT), ids=lambda argv: argv[1] if argv[0] == "verify" else argv[0]
+)
+def test_single_point_golden_sha256(argv, fmt, capsys):
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SINGLE_POINT[argv][fmt]

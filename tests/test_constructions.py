@@ -1,6 +1,10 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from qflip import constructions, cubic
 from qflip.bloch import FlipParams, canonical_triple, density_to_bloch, qubit_to_bloch, random_qubit
 from qflip.constructions import (
     AXES_LAMBDA_FINAL,
@@ -19,6 +23,7 @@ from qflip.constructions import (
     flipper_experiment,
     general_flip_experiment,
 )
+from qflip.cubic import labeled_roots
 from qflip.linalg import DimensionError, partial_trace
 from qflip.schmidt import PureState, Verdict, schmidt_decompose, verdict
 
@@ -246,3 +251,37 @@ def test_analytic_numeric_agreement_small_grid(rng):
                 p = FlipParams(a=a, c=c, theta=theta)
                 result = general_flip_experiment(p, margin=1e-3)
                 assert result.max_err < 1e-9
+
+
+def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
+    # one labeled-root pass solves both cubics and one checks the atlas; the
+    # route gate and the atlas tie tolerance share one route_tolerance call
+    counts = Counter()
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    targets = {"labeled_roots_rows": cubic.labeled_roots_rows, "route_tolerance": constructions.route_tolerance}
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "qflip"]:
+        for name, real in targets.items():
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting(name, real))
+    result = general_flip_experiment(FlipParams(a=0.3, c=0.7, theta=1.2), mu=0.4, nu=2.0)
+    assert result.ordering is not None
+    assert counts == {"labeled_roots_rows": 2, "route_tolerance": 1}
+
+
+def test_ordering_sorted_labels_match_the_labeled_roots(rng):
+    labels = np.array(["a1", "a2", "a3", "b1", "b2", "b3"])
+    for _ in range(2000):
+        result = general_flip_experiment(_random_params(rng))
+        assert result.ordering is not None
+        values = np.concatenate(
+            [labeled_roots(s.A, 3.0 * s.theta_angle) for s in (result.analytic_initial, result.analytic_final)]
+        )
+        expected = tuple(labels[np.argsort(-values, kind="stable")].tolist())
+        assert result.ordering.sorted_labels == expected

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qflip.linalg import (
+    DIM_CAP,
     DimensionError,
     HermiticityError,
     dagger,
@@ -50,6 +52,48 @@ def test_kron_associativity(rng):
         lhs = kron(kron(a, b), c)
         rhs = kron(a, kron(b, c))
         np.testing.assert_allclose(lhs, rhs, atol=1e-14)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@st.composite
+def _kron_operands(draw):
+    """Two real or complex operands, each a vector or a matrix, whose tensor
+    product fits within DIM_CAP; matrix shapes are drawn per factor, so
+    they may be rectangular and unequal."""
+    def side(other=1):
+        return draw(st.integers(min_value=1, max_value=DIM_CAP // other))
+
+    def values(shape):
+        real = draw(hnp.arrays(np.float64, shape, elements=_FINITE))
+        if draw(st.booleans()):
+            return real + 1j * draw(hnp.arrays(np.float64, shape, elements=_FINITE))
+        return real
+
+    if draw(st.booleans()):
+        n = side()
+        return values((n,)), values((side(n),))
+    rows, cols = side(), side()
+    return values((rows, cols)), values((side(rows), side(cols)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kron_operands())
+def test_kron_equals_numpy_kron_bit_for_bit(operands):
+    a, b = operands
+    with np.errstate(over="ignore", invalid="ignore"):  # large entries overflow alike in both
+        got = kron(a, b)
+        expected = np.kron(a.astype(complex), b.astype(complex))
+    assert got.dtype == complex
+    np.testing.assert_array_equal(got, expected, strict=True)
+
+
+def test_kron_mixed_vector_and_matrix_is_the_column_product():
+    v = np.array([1.0, 2.0j, -3.0])
+    m = np.array([[1.0, 2.0], [3.0j, 4.0]])
+    np.testing.assert_array_equal(kron(v, m), np.kron(v.reshape(-1, 1), m), strict=True)
+    np.testing.assert_array_equal(kron(m, v), np.kron(m, v.reshape(-1, 1)), strict=True)
 
 
 def test_dagger_fixed_points():
