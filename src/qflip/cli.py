@@ -33,22 +33,16 @@ from .constructions import (
     DEFAULT_FLIPPER_SEED,
     VerificationError,
     axes_experiment,
+    certify_rows,
     check_margin,
     flipper_experiment,
     general_flip_experiment,
-    route_tolerance,
 )
 from .cubic import cubic_coefficients
 from .linalg import DimensionError, HermiticityError
-from .ordering import (
-    CHAIN_TIE_TOL,
-    DegenerateSpectraError,
-    OrderingMismatchError,
-    check_atlas,
-    pattern_labels,
-)
+from .ordering import DegenerateSpectraError, OrderingMismatchError, pattern_labels
 from .report import CSV_HEADER, NonFiniteError, ReportRecord, fmt_float, json_line, sweep_chunks
-from .schmidt import VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdict, verdict_codes
+from .schmidt import VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdict
 
 # Failures raised while certifying, after the arguments were accepted; they
 # exit 1.  Every other ValueError comes from validating the arguments and
@@ -72,8 +66,6 @@ class SweepConfig:
 
     grid_n: int
     margin: float = DEFAULT_DEGENERACY_MARGIN
-    eps_tie: float = 1e-12
-    eps_spec: float = 1e-9
     output_path: str | None = None
     fmt: str = "json"
     jobs: int = 1
@@ -82,8 +74,6 @@ class SweepConfig:
         if self.grid_n < 2:
             raise ValueError("grid must be at least 2")
         check_margin(self.margin)
-        if self.eps_tie <= 0.0 or self.eps_spec <= 0.0:
-            raise ValueError("tolerances must be positive")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
 
@@ -239,18 +229,12 @@ def _grid_eval(flat_a, flat_c, flat_t, jobs: int) -> dict:
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
 
 
-def _where(points, j: int) -> str:
-    return f"a={points['a'][j]!r}, c={points['c'][j]!r}, theta={points['theta'][j]!r}"
-
-
 def _run_sweep(cfg: SweepConfig) -> tuple[Iterator[str], dict]:
     """Evaluate and certify every grid point beyond the margin, in one batch.
 
     The margin mask depends only on (a, c, theta), so the kernel runs on the
-    certified points alone.  Every check runs on the whole batch before this
-    returns: analytic and numeric spectra agree within the route tolerance
-    built on ``eps_spec``, every verdict is Incomparable and every ordering
-    matches the atlas.  A failure raises :class:`VerificationError` (or
+    certified points alone.  :func:`certify_rows` checks the whole batch
+    before this returns; a failure raises :class:`VerificationError` (or
     :class:`OrderingMismatchError`), so nothing has been written yet.
     Returns the record blocks, formatted lazily, and the summary.
     """
@@ -264,36 +248,11 @@ def _run_sweep(cfg: SweepConfig) -> tuple[Iterator[str], dict]:
         raise VerificationError(
             f"no grid point lies beyond the degeneracy margin {cfg.margin:g}; nothing was certified"
         )
-    a, c, theta = ticks[ia], ticks[ic], angles[itheta]
-    rows = _grid_eval(a, c, theta, cfg.jobs)
-    rows["a"], rows["c"], rows["theta"] = a, c, theta
-
-    rows["max_err"] = np.maximum(
-        np.max(np.abs(rows["alpha"] - rows["num_alpha"]), axis=1),
-        np.max(np.abs(rows["beta"] - rows["num_beta"]), axis=1),
-    )
-    tol = route_tolerance(rows["A"], rows["B"], rows["Bprime"], base=cfg.eps_spec)
-    disagree = ~(rows["max_err"] <= tol)  # NaN counts as a disagreement
-    if disagree.any():
-        j = int(np.argmax(disagree))
-        raise VerificationError(
-            f"analytic and numeric spectra disagree beyond {cfg.eps_spec:g} at "
-            f"{int(disagree.sum())} points, first at {_where(rows, j)} "
-            f"(error {rows['max_err'][j]:.3e})"
-        )
-    verdicts = np.array([str(v) for v in VERDICT_BY_CODE], dtype=object)[
-        verdict_codes(rows["num_alpha"], rows["num_beta"], cfg.eps_tie)
-    ]
-    comparable = verdicts != "Incomparable"
-    if comparable.any():
-        j = int(np.argmax(comparable))
-        raise VerificationError(
-            f"{int(comparable.sum())} non-incomparable verdicts, first {verdicts[j]} at {_where(rows, j)}"
-        )
-    tie_tol = route_tolerance(rows["A"], rows["B"], rows["Bprime"], base=CHAIN_TIE_TOL)
-    ordering = pattern_labels(
-        check_atlas(rows["A"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"], tie_tol=tie_tol)
-    )
+    rows = _grid_eval(ticks[ia], ticks[ic], angles[itheta], cfg.jobs)
+    # every row lies beyond the margin, so every verdict must be Incomparable
+    max_err, codes, regions = certify_rows(rows, live=True)
+    verdicts = np.array([str(v) for v in VERDICT_BY_CODE], dtype=object)[codes]
+    ordering = pattern_labels(regions)
 
     columns = {
         "a": rows["a"], "c": rows["c"], "theta": rows["theta"],
@@ -301,7 +260,7 @@ def _run_sweep(cfg: SweepConfig) -> tuple[Iterator[str], dict]:
         "alpha1": rows["num_alpha"][:, 0], "alpha2": rows["num_alpha"][:, 1], "alpha3": rows["num_alpha"][:, 2],
         "beta1": rows["num_beta"][:, 0], "beta2": rows["num_beta"][:, 1], "beta3": rows["num_beta"][:, 2],
         "A": rows["A"], "B": rows["B"], "Bprime": rows["Bprime"],
-        "ordering": ordering, "verdict": verdicts, "max_err": rows["max_err"],
+        "ordering": ordering, "verdict": verdicts, "max_err": max_err,
     }
     pattern_counts = Counter(label for label in ordering.tolist() if label is not None)
     summary = {
@@ -312,7 +271,7 @@ def _run_sweep(cfg: SweepConfig) -> tuple[Iterator[str], dict]:
         "points_emitted": ia.size,
         "points_degenerate_skipped": measure.size - ia.size,
         "pattern_counts": dict(sorted(pattern_counts.items())),
-        "max_analytic_numeric_error": float(rows["max_err"].max()),
+        "max_analytic_numeric_error": float(max_err.max()),
         "non_incomparable_count": 0,  # any other verdict failed the sweep above
     }
     return sweep_chunks(cfg.fmt, columns), summary

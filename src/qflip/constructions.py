@@ -6,6 +6,10 @@ two local spectra under the majorization criterion.  A deterministic local
 conversion between the two would have to exist if the device did; the spectra
 come out incomparable instead, except exactly on great-circle (degenerate)
 parameter sets.
+
+A sweep and a single family point are certified alike, by :func:`certify_rows`
+on :func:`qflip.kernels.grid_eval` rows; the family's ``kron`` state builders
+are the independent oracle that tests hold that Gram route against.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from math import pi, sqrt
 
 import numpy as np
 
+from . import kernels
 from .bloch import (
     FlipParams,
     canonical_triple,
@@ -25,8 +30,8 @@ from .bloch import (
 )
 from .cubic import CubicSpectrum, family_spectra
 from .linalg import DimensionError, kron, partial_trace
-from .ordering import CHAIN_TIE_TOL, DegenerateSpectraError, OrderingPattern, classify_ordering
-from .schmidt import PureState, Verdict, schmidt_decompose, verdict
+from .ordering import CHAIN_TIE_TOL, OrderingPattern, check_atlas, classify_ordering, ordering_pattern
+from .schmidt import VERDICT_BY_CODE, PureState, Verdict, schmidt_decompose, verdict, verdict_codes
 
 SPECTRUM_AGREEMENT_TOL = 1e-9
 DEFAULT_DEGENERACY_MARGIN = 1e-6
@@ -207,6 +212,49 @@ class FlipExperimentResult:
     degenerate: bool
 
 
+def _where(rows: dict, j: int) -> str:
+    return ", ".join(f"{key}={float(rows[key][j])!r}" for key in ("a", "c", "theta"))
+
+
+def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Certify rows of :func:`qflip.kernels.grid_eval` output, the family's one certificate.
+
+    Each row's two routes must agree within the route tolerance built on
+    ``SPECTRUM_AGREEMENT_TOL`` (NaN counts as a disagreement), each row that
+    ``live`` marks (a mask, or one bool for all rows) must be Incomparable,
+    and each ordering must match the atlas within the route tolerance built
+    on ``CHAIN_TIE_TOL``.  A failure raises :class:`VerificationError` (or
+    :class:`OrderingMismatchError`) naming the first failing point.  Returns
+    the per-row error, verdict codes and :func:`check_atlas` regions.
+    """
+    max_err = np.maximum(
+        np.max(np.abs(rows["alpha"] - rows["num_alpha"]), axis=1),
+        np.max(np.abs(rows["beta"] - rows["num_beta"]), axis=1),
+    )
+    # the route gate's tolerance and the atlas check's tie tolerance, in one call
+    route_tol, tie_tol = route_tolerance(
+        rows["A"][:, None], rows["B"][:, None], rows["Bprime"][:, None],
+        base=np.array([SPECTRUM_AGREEMENT_TOL, CHAIN_TIE_TOL]),
+    ).T
+    disagree = ~(max_err <= route_tol)
+    if disagree.any():
+        j = int(np.argmax(disagree))
+        raise VerificationError(
+            f"analytic and numeric spectra disagree beyond {SPECTRUM_AGREEMENT_TOL:g} at "
+            f"{int(disagree.sum())} points, first at {_where(rows, j)} (error {max_err[j]:.3e})"
+        )
+    codes = verdict_codes(rows["num_alpha"], rows["num_beta"])
+    comparable = live & (codes != VERDICT_BY_CODE.index(Verdict.INCOMPARABLE))
+    if comparable.any():
+        j = int(np.argmax(comparable))
+        raise VerificationError(
+            f"{int(comparable.sum())} non-incomparable verdicts, "
+            f"first {VERDICT_BY_CODE[codes[j]]} at {_where(rows, j)}"
+        )
+    regions = check_atlas(rows["A"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"], tie_tol=tie_tol)
+    return max_err, codes, regions
+
+
 def general_flip_experiment(
     p: FlipParams,
     mu: float = 0.0,
@@ -215,51 +263,26 @@ def general_flip_experiment(
 ) -> FlipExperimentResult:
     """Evaluate one family point along both routes and classify the pair.
 
-    The analytic route solves the two characteristic cubics in closed form;
-    the numeric route builds the actual composite states and eigensolves
-    their reductions.  The two must agree within ``SPECTRUM_AGREEMENT_TOL``.
-    Points with |a b c d sin theta| <= ``margin`` are reported as degenerate
-    (no ordering, no incomparability assertion); everywhere else the verdict
-    must come out Incomparable, anything less raises
-    :class:`VerificationError`.  A margin outside (0, 1) raises
+    A one-row :func:`qflip.kernels.grid_eval` and :func:`certify_rows`, the
+    sweep's own route, so a sweep row and a single point carry the same
+    values to the bit: the analytic route solves the two characteristic
+    cubics in closed form, the numeric route eigensolves the 3x3 Gram
+    matrices of Bob's blocks.  Points with |a b c d sin theta| <= ``margin``
+    are reported as degenerate (no ordering, no incomparability assertion);
+    everywhere else the verdict must come out Incomparable, anything less
+    raises :class:`VerificationError`.  A margin outside (0, 1) raises
     :class:`ValueError`.
     """
     check_margin(margin)
-    analytic_i, analytic_f = family_spectra(p)
-    coeff_a, coeff_b, coeff_bp = analytic_i.A, analytic_i.b_val, analytic_f.b_val
-
-    numeric_i = schmidt_decompose(build_family_state(p), cut=[0])
-    numeric_f = schmidt_decompose(build_family_state_flipped(p, mu, nu), cut=[0])
-
-    max_err = float(
-        max(
-            np.max(np.abs(analytic_i.roots - numeric_i)),
-            np.max(np.abs(analytic_f.roots - numeric_f)),
-        )
-    )
-    # the route gate's tolerance and the atlas check's tie tolerance, in one call
-    route_tol, tie_tol = route_tolerance(
-        coeff_a, coeff_b, coeff_bp, base=np.array([SPECTRUM_AGREEMENT_TOL, CHAIN_TIE_TOL])
-    ).tolist()
-    if not max_err <= route_tol:  # NaN counts as a disagreement
-        raise VerificationError(
-            f"analytic and numeric spectra disagree by {max_err:.3e} at {p}"
-        )
-
     degenerate = abs(p.degeneracy) <= margin
-    result_verdict = verdict(numeric_i, numeric_f)
+    rows = kernels.grid_eval([p.a], [p.c], [p.theta], mu, nu)
+    max_err, codes, regions = certify_rows(rows, live=not degenerate)
 
-    ordering = None
-    if not degenerate:
-        if result_verdict is not Verdict.INCOMPARABLE:
-            raise VerificationError(
-                f"expected Incomparable at non-degenerate point {p}, got {result_verdict}"
-            )
-        try:
-            ordering = classify_ordering(analytic_i, analytic_f, tie_tol=tie_tol)
-        except DegenerateSpectraError:
-            ordering = None
-
+    coeff_a, coeff_b, coeff_bp = (float(rows[key][0]) for key in ("A", "B", "Bprime"))
+    analytic_i = CubicSpectrum(coeff_a, coeff_b, float(rows["theta_i"][0]), rows["alpha"][0])
+    analytic_f = CubicSpectrum(coeff_a, coeff_bp, float(rows["theta_f"][0]), rows["beta"][0])
+    # a row check_atlas skipped (B and Bprime too close) holds -1: no ordering
+    ordered = not degenerate and regions[0, 0, 0] >= 0
     return FlipExperimentResult(
         params=p,
         mu=mu,
@@ -269,11 +292,11 @@ def general_flip_experiment(
         coeff_bprime=coeff_bp,
         analytic_initial=analytic_i,
         analytic_final=analytic_f,
-        numeric_initial=numeric_i,
-        numeric_final=numeric_f,
-        max_err=max_err,
-        verdict=result_verdict,
-        ordering=ordering,
+        numeric_initial=rows["num_alpha"][0],
+        numeric_final=rows["num_beta"][0],
+        max_err=float(max_err[0]),
+        verdict=VERDICT_BY_CODE[codes[0]],
+        ordering=ordering_pattern(regions[0], analytic_i, analytic_f) if ordered else None,
         degenerate=degenerate,
     )
 

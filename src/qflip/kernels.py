@@ -48,13 +48,16 @@ def _gram_spectra(blocks: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(vals[:, ::-1])
 
 
-def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray) -> dict:
+def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray, mu=0.0, nu=0.0) -> dict:
     """Evaluate the three-state flip family at each (a, c, theta) point.
 
     Two independent routes run side by side: the closed-form cubic spectra
     (coefficients A, B, B' then trig roots) and a numeric route that builds
     the composite-state Bob blocks, forms the reduced 3x3 matrices and
-    eigensolves them.  Returns a dict of per-point arrays.
+    eigensolves them.  The device phases ``mu`` and ``nu`` (scalars or one
+    per point) multiply the flipped state's blocks 2 and 1, as in
+    :func:`qflip.constructions.build_family_state_flipped`.  Returns a dict
+    of per-point arrays, the points' own coordinates included.
     """
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -77,14 +80,19 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray) -> dict:
     e01[:, 1] = 1.0
 
     num_alpha = _gram_spectra(_bob_blocks(psi, phi, e00))
-    # flipped family: |0>|01> + |1>|psi phibar> + |2>|phi psibar>
+    # flipped family: |0>|01> + e^{i nu}|1>|psi phibar> + e^{i mu}|2>|phi psibar>
     flipped = np.empty((n, 3, 4), dtype=complex)
     flipped[:, 0, :] = e01
     flipped[:, 1, :] = np.einsum("ni,nj->nij", psi, phi_bar).reshape(n, 4)
     flipped[:, 2, :] = np.einsum("ni,nj->nij", phi, psi_bar).reshape(n, 4)
+    flipped[:, 1, :] *= np.exp(1j * np.asarray(nu))[..., None]
+    flipped[:, 2, :] *= np.exp(1j * np.asarray(mu))[..., None]
     num_beta = _gram_spectra(flipped)
 
     return {
+        "a": a,
+        "c": c,
+        "theta": theta,
         "A": coeff_a,
         "B": coeff_b,
         "Bprime": coeff_bp,

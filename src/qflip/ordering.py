@@ -236,7 +236,12 @@ def classify_ordering(
         raise DegenerateSpectraError(
             f"|B - Bprime| = {abs(init.b_val - fin.b_val):.3e} is below {gap_tol:.0e}"
         )
+    return ordering_pattern(regions, init, fin)
 
+
+def ordering_pattern(regions: np.ndarray, init: CubicSpectrum, fin: CubicSpectrum) -> OrderingPattern:
+    """The classification of one spectrum pair from its row of
+    :func:`check_atlas` regions, which must be a checked row (no -1)."""
     reps_i, reps_f = regions.tolist()
     witnessed = [_pattern_id(ri, rf) for ri in reps_i for rf in reps_f]
     region_i, region_f = _REGION_NAMES[reps_i[0]], _REGION_NAMES[reps_f[0]]

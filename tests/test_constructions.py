@@ -254,8 +254,9 @@ def test_analytic_numeric_agreement_small_grid(rng):
 
 
 def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
-    # one labeled-root pass solves both cubics and one checks the atlas; the
-    # route gate and the atlas tie tolerance share one route_tolerance call
+    # each cubic is solved once (one labeled-root pass each) and the atlas is
+    # checked once (a third pass); the route gate and the atlas tie tolerance
+    # share one route_tolerance call; no composite state is built
     counts = Counter()
 
     def counting(name, real):
@@ -265,14 +266,22 @@ def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
 
         return wrapper
 
-    targets = {"labeled_roots_rows": cubic.labeled_roots_rows, "route_tolerance": constructions.route_tolerance}
+    targets = {
+        "cubic_roots_rows": cubic.cubic_roots_rows,
+        "labeled_roots_rows": cubic.labeled_roots_rows,
+        "check_atlas": constructions.check_atlas,
+        "route_tolerance": constructions.route_tolerance,
+        "PureState": constructions.PureState,
+        "schmidt_decompose": constructions.schmidt_decompose,
+        "classify_ordering": constructions.classify_ordering,
+    }
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "qflip"]:
         for name, real in targets.items():
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
     result = general_flip_experiment(FlipParams(a=0.3, c=0.7, theta=1.2), mu=0.4, nu=2.0)
     assert result.ordering is not None
-    assert counts == {"labeled_roots_rows": 2, "route_tolerance": 1}
+    assert counts == {"cubic_roots_rows": 2, "labeled_roots_rows": 3, "check_atlas": 1, "route_tolerance": 1}
 
 
 def test_ordering_sorted_labels_match_the_labeled_roots(rng):

@@ -2,7 +2,8 @@ import numpy as np
 
 from qflip import kernels
 from qflip.bloch import FlipParams
-from qflip.constructions import general_flip_experiment
+from qflip.constructions import build_family_state, build_family_state_flipped
+from qflip.schmidt import schmidt_decompose
 
 from conftest import random_hermitian
 
@@ -19,19 +20,20 @@ def test_fallback_eigvalsh_descending(rng):
 
 
 def test_grid_eval_matches_full_stack(rng):
-    # the batched kernel must reproduce the state-building route point by point
+    # the kernel's Gram route must reproduce the partial trace of the actual
+    # 12-dim composite states, device phases included, point by point
     n = 40
     a = rng.uniform(0.05, 0.95, n)
     c = rng.uniform(0.05, 0.95, n)
     t = rng.uniform(0.05, np.pi - 0.05, n)
-    data = kernels.grid_eval(a, c, t)
+    mu = rng.uniform(-np.pi, np.pi, n)
+    nu = rng.uniform(-np.pi, np.pi, n)
+    data = kernels.grid_eval(a, c, t, mu, nu)
     for i in range(n):
         p = FlipParams(a=a[i], c=c[i], theta=t[i])
-        result = general_flip_experiment(p, margin=1e-12)
-        assert abs(data["A"][i] - result.coeff_a) < 1e-13
-        assert abs(data["B"][i] - result.coeff_b) < 1e-13
-        assert abs(data["Bprime"][i] - result.coeff_bprime) < 1e-13
-        np.testing.assert_allclose(data["alpha"][i], result.analytic_initial.roots, atol=1e-12)
-        np.testing.assert_allclose(data["beta"][i], result.analytic_final.roots, atol=1e-12)
-        np.testing.assert_allclose(data["num_alpha"][i], result.numeric_initial, atol=1e-11)
-        np.testing.assert_allclose(data["num_beta"][i], result.numeric_final, atol=1e-11)
+        oracle_i = schmidt_decompose(build_family_state(p), [0])
+        oracle_f = schmidt_decompose(build_family_state_flipped(p, mu[i], nu[i]), [0])
+        np.testing.assert_allclose(data["num_alpha"][i], oracle_i, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(data["num_beta"][i], oracle_f, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(data["alpha"][i], oracle_i, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(data["beta"][i], oracle_f, rtol=0, atol=1e-12)
