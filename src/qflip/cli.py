@@ -15,13 +15,18 @@ errors.
 from __future__ import annotations
 
 import argparse
-import itertools
 import multiprocessing
+import os
+import shutil
+import stat
 import sys
+import tempfile
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite, pi
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -41,7 +46,7 @@ from .constructions import (
 from .cubic import cubic_coefficients
 from .linalg import DimensionError, HermiticityError
 from .ordering import DegenerateSpectraError, OrderingMismatchError, pattern_labels
-from .report import CSV_HEADER, NonFiniteError, ReportRecord, fmt_float, json_line, sweep_chunks
+from .report import CSV_HEADER, NonFiniteError, ReportRecord, fmt_float, grid_text, json_line, sweep_block
 from .schmidt import VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdict
 
 # Failures raised while certifying, after the arguments were accepted; they
@@ -78,17 +83,63 @@ class SweepConfig:
             raise ValueError("jobs must be at least 1")
 
 
-def _emit(blocks: Iterable[str], out_path: str | None) -> None:
-    """Write each block followed by a newline, streaming, to ``out_path`` or stdout."""
+@contextmanager
+def _spool(out_path: str | None) -> Iterator[TextIO]:
+    """A temporary file for the whole output, published only if the block succeeds.
+
+    Where ``out_path`` is a regular file, or does not exist yet, the spool
+    lies beside it and is renamed onto it, with the mode that
+    ``open(out_path, "w")`` would leave.  For stdout, or a target that is not
+    a regular file (a device, a pipe), the spool is copied out.  If the block
+    raises, the spool is removed and the target is left untouched.
+    """
+    target, rename = None, False
     if out_path:
-        with open(out_path, "w") as fh:
-            for block in blocks:
-                fh.write(block)
-                fh.write("\n")
-    else:
+        target = os.path.realpath(out_path)
+        try:
+            st = os.stat(target)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode, rename = 0o666 & ~umask, True
+        else:
+            mode, rename = stat.S_IMODE(st.st_mode), stat.S_ISREG(st.st_mode)
+    fd, spool = tempfile.mkstemp(prefix=".qflip-", suffix=".tmp", dir=os.path.dirname(target) if rename else None)
+    try:
+        with os.fdopen(fd, "w+") as fh:
+            yield fh
+            if rename:
+                os.fchmod(fd, mode)
+            else:
+                fh.seek(0)
+                _copy_out(fh, out_path)
+        if rename:
+            os.replace(spool, target)
+    finally:
+        if os.path.exists(spool):
+            os.unlink(spool)
+
+
+def _copy_out(spool: TextIO, out_path: str | None) -> None:
+    if out_path:
+        with open(out_path, "w") as out:
+            shutil.copyfileobj(spool, out)
+        return
+    try:
+        shutil.copyfileobj(spool, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``): not a failure.  Point
+        # stdout at devnull so that the flush at interpreter exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+def _emit(blocks: Iterable[str], out_path: str | None) -> None:
+    """Write each block followed by a newline to ``out_path`` or stdout, through a spool."""
+    with _spool(out_path) as fh:
         for block in blocks:
-            sys.stdout.write(block)
-            sys.stdout.write("\n")
+            fh.write(block)
+            fh.write("\n")
 
 
 def _emit_record(record: ReportRecord, fmt: str, out_path: str | None) -> None:
@@ -208,73 +259,86 @@ def _cmd_check_pair(args) -> int:
     return 0
 
 
-def _eval_chunk(chunk):
-    a, c, theta = chunk
-    return kernels.grid_eval(a, c, theta)
+# Certified points per chunk: each chunk is evaluated, certified, formatted and
+# written before the next, so a sweep's memory is O(CHUNK_ROWS), not O(N^3).
+CHUNK_ROWS = 8192
+
+_VERDICT_TEXT = np.array([str(v) for v in VERDICT_BY_CODE], dtype=object)
 
 
-def _grid_eval(flat_a, flat_c, flat_t, jobs: int) -> dict:
-    if jobs == 1:
-        return kernels.grid_eval(flat_a, flat_c, flat_t)
-    chunks = [
-        (flat_a[s], flat_c[s], flat_t[s])
-        for s in (
-            slice(i * len(flat_a) // jobs, (i + 1) * len(flat_a) // jobs)
-            for i in range(jobs)
-        )
-        if s.start != s.stop
-    ]
-    with multiprocessing.Pool(jobs) as pool:
-        parts = pool.map(_eval_chunk, chunks)
-    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}
+def _sweep_chunk(fmt: str, ticks: np.ndarray, angles: np.ndarray, text: tuple, flat: np.ndarray):
+    """Evaluate, certify and format one chunk of certified grid points.
+
+    ``flat`` holds the points' flat indices into the (a, c, theta) grid and
+    ``text`` is :func:`grid_text` of ``ticks`` and ``angles``.  Returns the
+    chunk's record block, its largest analytic/numeric error and its
+    ordering pattern counts.  A failed check raises from
+    :func:`certify_rows`.
+    """
+    ia, ic, itheta = np.unravel_index(flat, (len(ticks), len(ticks), len(angles)))
+    rows = kernels.grid_eval(ticks[ia], ticks[ic], angles[itheta])
+    # every row lies beyond the margin, so every verdict must be Incomparable
+    max_err, codes, regions = certify_rows(rows, live=True)
+    ordering = pattern_labels(regions)
+    tick_text, angle_text, index_text = text
+    columns = {
+        "a": tick_text[ia], "c": tick_text[ic], "theta": angle_text[itheta],
+        "ia": index_text[ia], "ic": index_text[ic], "itheta": index_text[itheta],
+        "alpha1": rows["num_alpha"][:, 0], "alpha2": rows["num_alpha"][:, 1], "alpha3": rows["num_alpha"][:, 2],
+        "beta1": rows["num_beta"][:, 0], "beta2": rows["num_beta"][:, 1], "beta3": rows["num_beta"][:, 2],
+        "A": rows["A"], "B": rows["B"], "Bprime": rows["Bprime"],
+        "ordering": ordering, "verdict": _VERDICT_TEXT[codes], "max_err": max_err,
+    }
+    counts = Counter(label for label in ordering.tolist() if label is not None)
+    return sweep_block(fmt, columns), float(max_err.max()), counts
 
 
-def _run_sweep(cfg: SweepConfig) -> tuple[Iterator[str], dict]:
-    """Evaluate and certify every grid point beyond the margin, in one batch.
+def _run_sweep(cfg: SweepConfig, out: TextIO) -> dict:
+    """Evaluate, certify and write every grid point beyond the margin, chunk by chunk.
 
     The margin mask depends only on (a, c, theta), so the kernel runs on the
-    certified points alone.  :func:`certify_rows` checks the whole batch
-    before this returns; a failure raises :class:`VerificationError` (or
-    :class:`OrderingMismatchError`), so nothing has been written yet.
-    Returns the record blocks, formatted lazily, and the summary.
+    certified points alone, ``CHUNK_ROWS`` at a time, in grid order; with
+    ``cfg.jobs`` above 1 the chunks are spread over a process pool.  Each
+    chunk's records are written to ``out`` (the CSV header first) as soon as
+    :func:`certify_rows` has checked them; a failure raises
+    :class:`VerificationError` (or :class:`OrderingMismatchError`), and the
+    caller discards ``out``.  Returns the summary.
     """
     n = cfg.grid_n
     ticks = np.arange(1, n + 1) / (n + 1)
     angles = ticks * pi
-    # the measure broadcast over the (a, c, theta) axes, so no N^3 coordinate grid is built
+    # the measure broadcast over the (a, c, theta) axes, so no N^3 coordinate
+    # grid is built; only the flat indices of the points beyond the margin stay
     measure = kernels.degeneracy(ticks[:, None, None], ticks[None, :, None], angles)
-    ia, ic, itheta = np.nonzero(np.abs(measure) > cfg.margin)
-    if ia.size == 0:
+    flat = np.flatnonzero(np.abs(measure) > cfg.margin)
+    del measure
+    if flat.size == 0:
         raise VerificationError(
             f"no grid point lies beyond the degeneracy margin {cfg.margin:g}; nothing was certified"
         )
-    rows = _grid_eval(ticks[ia], ticks[ic], angles[itheta], cfg.jobs)
-    # every row lies beyond the margin, so every verdict must be Incomparable
-    max_err, codes, regions = certify_rows(rows, live=True)
-    verdicts = np.array([str(v) for v in VERDICT_BY_CODE], dtype=object)[codes]
-    ordering = pattern_labels(regions)
-
-    columns = {
-        "a": rows["a"], "c": rows["c"], "theta": rows["theta"],
-        "ia": ia, "ic": ic, "itheta": itheta,
-        "alpha1": rows["num_alpha"][:, 0], "alpha2": rows["num_alpha"][:, 1], "alpha3": rows["num_alpha"][:, 2],
-        "beta1": rows["num_beta"][:, 0], "beta2": rows["num_beta"][:, 1], "beta3": rows["num_beta"][:, 2],
-        "A": rows["A"], "B": rows["B"], "Bprime": rows["Bprime"],
-        "ordering": ordering, "verdict": verdicts, "max_err": max_err,
-    }
-    pattern_counts = Counter(label for label in ordering.tolist() if label is not None)
-    summary = {
+    if cfg.fmt == "csv":
+        out.write(CSV_HEADER + "\n")
+    work = partial(_sweep_chunk, cfg.fmt, ticks, angles, grid_text(ticks, angles))
+    chunks = (flat[start : start + CHUNK_ROWS] for start in range(0, flat.size, CHUNK_ROWS))
+    max_err, pattern_counts = 0.0, Counter()
+    parallel = multiprocessing.get_context("spawn").Pool(cfg.jobs) if cfg.jobs > 1 else nullcontext()
+    with parallel as pool:
+        for block, chunk_err, counts in (pool.imap if pool else map)(work, chunks):
+            out.write(block)
+            out.write("\n")
+            max_err = max(max_err, chunk_err)
+            pattern_counts.update(counts)
+    return {
         "experiment_id": "sweep-summary",
         "grid": n,
         "margin": cfg.margin,
-        "points_total": measure.size,
-        "points_emitted": ia.size,
-        "points_degenerate_skipped": measure.size - ia.size,
+        "points_total": n**3,
+        "points_emitted": flat.size,
+        "points_degenerate_skipped": n**3 - flat.size,
         "pattern_counts": dict(sorted(pattern_counts.items())),
-        "max_analytic_numeric_error": float(max_err.max()),
+        "max_analytic_numeric_error": max_err,
         "non_incomparable_count": 0,  # any other verdict failed the sweep above
     }
-    return sweep_chunks(cfg.fmt, columns), summary
 
 
 def _cmd_sweep(args) -> int:
@@ -285,20 +349,20 @@ def _cmd_sweep(args) -> int:
         fmt=args.format,
         jobs=args.jobs,
     )
-    chunks, summary = _run_sweep(cfg)
-    if cfg.fmt == "csv":
-        counts = ";".join(f"{k}={v}" for k, v in summary["pattern_counts"].items())
-        summary_line = (
-            f"# summary points_total={summary['points_total']}"
-            f" points_emitted={summary['points_emitted']}"
-            f" points_degenerate_skipped={summary['points_degenerate_skipped']}"
-            f" max_analytic_numeric_error={fmt_float(summary['max_analytic_numeric_error'])}"
-            f" non_incomparable_count={summary['non_incomparable_count']}"
-            f" pattern_counts={counts}"
-        )
-        _emit(itertools.chain([CSV_HEADER], chunks, [summary_line]), cfg.output_path)
-    else:
-        _emit(itertools.chain(chunks, [json_line(summary)]), cfg.output_path)
+    with _spool(cfg.output_path) as out:
+        summary = _run_sweep(cfg, out)
+        if cfg.fmt == "csv":
+            counts = ";".join(f"{k}={v}" for k, v in summary["pattern_counts"].items())
+            out.write(
+                f"# summary points_total={summary['points_total']}"
+                f" points_emitted={summary['points_emitted']}"
+                f" points_degenerate_skipped={summary['points_degenerate_skipped']}"
+                f" max_analytic_numeric_error={fmt_float(summary['max_analytic_numeric_error'])}"
+                f" non_incomparable_count={summary['non_incomparable_count']}"
+                f" pattern_counts={counts}\n"
+            )
+        else:
+            out.write(json_line(summary) + "\n")
     print(
         f"sweep: {summary['points_emitted']} records, "
         f"max analytic/numeric error {summary['max_analytic_numeric_error']:.3e}, "
@@ -360,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="evaluate the family over a full grid")
     p_sweep.add_argument("--grid", type=int, required=True, help="points per axis")
     p_sweep.add_argument("--margin", type=finite_float, default=DEFAULT_DEGENERACY_MARGIN)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes for the kernel")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes, each evaluating, certifying and formatting whole chunks")
     _add_output_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

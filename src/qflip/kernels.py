@@ -41,10 +41,35 @@ def _bob_blocks(psi: np.ndarray, phi: np.ndarray, flat0: np.ndarray) -> np.ndarr
     return blocks
 
 
+def flipped_blocks(psi: np.ndarray, phi: np.ndarray, mu=0.0, nu=0.0) -> np.ndarray:
+    """Stack the three 4-dim Bob vectors (n, 3, 4) of the flipped family state.
+
+    |0>|01> + e^{i nu}|1>|psi phibar> + e^{i mu}|2>|phi psibar>, as in
+    :func:`qflip.constructions.build_family_state_flipped`; ``psi`` and
+    ``phi`` are (n, 2) qubit rows, ``mu`` and ``nu`` scalars or one per row.
+    """
+    n = psi.shape[0]
+    psi_bar = np.stack([-psi[:, 1].conj(), psi[:, 0].conj()], axis=-1)
+    phi_bar = np.stack([-phi[:, 1].conj(), phi[:, 0].conj()], axis=-1)
+    blocks = np.zeros((n, 3, 4), dtype=complex)
+    blocks[:, 0, 1] = 1.0
+    blocks[:, 1, :] = np.einsum("ni,nj->nij", psi, phi_bar).reshape(n, 4)
+    blocks[:, 2, :] = np.einsum("ni,nj->nij", phi, psi_bar).reshape(n, 4)
+    blocks[:, 1, :] *= np.exp(1j * np.asarray(nu))[..., None]
+    blocks[:, 2, :] *= np.exp(1j * np.asarray(mu))[..., None]
+    return blocks
+
+
+def gram(blocks: np.ndarray) -> np.ndarray:
+    """Qutrit-side reduced matrices (n, 3, 3) of (1/sqrt3) sum_j |j>|B_j>.
+
+    rho[j, k] = <B_k|B_j> / 3 for the (n, 3, 4) Bob blocks B_j.
+    """
+    return np.einsum("nkm,njm->njk", blocks.conj(), blocks) / 3.0
+
+
 def _gram_spectra(blocks: np.ndarray) -> np.ndarray:
-    # rho[j, k] = <B_k|B_j> / 3 for the qutrit side of (1/sqrt3) sum |j>|B_j>
-    gram = np.einsum("nkm,njm->njk", blocks.conj(), blocks) / 3.0
-    vals = np.linalg.eigvalsh(gram)
+    vals = np.linalg.eigvalsh(gram(blocks))
     return np.ascontiguousarray(vals[:, ::-1])
 
 
@@ -71,23 +96,11 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray, mu=0.0, nu=0.0) -
 
     psi = np.stack([a.astype(complex), b.astype(complex)], axis=-1)
     phi = np.stack([c.astype(complex), d * np.exp(1j * theta)], axis=-1)
-    psi_bar = np.stack([-psi[:, 1].conj(), psi[:, 0].conj()], axis=-1)
-    phi_bar = np.stack([-phi[:, 1].conj(), phi[:, 0].conj()], axis=-1)
 
     e00 = np.zeros((n, 4), dtype=complex)
     e00[:, 0] = 1.0
-    e01 = np.zeros((n, 4), dtype=complex)
-    e01[:, 1] = 1.0
-
     num_alpha = _gram_spectra(_bob_blocks(psi, phi, e00))
-    # flipped family: |0>|01> + e^{i nu}|1>|psi phibar> + e^{i mu}|2>|phi psibar>
-    flipped = np.empty((n, 3, 4), dtype=complex)
-    flipped[:, 0, :] = e01
-    flipped[:, 1, :] = np.einsum("ni,nj->nij", psi, phi_bar).reshape(n, 4)
-    flipped[:, 2, :] = np.einsum("ni,nj->nij", phi, psi_bar).reshape(n, 4)
-    flipped[:, 1, :] *= np.exp(1j * np.asarray(nu))[..., None]
-    flipped[:, 2, :] *= np.exp(1j * np.asarray(mu))[..., None]
-    num_beta = _gram_spectra(flipped)
+    num_beta = _gram_spectra(flipped_blocks(psi, phi, mu, nu))
 
     return {
         "a": a,

@@ -48,7 +48,8 @@ def kron(a, b) -> np.ndarray:
     if a.ndim == 1 and b.ndim == 1:
         if a.size * b.size > DIM_CAP:
             raise DimensionError(f"tensor product of length {a.size * b.size} exceeds the cap of {DIM_CAP}")
-        return np.multiply.outer(a, b).reshape(-1)
+        # not np.multiply.outer: for two 1-element operands it rounds differently
+        return (a[:, None] * b[None, :]).reshape(-1)
     a, b = _as_matrix(a), _as_matrix(b)
     rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
     if max(rows, cols) > DIM_CAP:

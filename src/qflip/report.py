@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import isfinite
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -140,15 +140,17 @@ class ReportRecord:
 # Row templates of sweep records: the exact output of ReportRecord.to_json_line
 # and .to_csv_row for experiment_id "sweep", params {a, c, theta, ia, ic,
 # itheta} and degeneracy_flag False, with every value a %-slot.  Each takes its
-# values in the order of the field tuple beside it.
+# values in the order of the field tuple beside it.  The params take only N
+# distinct values per grid axis, so they arrive as text (see grid_text) and
+# fill %s slots; each row formats only its ten other floats.
 _SWEEP_JSON_FIELDS = (
     "a", "c", "theta", "ia", "ic", "itheta",
     "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3",
     "A", "B", "Bprime", "ordering", "verdict", "max_err",
 )
 _SWEEP_JSON_ROW = (
-    '{"experiment_id": "sweep", "params": {"a": %.17g, "c": %.17g, "theta": %.17g, '
-    '"ia": %d, "ic": %d, "itheta": %d}, '
+    '{"experiment_id": "sweep", "params": {"a": %s, "c": %s, "theta": %s, '
+    '"ia": %s, "ic": %s, "itheta": %s}, '
     '"lambda_initial": [%.17g, %.17g, %.17g], "lambda_final": [%.17g, %.17g, %.17g], '
     '"A": %.17g, "B": %.17g, "Bprime": %.17g, "ordering": %s, "verdict": %s, '
     '"maxAnalyticNumericError": %.17g, "degeneracyFlag": false}'
@@ -158,7 +160,7 @@ _SWEEP_CSV_FIELDS = (
     "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3",
     "ordering", "verdict", "max_err",
 )
-_SWEEP_CSV_ROW = ",".join(["%.17g"] * 12 + ["%s", "%s", "%.17g", "false"])
+_SWEEP_CSV_ROW = ",".join(["%s"] * 3 + ["%.17g"] * 9 + ["%s", "%s", "%.17g", "false"])
 _TEXT_FIELDS = ("ordering", "verdict")
 
 
@@ -166,24 +168,38 @@ def _csv_text(value: str | None) -> str:
     return "" if value is None else value
 
 
-def sweep_chunks(fmt: str, columns: dict[str, np.ndarray], chunk_rows: int = 4096) -> Iterator[str]:
-    """Format sweep records from columns, ``chunk_rows`` rows per yielded block.
+def grid_text(ticks: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Text of a sweep grid's a/c ticks, theta angles and tick indices.
+
+    Object arrays of strings, to be indexed by each row's (ia, ic, itheta):
+    a sweep formats its coordinates once per tick and :func:`sweep_block`
+    splices the text into every row.
+    """
+    return (
+        np.array([fmt_float(x) for x in ticks], dtype=object),
+        np.array([fmt_float(x) for x in angles], dtype=object),
+        np.array([str(i) for i in range(len(ticks))], dtype=object),
+    )
+
+
+def sweep_block(fmt: str, columns: dict[str, np.ndarray]) -> str:
+    """Format sweep records from columns, one row per record, as one block.
 
     ``columns`` maps every field of the sweep row (a, c, theta, ia, ic,
     itheta, alpha1..3, beta1..3, A, B, Bprime, ordering, verdict, max_err) to
-    an array with one entry per record; ``ordering`` and ``verdict`` are
-    object arrays of strings, ``ordering`` None where a record has none.
-    Each block is its rows joined by newlines, without a trailing newline,
-    and reads exactly as the records' ``to_json_line`` / ``to_csv_row``.
+    an array with one entry per record.  The six params are object arrays of
+    their text, as :func:`grid_text` gives it; ``ordering`` and ``verdict``
+    are object arrays of strings, ``ordering`` None where a record has none.
+    The block is its rows joined by newlines, without a trailing newline, and
+    reads exactly as the records' ``to_json_line`` / ``to_csv_row``.
     """
     if fmt == "csv":
         template, fields, render = _SWEEP_CSV_ROW, _SWEEP_CSV_FIELDS, _csv_text
     else:
         template, fields, render = _SWEEP_JSON_ROW, _SWEEP_JSON_FIELDS, _json_fragment
-    for start in range(0, len(columns["a"]), chunk_rows):
-        part = [columns[name][start : start + chunk_rows].tolist() for name in fields]
-        for k, name in enumerate(fields):
-            if name in _TEXT_FIELDS:
-                rendered = {x: render(x) for x in set(part[k])}
-                part[k] = [rendered[x] for x in part[k]]
-        yield "\n".join([template % row for row in zip(*part)])
+    part = [columns[name].tolist() for name in fields]
+    for k, name in enumerate(fields):
+        if name in _TEXT_FIELDS:
+            rendered = {x: render(x) for x in set(part[k])}
+            part[k] = [rendered[x] for x in part[k]]
+    return "\n".join([template % row for row in zip(*part)])

@@ -1,8 +1,12 @@
 import hashlib
 import inspect
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -464,6 +468,104 @@ def test_sweep_golden_sha256(fmt):
     )
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(out.stdout).hexdigest() == GOLDEN_SWEEP_GRID12[fmt]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_SWEEP_GRID12))
+def test_sweep_chunk_boundaries_keep_the_golden_bytes(fmt, jobs, monkeypatch, capsys):
+    # 7 does not divide grid 12's 1728 rows, so the last chunk is a short one
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "12", "--format", fmt, "--jobs", jobs)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SWEEP_GRID12[fmt]
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_sweep_failing_in_its_last_chunk_leaves_nothing(to_file, monkeypatch, tmp_path, capsys):
+    # earlier chunks were already spooled when the last one fails the route gate
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where a stdout spool goes
+    real_grid_eval = cli.kernels.grid_eval
+    calls = []
+
+    def off_in_last_chunk(*args):
+        data = real_grid_eval(*args)
+        calls.append(len(args[0]))
+        if len(calls) == -(-1728 // 7):
+            data["num_alpha"][-1, 1] += 1e-6
+        return data
+
+    monkeypatch.setattr(cli.kernels, "grid_eval", off_in_last_chunk)
+    out_flags = ["--out", str(tmp_path / "sweep.ndjson")] if to_file else []
+    code, out, err = run_cli(capsys, "sweep", "--grid", "12", *out_flags)
+    assert code == 1
+    assert "disagree" in err
+    assert calls == [7] * 246 + [6]
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("existing_mode", [None, 0o640])
+def test_sweep_out_file_mode_is_that_of_a_plain_open(existing_mode, tmp_path, capsys):
+    # the spool is made private (0600); the published file is not
+    target, plain = tmp_path / "sweep.ndjson", tmp_path / "plain.ndjson"
+    if existing_mode is not None:
+        for path in (target, plain):
+            path.write_text("old")
+            path.chmod(existing_mode)
+    with open(plain, "w"):
+        pass
+    code, _, _ = run_cli(capsys, "sweep", "--grid", "3", "--out", str(target))
+    assert code == 0
+    assert oct(target.stat().st_mode) == oct(plain.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.ndjson", "sweep.ndjson"]
+
+
+def test_sweep_to_a_device_copies_the_spool_out(monkeypatch, tmp_path, capsys):
+    # a target that is not a regular file cannot take a rename
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "3", "--out", os.devnull)
+    assert code == 0
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, head", [(["sweep", "--grid", "12"], 10), (["verify", "axes"], 0)])
+def test_closed_stdout_is_not_a_failure(argv, head, tmp_path):
+    # `qflip sweep --grid 12 | head -c 10`: the reader leaves early, nothing failed
+    read_end, write_end = os.pipe()
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qflip", *argv],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin", "TMPDIR": str(tmp_path)},
+    )
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        assert len(reader.read(head)) == head
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+    assert list(tmp_path.iterdir()) == []  # no spool left behind
+
+
+def test_sweep_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, capsys):
+    # 8x the points must not take 8x the memory: besides the margin mask (about
+    # 17 bytes per grid point while it is built) and the flat index list of the
+    # certified points (8 bytes each), a sweep holds one chunk at a time
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 256)
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "sweep", "--grid", str(grid), "--out", str(tmp_path / "sweep.ndjson"))
+            assert code == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(32) < 2 * peak(16)
 
 
 # sha256 of each single-point command's output, pinned like the sweep's so

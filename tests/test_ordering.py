@@ -1,3 +1,4 @@
+import io
 from contextlib import contextmanager
 
 import numpy as np
@@ -198,7 +199,7 @@ def test_corrupted_atlas_entry_makes_the_sweep_fail(pair, chain):
     cfg = SweepConfig(grid_n=9)
     with _atlas_with(pair, chain):
         if chain == ORIGINAL_ATLAS[pair]:
-            _run_sweep(cfg)
+            _run_sweep(cfg, io.StringIO())
         else:
             with pytest.raises(OrderingMismatchError):
-                _run_sweep(cfg)
+                _run_sweep(cfg, io.StringIO())

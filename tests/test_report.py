@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflip.report import ReportRecord, sweep_chunks
+from qflip.report import ReportRecord, fmt_float, sweep_block
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 index = st.integers(min_value=0, max_value=10**6)
@@ -39,11 +39,13 @@ def _record(row) -> ReportRecord:
 
 
 def _columns(rows) -> dict:
+    # the six params arrive as text, formatted once per grid tick by a sweep
+    text = {"a": fmt_float, "c": fmt_float, "theta": fmt_float, "ia": str, "ic": str, "itheta": str}
     columns = {}
     for name in rows[0]:
-        values = [row[name] for row in rows]
-        text = isinstance(values[0], str) or name == "ordering"
-        columns[name] = np.array(values, dtype=object if text else None)
+        values = [text[name](row[name]) if name in text else row[name] for row in rows]
+        is_text = name in text or isinstance(values[0], str) or name == "ordering"
+        columns[name] = np.array(values, dtype=object if is_text else None)
     return columns
 
 
@@ -55,6 +57,4 @@ def test_sweep_template_rows_match_report_record(fmt, rows):
     expected = [
         _record(row).to_csv_row() if fmt == "csv" else _record(row).to_json_line() for row in rows
     ]
-    blocks = list(sweep_chunks(fmt, _columns(rows), chunk_rows=2))
-    assert len(blocks) == (len(rows) + 1) // 2
-    assert "\n".join(blocks).split("\n") == expected
+    assert sweep_block(fmt, _columns(rows)).split("\n") == expected
