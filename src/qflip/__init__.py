@@ -23,8 +23,6 @@ from .constructions import (
     VerificationError,
     axes_experiment,
     bob_qubit_reduction,
-    build_axes_state,
-    build_axes_state_flipped,
     build_family_state,
     build_family_state_flipped,
     build_flipper_pair,

@@ -33,9 +33,9 @@ import numpy as np
 from . import kernels
 from .bloch import FlipParams
 from .constructions import (
-    AXES_PARAMS,
     DEFAULT_DEGENERACY_MARGIN,
     DEFAULT_FLIPPER_SEED,
+    FlipExperimentResult,
     VerificationError,
     axes_experiment,
     certify_rows,
@@ -43,7 +43,6 @@ from .constructions import (
     flipper_experiment,
     general_flip_experiment,
 )
-from .cubic import cubic_coefficients
 from .linalg import DimensionError, HermiticityError
 from .ordering import DegenerateSpectraError, OrderingMismatchError, pattern_labels
 from .report import CSV_HEADER, NonFiniteError, ReportRecord, fmt_float, grid_text, json_line, sweep_block
@@ -91,20 +90,29 @@ def _spool(out_path: str | None) -> Iterator[TextIO]:
     lies beside it and is renamed onto it, with the mode that
     ``open(out_path, "w")`` would leave.  For stdout, or a target that is not
     a regular file (a device, a pipe), the spool is copied out.  If the block
-    raises, the spool is removed and the target is left untouched.
+    raises, the spool is removed and the target is left untouched.  A
+    directory target, or one beside which no spool can be created, raises
+    :class:`ValueError` before the block runs.
     """
     target, rename = None, False
     if out_path:
         target = os.path.realpath(out_path)
         try:
             st = os.stat(target)
-        except FileNotFoundError:
+        except OSError:  # missing, or unreachable, and then no spool can be created beside it
             umask = os.umask(0)
             os.umask(umask)
             mode, rename = 0o666 & ~umask, True
         else:
+            if stat.S_ISDIR(st.st_mode):
+                raise ValueError(f"--out {out_path} is a directory")
             mode, rename = stat.S_IMODE(st.st_mode), stat.S_ISREG(st.st_mode)
-    fd, spool = tempfile.mkstemp(prefix=".qflip-", suffix=".tmp", dir=os.path.dirname(target) if rename else None)
+    try:
+        fd, spool = tempfile.mkstemp(prefix=".qflip-", suffix=".tmp", dir=os.path.dirname(target) if rename else None)
+    except OSError as exc:
+        if not rename:
+            raise
+        raise ValueError(f"cannot write --out {out_path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w+") as fh:
             yield fh
@@ -149,30 +157,29 @@ def _emit_record(record: ReportRecord, fmt: str, out_path: str | None) -> None:
         _emit([record.to_json_line()], out_path)
 
 
-def _cmd_verify_axes(args) -> int:
-    result = axes_experiment(chi=args.chi, eta=args.eta)
-    coeff_a, coeff_b, coeff_bp = cubic_coefficients(AXES_PARAMS)
+def _emit_family_point(experiment_id: str, params: dict, result: FlipExperimentResult, args) -> int:
+    """Write one certified family point; ``params`` follow its a, c and theta."""
+    p = result.params
     record = ReportRecord(
-        experiment_id="verify-axes",
-        params={
-            "a": AXES_PARAMS.a,
-            "c": AXES_PARAMS.c,
-            "theta": AXES_PARAMS.theta,
-            "chi": args.chi,
-            "eta": args.eta,
-        },
-        lambda_initial=list(result.lambda_initial),
-        lambda_final=list(result.lambda_final),
-        A=coeff_a,
-        B=coeff_b,
-        Bprime=coeff_bp,
+        experiment_id=experiment_id,
+        params={"a": p.a, "c": p.c, "theta": p.theta, **params},
+        lambda_initial=list(result.numeric_initial),
+        lambda_final=list(result.numeric_final),
+        A=result.coeff_a,
+        B=result.coeff_b,
+        Bprime=result.coeff_bprime,
         ordering=result.ordering.label if result.ordering else None,
         verdict=str(result.verdict),
         max_analytic_numeric_error=result.max_err,
-        degeneracy_flag=False,
+        degeneracy_flag=result.degenerate,
     )
     _emit_record(record, args.format, args.out)
     return 0
+
+
+def _cmd_verify_axes(args) -> int:
+    result = axes_experiment(chi=args.chi, eta=args.eta)
+    return _emit_family_point("verify-axes", {"chi": args.chi, "eta": args.eta}, result, args)
 
 
 def _cmd_verify_flipper(args) -> int:
@@ -200,28 +207,7 @@ def _cmd_verify_general(args) -> int:
         a=args.a, c=args.c, theta=args.theta, allow_boundary_theta=args.degenerate_mode
     )
     result = general_flip_experiment(p, mu=args.mu, nu=args.nu, margin=args.margin)
-    record = ReportRecord(
-        experiment_id="verify-general",
-        params={
-            "a": p.a,
-            "c": p.c,
-            "theta": p.theta,
-            "mu": args.mu,
-            "nu": args.nu,
-            "margin": args.margin,
-        },
-        lambda_initial=list(result.numeric_initial),
-        lambda_final=list(result.numeric_final),
-        A=result.coeff_a,
-        B=result.coeff_b,
-        Bprime=result.coeff_bprime,
-        ordering=result.ordering.label if result.ordering else None,
-        verdict=str(result.verdict),
-        max_analytic_numeric_error=result.max_err,
-        degeneracy_flag=result.degenerate,
-    )
-    _emit_record(record, args.format, args.out)
-    return 0
+    return _emit_family_point("verify-general", {"mu": args.mu, "nu": args.nu, "margin": args.margin}, result, args)
 
 
 def _parse_probs(text: str, name: str) -> np.ndarray:
@@ -321,7 +307,8 @@ def _run_sweep(cfg: SweepConfig, out: TextIO) -> dict:
     work = partial(_sweep_chunk, cfg.fmt, ticks, angles, grid_text(ticks, angles))
     chunks = (flat[start : start + CHUNK_ROWS] for start in range(0, flat.size, CHUNK_ROWS))
     max_err, pattern_counts = 0.0, Counter()
-    parallel = multiprocessing.get_context("spawn").Pool(cfg.jobs) if cfg.jobs > 1 else nullcontext()
+    workers = min(cfg.jobs, -(-flat.size // CHUNK_ROWS))  # no idle worker, no pool for one chunk
+    parallel = multiprocessing.get_context("spawn").Pool(workers) if workers > 1 else nullcontext()
     with parallel as pool:
         for block, chunk_err, counts in (pool.imap if pool else map)(work, chunks):
             out.write(block)

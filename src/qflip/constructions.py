@@ -28,9 +28,9 @@ from .bloch import (
     qubit_to_bloch,
     random_qubit,
 )
-from .cubic import CubicSpectrum, family_spectra
+from .cubic import CubicSpectrum
 from .linalg import DimensionError, kron, partial_trace
-from .ordering import CHAIN_TIE_TOL, OrderingPattern, check_atlas, classify_ordering, ordering_pattern
+from .ordering import CHAIN_TIE_TOL, OrderingPattern, check_atlas, ordering_pattern
 from .schmidt import VERDICT_BY_CODE, PureState, Verdict, schmidt_decompose, verdict, verdict_codes
 
 SPECTRUM_AGREEMENT_TOL = 1e-9
@@ -48,6 +48,7 @@ AXES_LAMBDA_FINAL = (
     1.0 / 3.0 - 0.5 / sqrt(3.0),
 )
 
+# The x/y/z axis states are the family's canonical triple at these parameters.
 AXES_PARAMS = FlipParams(a=1.0 / sqrt(2.0), c=1.0 / sqrt(2.0), theta=pi / 2.0)
 
 _QUTRIT_BASIS = tuple(np.eye(3, dtype=complex)[j] for j in range(3))
@@ -86,29 +87,6 @@ def route_tolerance(coeff_a, *b_vals, base: float | np.ndarray | None = None):
 def _qutrit_sum(blocks: list[np.ndarray], phases: list[complex]) -> PureState:
     amps = sum(g * kron(e, blk) for e, blk, g in zip(_QUTRIT_BASIS, blocks, phases))
     return PureState(amps / sqrt(3.0), (3, 2, 2))
-
-
-def build_axes_state() -> PureState:
-    """Initial state of the axes experiment: each qutrit level tags a product
-    of two of the x/y/z axis qubits."""
-    psi_z = np.array([1.0, 0.0], dtype=complex)
-    psi_x = np.array([1.0, 1.0], dtype=complex) / sqrt(2.0)
-    psi_y = np.array([1.0, 1.0j], dtype=complex) / sqrt(2.0)
-    blocks = [kron(psi_z, psi_z), kron(psi_x, psi_y), kron(psi_y, psi_x)]
-    return _qutrit_sum(blocks, [1.0, 1.0, 1.0])
-
-
-def build_axes_state_flipped(chi: float = 0.0, eta: float = 0.0) -> PureState:
-    """Axes state after flipping each second qubit, with free phases."""
-    psi_z = np.array([1.0, 0.0], dtype=complex)
-    psi_x = np.array([1.0, 1.0], dtype=complex) / sqrt(2.0)
-    psi_y = np.array([1.0, 1.0j], dtype=complex) / sqrt(2.0)
-    blocks = [
-        kron(psi_z, flip(psi_z)),
-        kron(psi_x, flip(psi_y)),
-        kron(psi_y, flip(psi_x)),
-    ]
-    return _qutrit_sum(blocks, [1.0, np.exp(1j * chi), np.exp(1j * eta)])
 
 
 def build_flipper_pair(psi) -> tuple[PureState, PureState]:
@@ -301,41 +279,23 @@ def general_flip_experiment(
     )
 
 
-@dataclass(frozen=True)
-class AxesExperimentResult:
-    chi: float
-    eta: float
-    lambda_initial: np.ndarray
-    lambda_final: np.ndarray
-    max_err: float
-    verdict: Verdict
-    ordering: OrderingPattern | None
+def axes_experiment(chi: float = 0.0, eta: float = 0.0) -> FlipExperimentResult:
+    """The paper's x/y/z example: the family point ``AXES_PARAMS`` with the
+    phases (chi, eta) in the roles of (nu, mu).
 
-
-def axes_experiment(chi: float = 0.0, eta: float = 0.0) -> AxesExperimentResult:
-    """Run the axes experiment and assert the spectra are incomparable."""
-    lam_i = schmidt_decompose(build_axes_state(), cut=[0])
-    lam_f = schmidt_decompose(build_axes_state_flipped(chi, eta), cut=[0])
-    max_err = float(
-        max(
-            np.max(np.abs(lam_i - np.array(AXES_LAMBDA_INITIAL))),
-            np.max(np.abs(lam_f - np.array(AXES_LAMBDA_FINAL))),
-        )
+    Certified like any family point by :func:`general_flip_experiment`; the
+    numeric spectra must also match the exact ``AXES_LAMBDA_INITIAL`` and
+    ``AXES_LAMBDA_FINAL`` within 1e-12, or :class:`VerificationError` is
+    raised.
+    """
+    result = general_flip_experiment(AXES_PARAMS, mu=eta, nu=chi)
+    dev = max(
+        np.max(np.abs(result.numeric_initial - np.array(AXES_LAMBDA_INITIAL))),
+        np.max(np.abs(result.numeric_final - np.array(AXES_LAMBDA_FINAL))),
     )
-    v = verdict(lam_i, lam_f)
-    if v is not Verdict.INCOMPARABLE:
-        raise VerificationError(f"axes experiment expected Incomparable, got {v}")
-
-    ordering = classify_ordering(*family_spectra(AXES_PARAMS))
-    return AxesExperimentResult(
-        chi=chi,
-        eta=eta,
-        lambda_initial=lam_i,
-        lambda_final=lam_f,
-        max_err=max_err,
-        verdict=v,
-        ordering=ordering,
-    )
+    if not dev <= 1e-12:
+        raise VerificationError(f"axes spectra deviate from their exact values by {dev:.3e}")
+    return result
 
 
 @dataclass(frozen=True)

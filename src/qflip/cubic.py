@@ -123,14 +123,6 @@ def cubic_roots(a_coeff: float, b_val: float) -> CubicSpectrum:
     return CubicSpectrum(a_coeff, b_val, float(t[0]), roots[0])
 
 
-def family_spectra(p: FlipParams) -> tuple[CubicSpectrum, CubicSpectrum]:
-    """Initial and flipped spectra of one family point: one row of
-    coefficients, then both cubics in one two-row call."""
-    coeff_a, coeff_b, coeff_bp = cubic_coefficients(p)
-    roots, t = cubic_roots_rows([coeff_a, coeff_a], [coeff_b, coeff_bp])
-    return tuple(CubicSpectrum(coeff_a, b_val, float(t[k]), roots[k]) for k, b_val in enumerate((coeff_b, coeff_bp)))
-
-
 def labeled_roots(a_coeff: float, angle3: float) -> np.ndarray:
     """Labeled roots for the representative angle ``angle3`` = 3t: one row of
     :func:`labeled_roots_rows`."""

@@ -6,6 +6,7 @@ through the batched numpy kernel.
 """
 
 import time
+from collections import Counter
 from math import pi
 
 import numpy as np
@@ -16,16 +17,16 @@ from qflip.bloch import FlipParams, canonical_triple, great_circle_test, qubit_t
 from qflip.constructions import (
     AXES_LAMBDA_FINAL,
     AXES_LAMBDA_INITIAL,
+    AXES_PARAMS,
     bob_qubit_reduction,
-    build_axes_state,
-    build_axes_state_flipped,
+    build_family_state,
     build_family_state_flipped,
     build_flipper_pair,
     general_flip_experiment,
 )
 from qflip.bloch import density_to_bloch
-from qflip.cubic import CubicSpectrum, cubic_coefficients
-from qflip.ordering import ALL_PATTERN_IDS, classify_ordering
+from qflip.cubic import cubic_coefficients
+from qflip.ordering import ALL_PATTERN_IDS, REGION_BOUNDS, check_atlas, pattern_labels
 from qflip.schmidt import (
     VERDICT_BY_CODE,
     SpectrumTieError,
@@ -67,8 +68,9 @@ def grid():
 
 def test_criterion_1_axes_experiment():
     start = time.perf_counter()
-    lam_i = schmidt_decompose(build_axes_state(), [0])
-    lam_f = schmidt_decompose(build_axes_state_flipped(), [0])
+    # the x/y/z axis states are the family's canonical triple at AXES_PARAMS
+    lam_i = schmidt_decompose(build_family_state(AXES_PARAMS), [0])
+    lam_f = schmidt_decompose(build_family_state_flipped(AXES_PARAMS), [0])
     np.testing.assert_allclose(lam_i, AXES_LAMBDA_INITIAL, atol=1e-12)
     np.testing.assert_allclose(lam_f, AXES_LAMBDA_FINAL, atol=1e-12)
     assert verdict(lam_i, lam_f) is Verdict.INCOMPARABLE
@@ -133,14 +135,15 @@ def test_criterion_3_general_family_grid(grid):
 
 def test_criterion_4_ordering_atlas_coverage(grid):
     mask = grid["mask"]
-    witnessed: set[str] = set()
-    pattern_counts: dict[str, int] = {}
+    # every representative pair of every point is checked against the atlas in
+    # one batched pass, at classify_ordering's default tie tolerance
+    regions = check_atlas(*(grid[key][mask] for key in ("A", "B", "Bprime", "theta_i", "theta_f")))
+    assert np.all(regions >= 0)  # no point was skipped as degenerate
+    names = tuple(REGION_BOUNDS)
+    pairs = np.unique(4 * regions[:, 0, :, None] + regions[:, 1, None, :])
+    witnessed = {names[code // 4] + names[code % 4] for code in pairs.tolist()}
+    pattern_counts = dict(Counter(label.split(":")[0] for label in pattern_labels(regions)))
     for i in np.flatnonzero(mask):
-        spec_i = CubicSpectrum(grid["A"][i], grid["B"][i], grid["theta_i"][i], grid["alpha"][i])
-        spec_f = CubicSpectrum(grid["A"][i], grid["Bprime"][i], grid["theta_f"][i], grid["beta"][i])
-        pattern = classify_ordering(spec_i, spec_f)
-        witnessed.update(pattern.witnessed)
-        pattern_counts[pattern.pattern_id] = pattern_counts.get(pattern.pattern_id, 0) + 1
         try:
             assert incomparable_3dim(grid["alpha"][i], grid["beta"][i])
         except SpectrumTieError:
@@ -155,13 +158,13 @@ def test_criterion_4_ordering_atlas_coverage(grid):
 
 def test_criterion_5_phase_independence():
     rng = np.random.default_rng(17)
-    base_axes = schmidt_decompose(build_axes_state_flipped(), [0])
+    base_axes = schmidt_decompose(build_family_state_flipped(AXES_PARAMS), [0])
     p = FlipParams(a=0.63, c=0.41, theta=1.9)
     base_family = schmidt_decompose(build_family_state_flipped(p), [0])
     worst = 0.0
     for _ in range(20):
         chi, eta, mu, nu = rng.uniform(-pi, pi, size=4)
-        lam_axes = schmidt_decompose(build_axes_state_flipped(chi, eta), [0])
+        lam_axes = schmidt_decompose(build_family_state_flipped(AXES_PARAMS, mu=eta, nu=chi), [0])
         lam_family = schmidt_decompose(build_family_state_flipped(p, mu, nu), [0])
         worst = max(
             worst,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -8,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ import pytest
 import qflip.cli as cli
 from qflip import constructions, cubic, ordering
 from qflip.bloch import FlipParams
-from qflip.constructions import VerificationError, general_flip_experiment, route_tolerance
+from qflip.constructions import AXES_PARAMS, VerificationError, general_flip_experiment, route_tolerance
 from qflip.linalg import DimensionError, HermiticityError
 from qflip.ordering import CHAIN_TIE_TOL, PATTERN_ATLAS, DegenerateSpectraError, OrderingMismatchError
 from qflip.report import CSV_HEADER, NonFiniteError
@@ -68,6 +70,30 @@ def test_verify_axes_out_file(tmp_path, capsys):
     assert out == ""
     record = json.loads(target.read_text())
     assert record["verdict"] == "Incomparable"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_verify_axes_prints_what_verify_general_prints_at_its_point(fmt, capsys):
+    # the axes case is the family point AXES_PARAMS with (chi, eta) as (nu, mu)
+    chi, eta = "1.3", "2.1"
+    code, axes, _ = run_cli(capsys, "verify", "axes", f"--chi={chi}", f"--eta={eta}", "--format", fmt)
+    assert code == 0
+    point = [f"--{k}={getattr(AXES_PARAMS, k):.17g}" for k in ("a", "c", "theta")]
+    code, general, _ = run_cli(capsys, "verify", "general", *point, f"--mu={eta}", f"--nu={chi}", "--format", fmt)
+    assert code == 0
+    if fmt == "json":  # the params differ: chi and eta against mu, nu and margin
+        axes, general = (text[text.index('"lambda_initial"') :] for text in (axes, general))
+    assert axes == general
+
+
+@pytest.mark.parametrize("name", ["AXES_LAMBDA_INITIAL", "AXES_LAMBDA_FINAL"])
+def test_verify_axes_enforces_the_exact_spectra(name, monkeypatch, capsys):
+    exact = getattr(constructions, name)
+    monkeypatch.setattr(constructions, name, (exact[0] + 1e-9, *exact[1:]))
+    code, out, err = run_cli(capsys, "verify", "axes")
+    assert code == 1
+    assert out == ""
+    assert "verification failed: axes spectra deviate from their exact values" in err
 
 
 def test_verify_flipper_seeds(capsys):
@@ -244,7 +270,14 @@ def test_single_point_nan_spectrum_fails_the_route_gate(monkeypatch, capsys):
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_non_finite_value_at_the_writer_exits_one(fmt, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "cubic_coefficients", lambda p: (float("nan"), 0.25, 0.0))
+    # a NaN in A would stop at the route gate; one in a certified result must
+    # still be caught by the writer
+    real_axes_experiment = cli.axes_experiment
+    monkeypatch.setattr(
+        cli,
+        "axes_experiment",
+        lambda **kwargs: dataclasses.replace(real_axes_experiment(**kwargs), coeff_a=float("nan")),
+    )
     code, out, err = run_cli(capsys, "verify", "axes", "--format", fmt)
     assert code == 1
     assert out == ""
@@ -481,6 +514,57 @@ def test_sweep_chunk_boundaries_keep_the_golden_bytes(fmt, jobs, monkeypatch, ca
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("chunk_rows, pools", [(8192, []), (1000, [2])])
+def test_sweep_starts_at_most_one_worker_per_chunk(chunk_rows, pools, monkeypatch, capsys):
+    # grid 12 certifies 1728 points: one chunk of 8192, or two of 1000
+    started = []
+
+    class InlinePool:
+        """Records its worker count and runs the chunks in this process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        imap = staticmethod(map)
+
+    def context(method):
+        assert chunk_rows < 1728, "a one-chunk sweep started a pool"
+        return SimpleNamespace(Pool=InlinePool)
+
+    monkeypatch.setattr(multiprocessing, "get_context", context)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "12", "--jobs", "4")
+    assert code == 0
+    assert started == pools
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SWEEP_GRID12["json"]
+
+
+@pytest.mark.parametrize("argv", [["verify", "axes"], ["sweep", "--grid", "8"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("where", ["directory", "missing_parent"])
+def test_unwritable_out_is_a_usage_error(where, argv, monkeypatch, tmp_path, capsys):
+    target = tmp_path if where == "directory" else tmp_path / "no" / "x.json"
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where a misplaced spool would go
+    if argv[0] == "sweep":
+        # the target is refused before the first point is evaluated
+        def unreachable(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(cli.kernels, "grid_eval", unreachable)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(target)])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "qflip: error:" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("to_file", [True, False])
 def test_sweep_failing_in_its_last_chunk_leaves_nothing(to_file, monkeypatch, tmp_path, capsys):
     # earlier chunks were already spooled when the last one fails the route gate
@@ -572,8 +656,8 @@ def test_sweep_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, capsys):
 # that a change on the one-point route cannot alter its bytes unnoticed.
 GOLDEN_SINGLE_POINT = {
     ("verify", "axes"): {
-        "json": "2753c34d8d526435125cb7843e69efc2bb733d1c4b05b2f173d07a6e085af60d",
-        "csv": "d14d90b5f9b7330df4bcba174248a71ea9da9be4267cd523672da915606a4a7b",
+        "json": "6fb54e693370c9cfeb7f63f18e1675b640593a90233da8f9240fa60aac07bd1a",
+        "csv": "8860e2be21bdebe5282a36ee465375fe7e7d6ed813b53942c8ef2a86bb3c6c8f",
     },
     ("verify", "flipper", "--seed", "3"): {
         "json": "9763f3d1fc710163000d8b4d57b31a3ce646f1757dda6c890202e3e830e12b34",

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qflip import constructions, cubic
+from qflip import constructions, cubic, kernels, ordering
 from qflip.bloch import FlipParams, canonical_triple, density_to_bloch, qubit_to_bloch, random_qubit
 from qflip.constructions import (
     AXES_LAMBDA_FINAL,
@@ -13,8 +13,6 @@ from qflip.constructions import (
     VerificationError,
     axes_experiment,
     bob_qubit_reduction,
-    build_axes_state,
-    build_axes_state_flipped,
     build_family_state,
     build_family_state_flipped,
     build_flipper_pair,
@@ -37,7 +35,7 @@ def _random_params(rng, theta_lo=1e-2, theta_hi=np.pi - 1e-2):
 
 
 def test_axes_state_basics():
-    state = build_axes_state()
+    state = build_family_state(AXES_PARAMS)
     assert state.dims == (3, 2, 2)
     assert abs(np.vdot(state.amplitudes, state.amplitudes).real - 1.0) < 1e-14
     reduced = partial_trace(state.density(), [3, 2, 2], [0])
@@ -45,18 +43,18 @@ def test_axes_state_basics():
 
 
 def test_axes_spectra_exact():
-    lam_i = schmidt_decompose(build_axes_state(), [0])
-    lam_f = schmidt_decompose(build_axes_state_flipped(), [0])
+    lam_i = schmidt_decompose(build_family_state(AXES_PARAMS), [0])
+    lam_f = schmidt_decompose(build_family_state_flipped(AXES_PARAMS), [0])
     np.testing.assert_allclose(lam_i, AXES_LAMBDA_INITIAL, atol=1e-12)
     np.testing.assert_allclose(lam_f, AXES_LAMBDA_FINAL, atol=1e-12)
     assert verdict(lam_i, lam_f) is Verdict.INCOMPARABLE
 
 
 def test_axes_flipped_spectrum_phase_independent(rng):
-    base = schmidt_decompose(build_axes_state_flipped(), [0])
+    base = schmidt_decompose(build_family_state_flipped(AXES_PARAMS), [0])
     for _ in range(20):
         chi, eta = rng.uniform(-np.pi, np.pi, size=2)
-        lam = schmidt_decompose(build_axes_state_flipped(chi, eta), [0])
+        lam = schmidt_decompose(build_family_state_flipped(AXES_PARAMS, mu=eta, nu=chi), [0])
         np.testing.assert_allclose(lam, base, atol=1e-12)
 
 
@@ -114,21 +112,6 @@ def test_flipper_experiment_record():
     assert result.max_err < 1e-12
     other = flipper_experiment(seed=4)
     assert np.max(np.abs(result.direction - other.direction)) > 1e-3
-
-
-def test_family_state_matches_axes_construction():
-    family = build_family_state(AXES_PARAMS)
-    np.testing.assert_allclose(
-        family.amplitudes, build_axes_state().amplitudes, atol=1e-15
-    )
-    flipped = build_family_state_flipped(AXES_PARAMS, mu=0.7, nu=0.4)
-    # Eq-by-construction: the axes experiment is the family at these params
-    # with (chi, eta) playing the roles of (nu, mu).
-    np.testing.assert_allclose(
-        flipped.amplitudes,
-        build_axes_state_flipped(chi=0.4, eta=0.7).amplitudes,
-        atol=1e-15,
-    )
 
 
 def test_family_reduced_matrix_closed_forms(rng):
@@ -253,10 +236,8 @@ def test_analytic_numeric_agreement_small_grid(rng):
                 assert result.max_err < 1e-9
 
 
-def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
-    # each cubic is solved once (one labeled-root pass each) and the atlas is
-    # checked once (a third pass); the route gate and the atlas tie tolerance
-    # share one route_tolerance call; no composite state is built
+def _count_calls(monkeypatch, targets: dict) -> Counter:
+    """Count the calls of each named function, patched in every qflip module that holds it."""
     counts = Counter()
 
     def counting(name, real):
@@ -266,22 +247,49 @@ def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
 
         return wrapper
 
-    targets = {
-        "cubic_roots_rows": cubic.cubic_roots_rows,
-        "labeled_roots_rows": cubic.labeled_roots_rows,
-        "check_atlas": constructions.check_atlas,
-        "route_tolerance": constructions.route_tolerance,
-        "PureState": constructions.PureState,
-        "schmidt_decompose": constructions.schmidt_decompose,
-        "classify_ordering": constructions.classify_ordering,
-    }
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "qflip"]:
         for name, real in targets.items():
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting(name, real))
+    return counts
+
+
+# the one-point route builds no composite state and never classifies one pair alone
+_COMPOSITE_ROUTE = {
+    "PureState": constructions.PureState,
+    "schmidt_decompose": constructions.schmidt_decompose,
+    "classify_ordering": ordering.classify_ordering,
+}
+
+
+def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
+    # each cubic is solved once (one labeled-root pass each) and the atlas is
+    # checked once (a third pass); the route gate and the atlas tie tolerance
+    # share one route_tolerance call; no composite state is built
+    counts = _count_calls(
+        monkeypatch,
+        {
+            "cubic_roots_rows": cubic.cubic_roots_rows,
+            "labeled_roots_rows": cubic.labeled_roots_rows,
+            "check_atlas": constructions.check_atlas,
+            "route_tolerance": constructions.route_tolerance,
+            **_COMPOSITE_ROUTE,
+        },
+    )
     result = general_flip_experiment(FlipParams(a=0.3, c=0.7, theta=1.2), mu=0.4, nu=2.0)
     assert result.ordering is not None
     assert counts == {"cubic_roots_rows": 2, "labeled_roots_rows": 3, "check_atlas": 1, "route_tolerance": 1}
+
+
+def test_axes_experiment_is_one_certified_family_row(monkeypatch):
+    # the axes case is certified by the sweep's route, like any family point
+    counts = _count_calls(
+        monkeypatch,
+        {"grid_eval": kernels.grid_eval, "certify_rows": constructions.certify_rows, **_COMPOSITE_ROUTE},
+    )
+    result = axes_experiment(chi=0.4, eta=0.7)
+    assert result.params == AXES_PARAMS and (result.mu, result.nu) == (0.7, 0.4)
+    assert counts == {"grid_eval": 1, "certify_rows": 1}
 
 
 def test_ordering_sorted_labels_match_the_labeled_roots(rng):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflip.constructions import AXES_LAMBDA_FINAL, build_axes_state
+from qflip.constructions import AXES_LAMBDA_FINAL, AXES_PARAMS, build_family_state
 from qflip.linalg import DimensionError, kron
 from qflip.schmidt import (
     EPS_TIE,
@@ -119,7 +119,7 @@ def test_schmidt_bell_state():
 
 
 def test_schmidt_axes_state():
-    lam = schmidt_decompose(build_axes_state(), [0])
+    lam = schmidt_decompose(build_family_state(AXES_PARAMS), [0])
     np.testing.assert_allclose(lam, [2 / 3, 1 / 6, 1 / 6], atol=1e-12)
 
 
