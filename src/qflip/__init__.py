@@ -29,7 +29,7 @@ from .constructions import (
     flipper_experiment,
     general_flip_experiment,
 )
-from .cubic import CubicSpectrum, cubic_coefficients, cubic_roots, state_overlap
+from .cubic import state_overlap
 from .kernels import BACKEND
 from .linalg import (
     DimensionError,
@@ -39,13 +39,7 @@ from .linalg import (
     kron,
     partial_trace,
 )
-from .ordering import (
-    ALL_PATTERN_IDS,
-    DegenerateSpectraError,
-    OrderingMismatchError,
-    OrderingPattern,
-    classify_ordering,
-)
+from .ordering import ALL_PATTERN_IDS, OrderingMismatchError
 from .schmidt import (
     PureState,
     SpectrumTieError,

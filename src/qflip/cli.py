@@ -9,7 +9,7 @@ Subcommands::
     qflip check-pair --lhs p1,p2,... --rhs q1,q2,...
 
 Exit codes: 0 on success, 1 when a certification check fails, 2 on usage
-errors.
+errors and when the output cannot be written.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .constructions import (
     general_flip_experiment,
 )
 from .linalg import DimensionError, HermiticityError
-from .ordering import DegenerateSpectraError, OrderingMismatchError, pattern_labels
+from .ordering import OrderingMismatchError, pattern_labels
 from .report import CSV_HEADER, NonFiniteError, ReportRecord, fmt_float, grid_text, json_line, sweep_block
 from .schmidt import VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdict
 
@@ -54,13 +54,16 @@ from .schmidt import VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdi
 CERTIFICATION_ERRORS = (
     VerificationError,
     OrderingMismatchError,
-    DegenerateSpectraError,
     HermiticityError,
     DimensionError,
     SpectrumTieError,
     NonFiniteError,
     np.linalg.LinAlgError,
 )
+
+
+class OutputError(ValueError):
+    """The output target cannot be written: exit 2 with a one-line message."""
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,8 @@ def _spool(out_path: str | None) -> Iterator[TextIO]:
     a regular file (a device, a pipe), the spool is copied out.  If the block
     raises, the spool is removed and the target is left untouched.  A
     directory target, or one beside which no spool can be created, raises
-    :class:`ValueError` before the block runs.
+    :class:`OutputError` before the block runs, and so does a failed copy
+    after it.
     """
     target, rename = None, False
     if out_path:
@@ -105,14 +109,14 @@ def _spool(out_path: str | None) -> Iterator[TextIO]:
             mode, rename = 0o666 & ~umask, True
         else:
             if stat.S_ISDIR(st.st_mode):
-                raise ValueError(f"--out {out_path} is a directory")
+                raise OutputError(f"--out {out_path} is a directory")
             mode, rename = stat.S_IMODE(st.st_mode), stat.S_ISREG(st.st_mode)
     try:
         fd, spool = tempfile.mkstemp(prefix=".qflip-", suffix=".tmp", dir=os.path.dirname(target) if rename else None)
     except OSError as exc:
         if not rename:
             raise
-        raise ValueError(f"cannot write --out {out_path}: {exc.strerror}") from exc
+        raise OutputError(f"cannot write --out {out_path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w+") as fh:
             yield fh
@@ -129,17 +133,21 @@ def _spool(out_path: str | None) -> Iterator[TextIO]:
 
 
 def _copy_out(spool: TextIO, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w") as out:
-            shutil.copyfileobj(spool, out)
-        return
     try:
-        shutil.copyfileobj(spool, sys.stdout)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe early (``| head``): not a failure.  Point
-        # stdout at devnull so that the flush at interpreter exit cannot raise.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if out_path:
+            with open(out_path, "w") as out:
+                shutil.copyfileobj(spool, out)
+        else:
+            shutil.copyfileobj(spool, sys.stdout)
+            sys.stdout.flush()
+    except OSError as exc:
+        if not out_path:
+            # Point stdout at devnull so that the flush at interpreter exit cannot raise.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            if isinstance(exc, BrokenPipeError):
+                return  # the reader closed the pipe early (``| head``): not a failure
+        target = f"--out {out_path}" if out_path else "stdout"
+        raise OutputError(f"cannot write {target}: {exc.strerror}") from exc
 
 
 def _emit(blocks: Iterable[str], out_path: str | None) -> None:
@@ -168,7 +176,7 @@ def _emit_family_point(experiment_id: str, params: dict, result: FlipExperimentR
         A=result.coeff_a,
         B=result.coeff_b,
         Bprime=result.coeff_bprime,
-        ordering=result.ordering.label if result.ordering else None,
+        ordering=result.ordering,
         verdict=str(result.verdict),
         max_analytic_numeric_error=result.max_err,
         degeneracy_flag=result.degenerate,
@@ -432,6 +440,8 @@ def main(argv=None) -> int:
     except CERTIFICATION_ERRORS as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    except OutputError as exc:
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     except ValueError as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error exits

@@ -28,9 +28,8 @@ from .bloch import (
     qubit_to_bloch,
     random_qubit,
 )
-from .cubic import CubicSpectrum
 from .linalg import DimensionError, kron, partial_trace
-from .ordering import CHAIN_TIE_TOL, OrderingPattern, check_atlas, ordering_pattern
+from .ordering import CHAIN_TIE_TOL, check_atlas, pattern_labels
 from .schmidt import VERDICT_BY_CODE, PureState, Verdict, schmidt_decompose, verdict, verdict_codes
 
 SPECTRUM_AGREEMENT_TOL = 1e-9
@@ -172,7 +171,8 @@ def family_reduced_flipped(p: FlipParams, mu: float = 0.0, nu: float = 0.0) -> n
 
 @dataclass(frozen=True)
 class FlipExperimentResult:
-    """Full record of one general-family evaluation."""
+    """Full record of one certified family point; ``ordering`` is its
+    :func:`qflip.ordering.pattern_labels` label, None where it has none."""
 
     params: FlipParams
     mu: float
@@ -180,13 +180,11 @@ class FlipExperimentResult:
     coeff_a: float
     coeff_b: float
     coeff_bprime: float
-    analytic_initial: CubicSpectrum
-    analytic_final: CubicSpectrum
     numeric_initial: np.ndarray
     numeric_final: np.ndarray
     max_err: float
     verdict: Verdict
-    ordering: OrderingPattern | None
+    ordering: str | None
     degenerate: bool
 
 
@@ -256,25 +254,19 @@ def general_flip_experiment(
     rows = kernels.grid_eval([p.a], [p.c], [p.theta], mu, nu)
     max_err, codes, regions = certify_rows(rows, live=not degenerate)
 
-    coeff_a, coeff_b, coeff_bp = (float(rows[key][0]) for key in ("A", "B", "Bprime"))
-    analytic_i = CubicSpectrum(coeff_a, coeff_b, float(rows["theta_i"][0]), rows["alpha"][0])
-    analytic_f = CubicSpectrum(coeff_a, coeff_bp, float(rows["theta_f"][0]), rows["beta"][0])
-    # a row check_atlas skipped (B and Bprime too close) holds -1: no ordering
-    ordered = not degenerate and regions[0, 0, 0] >= 0
     return FlipExperimentResult(
         params=p,
         mu=mu,
         nu=nu,
-        coeff_a=coeff_a,
-        coeff_b=coeff_b,
-        coeff_bprime=coeff_bp,
-        analytic_initial=analytic_i,
-        analytic_final=analytic_f,
+        coeff_a=float(rows["A"][0]),
+        coeff_b=float(rows["B"][0]),
+        coeff_bprime=float(rows["Bprime"][0]),
         numeric_initial=rows["num_alpha"][0],
         numeric_final=rows["num_beta"][0],
         max_err=float(max_err[0]),
         verdict=VERDICT_BY_CODE[codes[0]],
-        ordering=ordering_pattern(regions[0], analytic_i, analytic_f) if ordered else None,
+        # None also for a row check_atlas skipped (B and Bprime too close)
+        ordering=None if degenerate else pattern_labels(regions)[0],
         degenerate=degenerate,
     )
 

@@ -12,17 +12,16 @@ cubic: with cos(3*t) = -Bval / (2 A^{3/2}),
 
 The angle t is only determined up to the mirror 2pi - 3t at the level of its
 cosine; :func:`labeled_roots_rows` evaluates the printed root labels for any
-representative so the ordering classifier can reason about both.
+representative so the atlas check can reason about both.
 
 The ``_rows`` functions are the only copy of the closed form and work
-elementwise on arrays; the scalar functions are one-row calls of them, so a
-sweep row and a single point get the same coefficients and roots to the bit.
+elementwise on arrays; a single family point is a one-row call, so a sweep row
+and a single point get the same coefficients and roots to the bit.
 """
 
 from __future__ import annotations
 
 from cmath import exp as cexp
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,42 +87,3 @@ def cubic_roots_rows(a_coeff, b_val) -> tuple[np.ndarray, np.ndarray]:
     t = np.arccos(np.where(pos, np.clip(-b_val / denom, -1.0, 1.0), 0.0)) / 3.0
     roots = np.sort(labeled_roots_rows(np.where(pos, a_coeff, 0.0), t), axis=-1)[..., ::-1]
     return np.ascontiguousarray(roots), t
-
-
-def cubic_coefficients(p: FlipParams) -> tuple[float, float, float]:
-    """(A, B, Bprime) of one family point: one row of :func:`cubic_coefficients_rows`."""
-    return tuple(float(x[0]) for x in cubic_coefficients_rows([p.a], [p.c], [p.theta]))
-
-
-@dataclass(frozen=True)
-class CubicSpectrum:
-    """One solved cubic: shared coefficient A, its B value, principal
-    third-angle, and the three roots in descending order."""
-
-    A: float
-    b_val: float
-    theta_angle: float
-    roots: np.ndarray
-
-    def __post_init__(self):
-        roots = np.asarray(self.roots, dtype=float).reshape(3)
-        roots.setflags(write=False)
-        object.__setattr__(self, "roots", roots)
-
-    def residuals(self) -> np.ndarray:
-        u = 1.0 - 3.0 * self.roots
-        return u**3 - 3.0 * u * self.A + self.b_val
-
-
-def cubic_roots(a_coeff: float, b_val: float) -> CubicSpectrum:
-    """Solve one cubic, A >= 0: one row of :func:`cubic_roots_rows`."""
-    if a_coeff < 0.0:
-        raise ValueError(f"A must be nonnegative, got {a_coeff}")
-    roots, t = cubic_roots_rows([a_coeff], [b_val])
-    return CubicSpectrum(a_coeff, b_val, float(t[0]), roots[0])
-
-
-def labeled_roots(a_coeff: float, angle3: float) -> np.ndarray:
-    """Labeled roots for the representative angle ``angle3`` = 3t: one row of
-    :func:`labeled_roots_rows`."""
-    return labeled_roots_rows(np.array([a_coeff]), np.array([angle3]) / 3.0)[0]

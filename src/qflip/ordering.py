@@ -6,21 +6,21 @@ labels* a1..a3 / b1..b3 arrange, and that depends on which representative
 angle (principal 3t in [0, pi] or mirror 2pi - 3t) carries each spectrum.
 The atlas below records the expected label chain per region pair of
 (3t_initial, 3t_final), with regions the four quadrant intervals of [0, 2pi)
-taken half-open.  A pair of spectra is verified against the atlas under every
-valid representative combination; any mismatch raises instead of being
-glossed over, since it would mean the table (or this implementation) is
-wrong.
+taken half-open.  :func:`check_atlas` verifies many spectrum pairs at once
+against the atlas under every valid representative combination; any mismatch
+raises instead of being glossed over, since it would mean the table (or this
+implementation) is wrong.  :func:`pattern_labels` names each checked pair by
+its principal region pair and chain, for a sweep and a single point alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import pi
 
 import numpy as np
 
-from .cubic import CubicSpectrum, labeled_roots_rows
+from .cubic import labeled_roots_rows
 
 REGION_BOUNDS = {
     "Q1": "[0, pi/2)",
@@ -50,64 +50,21 @@ PATTERN_ATLAS = {
 
 ALL_PATTERN_IDS = tuple(f"{ri}{rf}" for ri, rf in PATTERN_ATLAS)
 
-BOUNDARY_TOL = 1e-12
 CHAIN_TIE_TOL = 1e-12
 DEGENERACY_GAP_TOL = 1e-10
-
-
-class DegenerateSpectraError(ValueError):
-    """The two cubics coincide (B == Bprime): there is no ordering to classify."""
 
 
 class OrderingMismatchError(RuntimeError):
     """Observed root ordering contradicts the atlas; never ignore this."""
 
 
-@dataclass(frozen=True)
-class OrderingPattern:
-    """Classification result: the primary region pair and label chain, the
-    actually observed descending label sequence, and every region case the
-    point witnesses under the valid representative choices."""
-
-    pattern_id: str
-    region_initial: str
-    region_final: str
-    chain: tuple[str, ...]
-    sorted_labels: tuple[str, ...]
-    witnessed: tuple[str, ...]
-    boundary: bool
-
-    @property
-    def label(self) -> str:
-        return _pattern_label(self.pattern_id, self.chain)
-
-
 _REGION_NAMES = tuple(REGION_BOUNDS)
-
-
-def region_of(angle3: float) -> str:
-    """Quadrant of an angle in [0, 2pi), half-open on the right."""
-    return _REGION_NAMES[int(_region_index(angle3))]
+_LABELS = ("a1", "a2", "a3", "b1", "b2", "b3")
 
 
 def _region_index(angle3):
     """Quadrant index 0..3 of each angle taken mod 2pi, half-open on the right."""
     return (angle3 % (2.0 * pi)) // (pi / 2.0) % 4
-
-
-def _is_boundary(angle3: float) -> bool:
-    return abs(angle3 % (pi / 2.0)) <= BOUNDARY_TOL or (pi / 2.0) - (angle3 % (pi / 2.0)) <= BOUNDARY_TOL
-
-
-_LABELS = ("a1", "a2", "a3", "b1", "b2", "b3")
-
-
-def _pattern_id(region_i: int, region_f: int) -> str:
-    return _REGION_NAMES[region_i] + _REGION_NAMES[region_f]
-
-
-def _pattern_label(pattern_id: str, chain: tuple[str, ...]) -> str:
-    return f"{pattern_id}:{'>'.join(chain)}"
 
 
 # The four representative pairs of a row, as (initial, final) representative
@@ -120,18 +77,24 @@ _PAIR_LABELS = np.concatenate([3 * _REP_I[:, None] + np.arange(3), 6 + 3 * _REP_
 
 
 @lru_cache(maxsize=8)
-def _atlas_tables(atlas: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _atlas_tables(atlas: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The atlas items as arrays: a 4x4 table from region indices to an entry
-    number (-1 where the atlas has no entry), and per representative pair and
-    entry the chain as indices into a row's twelve labeled roots.  Keyed by
-    the items, so the check always runs against the current contents of
-    :data:`PATTERN_ATLAS`."""
+    number (-1 where the atlas has no entry), per representative pair and
+    entry the chain as indices into a row's twelve labeled roots, and the
+    label ``pattern_id:chain`` of each region code 4 * initial + final (code
+    16, for rows :func:`check_atlas` skipped, and codes without an entry hold
+    None).  Keyed by the items, so the check and the labels always follow the
+    current contents of :data:`PATTERN_ATLAS`."""
     table = np.full((4, 4), -1, dtype=np.intp)
     chains = np.empty((len(atlas), 6), dtype=np.intp)
+    labels = np.full(17, None, dtype=object)
     for k, ((ri, rf), chain) in enumerate(atlas):
-        table[_REGION_NAMES.index(ri), _REGION_NAMES.index(rf)] = k
+        i, f = _REGION_NAMES.index(ri), _REGION_NAMES.index(rf)
+        table[i, f] = k
         chains[k] = [_LABELS.index(x) for x in chain]
-    return table, _PAIR_LABELS[:, chains]  # [pair, entry, j] = _PAIR_LABELS[pair, chains[entry, j]]
+        labels[4 * i + f] = f"{ri}{rf}:{'>'.join(chain)}"
+    # gather[pair, entry, j] = _PAIR_LABELS[pair, chains[entry, j]]
+    return table, _PAIR_LABELS[:, chains], labels
 
 
 def check_atlas(
@@ -179,7 +142,7 @@ def check_atlas(
     def region_pair(row, k):
         return _REGION_NAMES[live_regions[row, 0, _REP_I[k]]], _REGION_NAMES[live_regions[row, 1, _REP_F[k]]]
 
-    table, gather = _atlas_tables(tuple(PATTERN_ATLAS.items()))
+    table, gather, _ = _atlas_tables(tuple(PATTERN_ATLAS.items()))
     entry = table[live_regions[:, 0, _REP_I], live_regions[:, 1, _REP_F]]  # (row, pair)
     missing = entry < 0
     if missing.any():
@@ -205,59 +168,6 @@ def check_atlas(
 def pattern_labels(regions: np.ndarray) -> np.ndarray:
     """Label ``pattern_id:chain`` of each row's principal region pair, as
     returned by :func:`check_atlas`; None for rows it did not check."""
-    by_code = np.full(17, None, dtype=object)  # code 16: rows check_atlas skipped
-    for (ri, rf), chain in PATTERN_ATLAS.items():
-        by_code[4 * _REGION_NAMES.index(ri) + _REGION_NAMES.index(rf)] = _pattern_label(ri + rf, chain)
+    labels = _atlas_tables(tuple(PATTERN_ATLAS.items()))[2]
     principal_i, principal_f = regions[:, 0, 0], regions[:, 1, 0]
-    return by_code[np.where(principal_i < 0, 16, 4 * principal_i + principal_f)]
-
-
-def classify_ordering(
-    init: CubicSpectrum,
-    fin: CubicSpectrum,
-    gap_tol: float = DEGENERACY_GAP_TOL,
-    tie_tol: float = CHAIN_TIE_TOL,
-) -> OrderingPattern:
-    """Classify the six labeled roots of a non-degenerate spectrum pair.
-
-    The primary pattern uses the principal representative angles; every
-    valid representative combination is verified against the atlas by a
-    one-row :func:`check_atlas` and reported in ``witnessed``.  Raises
-    :class:`DegenerateSpectraError` when B and Bprime agree within
-    ``gap_tol`` and :class:`OrderingMismatchError` when an observed ordering
-    is not the atlas's.
-    """
-    if abs(init.A - fin.A) > 1e-12:
-        raise ValueError("spectra do not share the coefficient A")
-    regions = check_atlas(
-        init.A, init.b_val, fin.b_val, init.theta_angle, fin.theta_angle, gap_tol, tie_tol
-    )[0]
-    if regions[0, 0] < 0:
-        raise DegenerateSpectraError(
-            f"|B - Bprime| = {abs(init.b_val - fin.b_val):.3e} is below {gap_tol:.0e}"
-        )
-    return ordering_pattern(regions, init, fin)
-
-
-def ordering_pattern(regions: np.ndarray, init: CubicSpectrum, fin: CubicSpectrum) -> OrderingPattern:
-    """The classification of one spectrum pair from its row of
-    :func:`check_atlas` regions, which must be a checked row (no -1)."""
-    reps_i, reps_f = regions.tolist()
-    witnessed = [_pattern_id(ri, rf) for ri in reps_i for rf in reps_f]
-    region_i, region_f = _REGION_NAMES[reps_i[0]], _REGION_NAMES[reps_f[0]]
-    t_i = 3.0 * init.theta_angle
-    t_f = 3.0 * fin.theta_angle
-    # at a principal angle (3t <= pi) the descending roots carry the labels
-    # 1, 3, 2 (see cubic.labeled_roots_rows), so they need no re-evaluation
-    (a1, a3, a2), (b1, b3, b2) = init.roots.tolist(), fin.roots.tolist()
-    primary_values = dict(zip(_LABELS, (a1, a2, a3, b1, b2, b3)))
-    sorted_labels = tuple(sorted(primary_values, key=primary_values.get, reverse=True))
-    return OrderingPattern(
-        pattern_id=region_i + region_f,
-        region_initial=region_i,
-        region_final=region_f,
-        chain=PATTERN_ATLAS[(region_i, region_f)],
-        sorted_labels=sorted_labels,
-        witnessed=tuple(dict.fromkeys(witnessed)),
-        boundary=_is_boundary(t_i) or _is_boundary(t_f),
-    )
+    return labels[np.where(principal_i < 0, 16, 4 * principal_i + principal_f)]

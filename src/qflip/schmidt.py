@@ -102,25 +102,6 @@ def schmidt_decompose(state: PureState, cut: Sequence[int]) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
-def _partial_sums(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Leading partial sums of two stacks of spectra, shapes (n, k) and (n, m),
-    after sorting each row descending and zero-padding both to a common width."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if lo.ndim != 2 or hi.ndim != 2 or lo.shape[0] != hi.shape[0] or 0 in lo.shape[1:] + hi.shape[1:]:
-        raise ValueError(f"expected (n, k) and (n, m) stacks of spectra, got {lo.shape} and {hi.shape}")
-    width = max(lo.shape[1], hi.shape[1])
-    return np.cumsum(_descending_rows(lo, width), axis=1), np.cumsum(_descending_rows(hi, width), axis=1)
-
-
-def majorizes_rows(lo, hi, eps: float = EPS_TIE) -> np.ndarray:
-    """Row-wise majorization: entry ``j`` is True when row ``j`` of ``lo`` is
-    majorized by row ``j`` of ``hi``, i.e. every leading partial sum of ``lo``
-    is bounded by the matching partial sum of ``hi`` up to the tie tolerance
-    ``eps``.  Rows are sorted descending and the shorter side zero-padded."""
-    sums_lo, sums_hi = _partial_sums(lo, hi)
-    return np.all(sums_lo <= sums_hi + eps, axis=1)
-
-
 # Four-way verdict indexed by 2 * forward + backward.
 VERDICT_BY_CODE = (
     Verdict.INCOMPARABLE,
@@ -131,12 +112,29 @@ VERDICT_BY_CODE = (
 
 
 def verdict_codes(lhs, rhs, eps: float = EPS_TIE) -> np.ndarray:
-    """Row-wise four-way verdict as indices into :data:`VERDICT_BY_CODE`,
-    with both majorization directions decided as in :func:`majorizes_rows`."""
-    sums_l, sums_r = _partial_sums(lhs, rhs)
+    """Row-wise four-way verdict as indices into :data:`VERDICT_BY_CODE`.
+
+    ``lhs`` and ``rhs`` are stacks of spectra, shapes (n, k) and (n, m); each
+    row is sorted descending and the shorter side zero-padded.  Row ``j`` of
+    one side is majorized by row ``j`` of the other when every leading
+    partial sum is bounded by the matching partial sum of the other up to
+    the tie tolerance ``eps``; forward is lhs majorized by rhs.
+    """
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    if lhs.ndim != 2 or rhs.ndim != 2 or lhs.shape[0] != rhs.shape[0] or 0 in lhs.shape[1:] + rhs.shape[1:]:
+        raise ValueError(f"expected (n, k) and (n, m) stacks of spectra, got {lhs.shape} and {rhs.shape}")
+    width = max(lhs.shape[1], rhs.shape[1])
+    sums_l = np.cumsum(_descending_rows(lhs, width), axis=1)
+    sums_r = np.cumsum(_descending_rows(rhs, width), axis=1)
     forward = np.all(sums_l <= sums_r + eps, axis=1)
     backward = np.all(sums_r <= sums_l + eps, axis=1)
     return 2 * forward.astype(np.intp) + backward
+
+
+def majorizes_rows(lo, hi, eps: float = EPS_TIE) -> np.ndarray:
+    """Row-wise majorization: entry ``j`` is True when row ``j`` of ``lo`` is
+    majorized by row ``j`` of ``hi``, the forward half of :func:`verdict_codes`."""
+    return verdict_codes(lo, hi, eps) >= 2
 
 
 def _row(values) -> np.ndarray:

@@ -25,7 +25,7 @@ from qflip.constructions import (
     general_flip_experiment,
 )
 from qflip.bloch import density_to_bloch
-from qflip.cubic import cubic_coefficients
+from qflip.cubic import cubic_coefficients_rows
 from qflip.ordering import ALL_PATTERN_IDS, REGION_BOUNDS, check_atlas, pattern_labels
 from qflip.schmidt import (
     VERDICT_BY_CODE,
@@ -136,7 +136,7 @@ def test_criterion_3_general_family_grid(grid):
 def test_criterion_4_ordering_atlas_coverage(grid):
     mask = grid["mask"]
     # every representative pair of every point is checked against the atlas in
-    # one batched pass, at classify_ordering's default tie tolerance
+    # one batched pass, at check_atlas's default tie tolerance
     regions = check_atlas(*(grid[key][mask] for key in ("A", "B", "Bprime", "theta_i", "theta_f")))
     assert np.all(regions >= 0)  # no point was skipped as degenerate
     names = tuple(REGION_BOUNDS)
@@ -197,14 +197,14 @@ def test_criterion_6_degenerate_family():
         assert result.degenerate
         assert result.verdict is Verdict.INTERCONVERTIBLE
         np.testing.assert_allclose(result.numeric_initial, result.numeric_final, atol=1e-10)
-        coeff_a, coeff_b, coeff_bp = cubic_coefficients(p)
+        _, coeff_b, coeff_bp = cubic_coefficients_rows(p.a, p.c, p.theta)
         assert great_circle_test(*canonical_triple(p)) == (abs(coeff_b - coeff_bp) <= 1e-10)
     # the equivalence also holds at generic non-degenerate points
     for _ in range(100):
         p = FlipParams(
             a=rng.uniform(0.05, 0.95), c=rng.uniform(0.05, 0.95), theta=rng.uniform(0.1, pi - 0.1)
         )
-        coeff_a, coeff_b, coeff_bp = cubic_coefficients(p)
+        _, coeff_b, coeff_bp = cubic_coefficients_rows(p.a, p.c, p.theta)
         assert great_circle_test(*canonical_triple(p)) == (abs(coeff_b - coeff_bp) <= 1e-10)
     _report(6, "100 exactly-degenerate points interconvertible; great-circle test matches |B-B'|<=1e-10")
 

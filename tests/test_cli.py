@@ -19,7 +19,7 @@ from qflip import constructions, cubic, ordering
 from qflip.bloch import FlipParams
 from qflip.constructions import AXES_PARAMS, VerificationError, general_flip_experiment, route_tolerance
 from qflip.linalg import DimensionError, HermiticityError
-from qflip.ordering import CHAIN_TIE_TOL, PATTERN_ATLAS, DegenerateSpectraError, OrderingMismatchError
+from qflip.ordering import CHAIN_TIE_TOL, PATTERN_ATLAS, OrderingMismatchError
 from qflip.report import CSV_HEADER, NonFiniteError
 from qflip.schmidt import SpectrumTieError
 
@@ -219,7 +219,6 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
         DimensionError("forced dimension mismatch"),
         SpectrumTieError("forced spectrum tie"),
         NonFiniteError("forced non-finite value"),
-        DegenerateSpectraError("forced degenerate pair"),
     ],
 )
 def test_certification_errors_exit_one(error, monkeypatch, capsys):
@@ -631,6 +630,30 @@ def test_closed_stdout_is_not_a_failure(argv, head, tmp_path):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == 0, err
     assert b"Traceback" not in err and b"Exception ignored" not in err
+    assert list(tmp_path.iterdir()) == []  # no spool left behind
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv, to_stdout",
+    [(["verify", "axes", "--out", "/dev/full"], False), (["sweep", "--grid", "4", "--out", "/dev/full"], False),
+     (["verify", "axes"], True)],
+    ids=["verify-out", "sweep-out", "verify-stdout"],
+)
+def test_full_output_target_is_a_write_error(argv, to_stdout, tmp_path):
+    # the target refuses the write after the point was certified: neither a
+    # certification failure nor a traceback
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qflip", *argv],
+            stdout=full if to_stdout else subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin", "TMPDIR": str(tmp_path)},
+            timeout=120,
+        )
+    target = "stdout" if to_stdout else "--out /dev/full"
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == f"qflip: error: cannot write {target}: No space left on device\n"
     assert list(tmp_path.iterdir()) == []  # no spool left behind
 
 

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qflip import constructions, cubic, kernels, ordering
+from qflip import constructions, cubic, kernels
 from qflip.bloch import FlipParams, canonical_triple, density_to_bloch, qubit_to_bloch, random_qubit
 from qflip.constructions import (
     AXES_LAMBDA_FINAL,
@@ -21,7 +21,6 @@ from qflip.constructions import (
     flipper_experiment,
     general_flip_experiment,
 )
-from qflip.cubic import labeled_roots
 from qflip.linalg import DimensionError, partial_trace
 from qflip.schmidt import PureState, Verdict, schmidt_decompose, verdict
 
@@ -62,7 +61,8 @@ def test_axes_experiment_record():
     result = axes_experiment(chi=1.3, eta=2.1)
     assert result.verdict is Verdict.INCOMPARABLE
     assert result.max_err < 1e-12
-    assert result.ordering is not None and result.ordering.boundary
+    # 3 t_initial sits exactly on pi, which the half-open quadrants file under Q3
+    assert result.ordering is not None and result.ordering.startswith("Q3")
 
 
 def test_flipper_pair_bob_levels_orthonormal(rng):
@@ -254,31 +254,34 @@ def _count_calls(monkeypatch, targets: dict) -> Counter:
     return counts
 
 
-# the one-point route builds no composite state and never classifies one pair alone
+# the one-point route builds no composite state
 _COMPOSITE_ROUTE = {
     "PureState": constructions.PureState,
     "schmidt_decompose": constructions.schmidt_decompose,
-    "classify_ordering": ordering.classify_ordering,
 }
 
 
 def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
     # each cubic is solved once (one labeled-root pass each) and the atlas is
-    # checked once (a third pass); the route gate and the atlas tie tolerance
-    # share one route_tolerance call; no composite state is built
+    # checked once (a third pass) and labeled once; the route gate and the
+    # atlas tie tolerance share one route_tolerance call; no composite state
+    # is built
     counts = _count_calls(
         monkeypatch,
         {
             "cubic_roots_rows": cubic.cubic_roots_rows,
             "labeled_roots_rows": cubic.labeled_roots_rows,
             "check_atlas": constructions.check_atlas,
+            "pattern_labels": constructions.pattern_labels,
             "route_tolerance": constructions.route_tolerance,
             **_COMPOSITE_ROUTE,
         },
     )
     result = general_flip_experiment(FlipParams(a=0.3, c=0.7, theta=1.2), mu=0.4, nu=2.0)
     assert result.ordering is not None
-    assert counts == {"cubic_roots_rows": 2, "labeled_roots_rows": 3, "check_atlas": 1, "route_tolerance": 1}
+    assert counts == {
+        "cubic_roots_rows": 2, "labeled_roots_rows": 3, "check_atlas": 1, "pattern_labels": 1, "route_tolerance": 1
+    }
 
 
 def test_axes_experiment_is_one_certified_family_row(monkeypatch):
@@ -290,15 +293,3 @@ def test_axes_experiment_is_one_certified_family_row(monkeypatch):
     result = axes_experiment(chi=0.4, eta=0.7)
     assert result.params == AXES_PARAMS and (result.mu, result.nu) == (0.7, 0.4)
     assert counts == {"grid_eval": 1, "certify_rows": 1}
-
-
-def test_ordering_sorted_labels_match_the_labeled_roots(rng):
-    labels = np.array(["a1", "a2", "a3", "b1", "b2", "b3"])
-    for _ in range(2000):
-        result = general_flip_experiment(_random_params(rng))
-        assert result.ordering is not None
-        values = np.concatenate(
-            [labeled_roots(s.A, 3.0 * s.theta_angle) for s in (result.analytic_initial, result.analytic_final)]
-        )
-        expected = tuple(labels[np.argsort(-values, kind="stable")].tolist())
-        assert result.ordering.sorted_labels == expected
