@@ -29,7 +29,6 @@ from .constructions import (
     flipper_experiment,
     general_flip_experiment,
 )
-from .cubic import state_overlap
 from .kernels import BACKEND
 from .linalg import (
     DimensionError,

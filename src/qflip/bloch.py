@@ -115,11 +115,6 @@ class FlipParams:
         object.__setattr__(self, "b", sqrt(max(0.0, 1.0 - self.a * self.a)))
         object.__setattr__(self, "d", sqrt(max(0.0, 1.0 - self.c * self.c)))
 
-    @property
-    def degeneracy(self) -> float:
-        """a*b*c*d*sin(theta); zero exactly on great-circle configurations."""
-        return self.a * self.b * self.c * self.d * sin(self.theta)
-
 
 def complements(a, c) -> tuple[np.ndarray, np.ndarray]:
     """The family's b = sqrt(1 - a^2) and d = sqrt(1 - c^2), elementwise, clamped at zero."""

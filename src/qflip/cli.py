@@ -235,6 +235,8 @@ def _parse_probs(text: str, name: str) -> np.ndarray:
 def _cmd_check_pair(args) -> int:
     lhs = _parse_probs(args.lhs, "--lhs")
     rhs = _parse_probs(args.rhs, "--rhs")
+    if args.format == "csv" and max(lhs.size, rhs.size) > 3:
+        raise ValueError("--format csv holds at most three entries per vector; use --format json")
     v = verdict(lhs, rhs)
     closed_form = None
     if lhs.size == 3 and rhs.size == 3:

@@ -198,10 +198,12 @@ def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Each row's two routes must agree within the route tolerance built on
     ``SPECTRUM_AGREEMENT_TOL`` (NaN counts as a disagreement), each row that
     ``live`` marks (a mask, or one bool for all rows) must be Incomparable,
-    and each ordering must match the atlas within the route tolerance built
-    on ``CHAIN_TIE_TOL``.  A failure raises :class:`VerificationError` (or
-    :class:`OrderingMismatchError`) naming the first failing point.  Returns
-    the per-row error, verdict codes and :func:`check_atlas` regions.
+    and the ordering of each live row, and of each other row whose B and
+    Bprime differ by more than ``DEGENERACY_GAP_TOL``, must match the atlas
+    within the route tolerance built on ``CHAIN_TIE_TOL``.  A failure raises
+    :class:`VerificationError` (or :class:`OrderingMismatchError`) naming
+    the first failing point.  Returns the per-row error, verdict codes and
+    :func:`check_atlas` regions.
     """
     max_err = np.maximum(
         np.max(np.abs(rows["alpha"] - rows["num_alpha"]), axis=1),
@@ -227,7 +229,9 @@ def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"{int(comparable.sum())} non-incomparable verdicts, "
             f"first {VERDICT_BY_CODE[codes[j]]} at {_where(rows, j)}"
         )
-    regions = check_atlas(rows["A"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"], tie_tol=tie_tol)
+    regions = check_atlas(
+        rows["A"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"], live=live, tie_tol=tie_tol
+    )
     return max_err, codes, regions
 
 
@@ -250,7 +254,7 @@ def general_flip_experiment(
     :class:`ValueError`.
     """
     check_margin(margin)
-    degenerate = abs(p.degeneracy) <= margin
+    degenerate = bool(abs(kernels.degeneracy(p.a, p.c, p.theta)) <= margin)
     rows = kernels.grid_eval([p.a], [p.c], [p.theta], mu, nu)
     max_err, codes, regions = certify_rows(rows, live=not degenerate)
 
@@ -265,7 +269,6 @@ def general_flip_experiment(
         numeric_final=rows["num_beta"][0],
         max_err=float(max_err[0]),
         verdict=VERDICT_BY_CODE[codes[0]],
-        # None also for a row check_atlas skipped (B and Bprime too close)
         ordering=None if degenerate else pattern_labels(regions)[0],
         degenerate=degenerate,
     )

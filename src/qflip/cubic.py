@@ -21,18 +21,11 @@ and a single point get the same coefficients and roots to the bit.
 
 from __future__ import annotations
 
-from cmath import exp as cexp
-
 import numpy as np
 
-from .bloch import FlipParams, complements
+from .bloch import complements
 
 _TWO_THIRDS_PI = 2.0 * np.pi / 3.0
-
-
-def state_overlap(p: FlipParams) -> complex:
-    """Inner product <psi|phi> = a*c + b*d*e^{i theta} of the family pair."""
-    return p.a * p.c + p.b * p.d * cexp(1j * p.theta)
 
 
 def cubic_coefficients_rows(a, c, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,9 +1,8 @@
 """Vectorized numpy kernels for the hot paths.
 
-Descending small-Hermitian eigensolves, the great-circle measure
-|a b c d sin theta| and the batched per-point evaluation that backs grid
-sweeps: the closed-form cubic of :mod:`qflip.cubic` beside the numeric Gram
-route it is checked against.
+The great-circle measure |a b c d sin theta| and the batched per-point
+evaluation that backs grid sweeps: the closed-form cubic of
+:mod:`qflip.cubic` beside the numeric Gram route it is checked against.
 """
 
 from __future__ import annotations
@@ -16,11 +15,6 @@ from .cubic import cubic_coefficients_rows, cubic_roots_rows
 BACKEND = "numpy"
 
 
-def eigvalsh_small(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, descending."""
-    return np.linalg.eigvalsh(h)[::-1].copy()
-
-
 def degeneracy(a, c, theta) -> np.ndarray:
     """Signed great-circle measure a b c d sin(theta) of each family point.
 
@@ -31,77 +25,54 @@ def degeneracy(a, c, theta) -> np.ndarray:
     return a * b * c * d * np.sin(theta)
 
 
-def _bob_blocks(psi: np.ndarray, phi: np.ndarray, flat0: np.ndarray) -> np.ndarray:
-    """Stack the three 4-dim Bob vectors (n, 3, 4) for one family member."""
-    n = psi.shape[0]
-    blocks = np.empty((n, 3, 4), dtype=complex)
-    blocks[:, 0, :] = flat0
-    blocks[:, 1, :] = np.einsum("ni,nj->nij", psi, phi).reshape(n, 4)
-    blocks[:, 2, :] = np.einsum("ni,nj->nij", phi, psi).reshape(n, 4)
-    return blocks
+def family_reduced_rows(a, c, theta, mu=0.0, nu=0.0) -> np.ndarray:
+    """Qutrit-side reduced matrices (n, 2, 3, 3) of both family states.
 
-
-def flipped_blocks(psi: np.ndarray, phi: np.ndarray, mu=0.0, nu=0.0) -> np.ndarray:
-    """Stack the three 4-dim Bob vectors (n, 3, 4) of the flipped family state.
-
-    |0>|01> + e^{i nu}|1>|psi phibar> + e^{i mu}|2>|phi psibar>, as in
-    :func:`qflip.constructions.build_family_state_flipped`; ``psi`` and
-    ``phi`` are (n, 2) qubit rows, ``mu`` and ``nu`` scalars or one per row.
+    ``[:, 0]`` belongs to the initial state (1/sqrt3) sum_j |j>|L_j R_j> and
+    ``[:, 1]`` to the flipped one, where Bob's second qubit carries the
+    complement of R_j: level j's left factor L_j is (|0>, psi, phi) and its
+    right factor R_j is (|0>, phi, psi).  The device phases e^{i nu} and
+    e^{i mu} (scalars or one per point) multiply flipped levels 1 and 2, as
+    in :func:`qflip.constructions.build_family_state_flipped`.  Entry
+    [j, k] of each matrix is <B_k|B_j> / 3 for the 4-dim Bob blocks B_j.
     """
-    n = psi.shape[0]
-    psi_bar = np.stack([-psi[:, 1].conj(), psi[:, 0].conj()], axis=-1)
-    phi_bar = np.stack([-phi[:, 1].conj(), phi[:, 0].conj()], axis=-1)
-    blocks = np.zeros((n, 3, 4), dtype=complex)
-    blocks[:, 0, 1] = 1.0
-    blocks[:, 1, :] = np.einsum("ni,nj->nij", psi, phi_bar).reshape(n, 4)
-    blocks[:, 2, :] = np.einsum("ni,nj->nij", phi, psi_bar).reshape(n, 4)
-    blocks[:, 1, :] *= np.exp(1j * np.asarray(nu))[..., None]
-    blocks[:, 2, :] *= np.exp(1j * np.asarray(mu))[..., None]
-    return blocks
-
-
-def gram(blocks: np.ndarray) -> np.ndarray:
-    """Qutrit-side reduced matrices (n, 3, 3) of (1/sqrt3) sum_j |j>|B_j>.
-
-    rho[j, k] = <B_k|B_j> / 3 for the (n, 3, 4) Bob blocks B_j.
-    """
-    return np.einsum("nkm,njm->njk", blocks.conj(), blocks) / 3.0
-
-
-def _gram_spectra(blocks: np.ndarray) -> np.ndarray:
-    vals = np.linalg.eigvalsh(gram(blocks))
-    return np.ascontiguousarray(vals[:, ::-1])
+    a = np.asarray(a, dtype=float)
+    c = np.asarray(c, dtype=float)
+    n = a.shape[0]
+    b, d = complements(a, c)
+    # axes (state, level, amplitude, point): with the point axis last, every
+    # product and the Gram sums run along it, faster than a point-first layout
+    left = np.zeros((3, 2, n), dtype=complex)
+    left[0, 0] = 1.0
+    left[1, 0], left[1, 1] = a, b
+    left[2, 0], left[2, 1] = c, d * np.exp(1j * np.asarray(theta))
+    right = np.empty((2,) + left.shape, dtype=complex)
+    right[0] = left[[0, 2, 1]]
+    right[1, :, 0] = -right[0, :, 1].conj()
+    right[1, :, 1] = right[0, :, 0].conj()
+    blocks = left[None, :, :, None] * right[:, :, None, :]
+    blocks[1, 1] *= np.exp(1j * np.asarray(nu))
+    blocks[1, 2] *= np.exp(1j * np.asarray(mu))
+    blocks = blocks.reshape(2, 3, 4, n)
+    return np.einsum("skmn,sjmn->nsjk", blocks.conj(), blocks) / 3.0
 
 
 def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray, mu=0.0, nu=0.0) -> dict:
     """Evaluate the three-state flip family at each (a, c, theta) point.
 
-    Two independent routes run side by side: the closed-form cubic spectra
-    (coefficients A, B, B' then trig roots) and a numeric route that builds
-    the composite-state Bob blocks, forms the reduced 3x3 matrices and
-    eigensolves them.  The device phases ``mu`` and ``nu`` (scalars or one
-    per point) multiply the flipped state's blocks 2 and 1, as in
-    :func:`qflip.constructions.build_family_state_flipped`.  Returns a dict
-    of per-point arrays, the points' own coordinates included.
+    Two independent routes run side by side, each on both states at once:
+    the closed-form cubic spectra (coefficients A, B, B' then trig roots)
+    and a numeric route that eigensolves the reduced 3x3 matrices of
+    :func:`family_reduced_rows`, device phases ``mu`` and ``nu`` included.
+    Returns a dict of per-point arrays, the points' own coordinates
+    included; the initial and flipped columns may be views of one stack.
     """
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    n = a.shape[0]
-    b, d = complements(a, c)
-
     coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(a, c, theta)
-    alpha, theta_i = cubic_roots_rows(coeff_a, coeff_b)
-    beta, theta_f = cubic_roots_rows(coeff_a, coeff_bp)
-
-    psi = np.stack([a.astype(complex), b.astype(complex)], axis=-1)
-    phi = np.stack([c.astype(complex), d * np.exp(1j * theta)], axis=-1)
-
-    e00 = np.zeros((n, 4), dtype=complex)
-    e00[:, 0] = 1.0
-    num_alpha = _gram_spectra(_bob_blocks(psi, phi, e00))
-    num_beta = _gram_spectra(flipped_blocks(psi, phi, mu, nu))
-
+    roots, t = cubic_roots_rows(coeff_a[:, None], np.stack([coeff_b, coeff_bp], axis=1))
+    spectra = np.linalg.eigvalsh(family_reduced_rows(a, c, theta, mu, nu))[..., ::-1]
     return {
         "a": a,
         "c": c,
@@ -109,10 +80,10 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray, mu=0.0, nu=0.0) -
         "A": coeff_a,
         "B": coeff_b,
         "Bprime": coeff_bp,
-        "alpha": alpha,
-        "beta": beta,
-        "theta_i": theta_i,
-        "theta_f": theta_f,
-        "num_alpha": num_alpha,
-        "num_beta": num_beta,
+        "alpha": roots[:, 0],
+        "beta": roots[:, 1],
+        "theta_i": t[:, 0],
+        "theta_f": t[:, 1],
+        "num_alpha": spectra[:, 0],
+        "num_beta": spectra[:, 1],
     }

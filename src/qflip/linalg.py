@@ -13,8 +13,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import kernels
-
 DIM_CAP = 12
 HERMITICITY_TOL = 1e-10
 
@@ -89,7 +87,7 @@ def hermitian_eigenvalues(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     if m.shape[0] > DIM_CAP:
         raise DimensionError(f"dimension {m.shape[0]} exceeds the cap of {DIM_CAP}")
     sym = (m + m.conj().T) / 2.0
-    return kernels.eigvalsh_small(sym)
+    return np.linalg.eigvalsh(sym)[::-1]
 
 
 def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

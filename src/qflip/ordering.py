@@ -103,7 +103,7 @@ def check_atlas(
     bprime_val,
     theta_i,
     theta_f,
-    gap_tol: float = DEGENERACY_GAP_TOL,
+    live=False,
     tie_tol: float | np.ndarray = CHAIN_TIE_TOL,
 ) -> np.ndarray:
     """Verify the labeled-root ordering of many spectrum pairs against the atlas.
@@ -118,32 +118,35 @@ def check_atlas(
 
     Returns an integer array of shape (n, 2, 2) holding the quadrant index
     (0..3 for Q1..Q4) of [spectrum][representative], spectrum 0 initial and
-    1 final, representative 0 principal and 1 mirror.  Rows whose B and
-    Bprime agree within ``gap_tol`` have no ordering to classify; they are
-    not checked and hold -1.  Raises :class:`OrderingMismatchError` when any
-    checked row deviates from the atlas.
+    1 final, representative 0 principal and 1 mirror.  Every row that
+    ``live`` marks (a mask, or one bool for all rows) is checked; any other
+    row whose B and Bprime agree within ``DEGENERACY_GAP_TOL`` has no
+    ordering to classify, is not checked and holds -1.  Raises
+    :class:`OrderingMismatchError` when any checked row deviates from the
+    atlas.
     """
     a_coeff = np.asarray(a_coeff, dtype=float).reshape(-1)
-    live = np.abs(np.asarray(b_val, dtype=float) - bprime_val).reshape(-1) > gap_tol
+    gap = np.abs(np.asarray(b_val, dtype=float) - bprime_val).reshape(-1)
+    checked = np.asarray(live) | (gap > DEGENERACY_GAP_TOL)
     regions = np.full((a_coeff.size, 2, 2), -1, dtype=np.intp)
-    angle3 = 3.0 * np.array([theta_i, theta_f], dtype=float).reshape(2, -1).T[live]
+    angle3 = 3.0 * np.array([theta_i, theta_f], dtype=float).reshape(2, -1).T[checked]
     m = angle3.shape[0]
     if m == 0:
         return regions
     reps = np.empty((m, 2, 2))  # (row, spectrum, representative)
     reps[..., 0] = angle3
     reps[..., 1] = (2.0 * pi - angle3) % (2.0 * pi)
-    live_regions = _region_index(reps).astype(np.intp)
-    regions[live] = live_regions
+    checked_regions = _region_index(reps).astype(np.intp)
+    regions[checked] = checked_regions
 
     # labeled roots of every representative, flattened to (row, 12)
-    roots = labeled_roots_rows(a_coeff[live][:, None, None], reps / 3.0).reshape(m, 12)
+    roots = labeled_roots_rows(a_coeff[checked][:, None, None], reps / 3.0).reshape(m, 12)
 
     def region_pair(row, k):
-        return _REGION_NAMES[live_regions[row, 0, _REP_I[k]]], _REGION_NAMES[live_regions[row, 1, _REP_F[k]]]
+        return _REGION_NAMES[checked_regions[row, 0, _REP_I[k]]], _REGION_NAMES[checked_regions[row, 1, _REP_F[k]]]
 
     table, gather, _ = _atlas_tables(tuple(PATTERN_ATLAS.items()))
-    entry = table[live_regions[:, 0, _REP_I], live_regions[:, 1, _REP_F]]  # (row, pair)
+    entry = table[checked_regions[:, 0, _REP_I], checked_regions[:, 1, _REP_F]]  # (row, pair)
     missing = entry < 0
     if missing.any():
         pair = region_pair(*np.argwhere(missing)[0])
@@ -152,7 +155,7 @@ def check_atlas(
     ordered = roots[np.arange(m)[:, None, None], gather[np.arange(4), entry]]
     tie_tol = np.asarray(tie_tol, dtype=float)
     if tie_tol.ndim:
-        tie_tol = tie_tol.reshape(-1)[live, None, None]
+        tie_tol = tie_tol.reshape(-1)[checked, None, None]
     holds = (ordered[..., :-1] >= ordered[..., 1:] - tie_tol).all(axis=-1)
     if not holds.all():
         row, k = np.argwhere(~holds)[0]

@@ -116,7 +116,9 @@ class ReportRecord:
 
         def three(values):
             out = list(values) if values is not None else []
-            return (out + [None] * 3)[:3]
+            if len(out) > 3:
+                raise ValueError(f"a CSV row holds at most three spectrum entries, got {len(out)}")
+            return out + [None] * (3 - len(out))
 
         lam_i = three(self.lambda_initial)
         lam_f = three(self.lambda_final)

@@ -13,6 +13,7 @@ from qflip.bloch import (
     qubit_to_bloch,
     random_qubit,
 )
+from qflip.kernels import degeneracy
 
 KET_0 = np.array([1.0, 0.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
@@ -98,7 +99,7 @@ def test_flip_params_validation():
     with pytest.raises(ValueError):
         FlipParams(a=0.5, c=0.5, theta=0.0)
     p = FlipParams(a=0.5, c=0.5, theta=0.0, allow_boundary_theta=True)
-    assert p.degeneracy == 0.0
+    assert degeneracy(p.a, p.c, p.theta) == 0.0
     p = FlipParams(a=0.6, c=0.8, theta=1.0)
     assert abs(p.a**2 + p.b**2 - 1.0) < 1e-15
     assert abs(p.c**2 + p.d**2 - 1.0) < 1e-15
@@ -164,5 +165,5 @@ def test_great_circle_matches_degeneracy_measure(rng):
         p = FlipParams(
             a=rng.uniform(), c=rng.uniform(), theta=rng.uniform(1e-6, np.pi - 1e-6)
         )
-        expected = abs(4.0 * p.degeneracy) <= 1e-10
+        expected = abs(4.0 * degeneracy(p.a, p.c, p.theta)) <= 1e-10
         assert great_circle_test(*canonical_triple(p)) == expected

@@ -127,6 +127,48 @@ def test_verify_general_degenerate_flag(capsys):
     assert record["verdict"] == "Interconvertible"
 
 
+# Grid-100 point (0, 0, 0): its measure m = 3.05e-6 lies beyond the default
+# margin, but |B - Bprime| = 4 m^2 = 3.7e-11 lies within DEGENERACY_GAP_TOL.
+GAP_POINT = ("--a", "0.009900990099009901", "--c", "0.009900990099009901", "--theta", "0.031104877758314782")
+
+
+def test_live_point_within_the_gap_tolerance_is_checked_against_the_atlas(monkeypatch, capsys):
+    code, out, _ = run_cli(capsys, "verify", "general", *GAP_POINT)
+    assert code == 0
+    record = json.loads(out)
+    assert 0 < record["B"] - record["Bprime"] <= ordering.DEGENERACY_GAP_TOL
+    assert record["degeneracyFlag"] is False
+    assert record["ordering"] == "Q2Q2:a1>b1>b3>a3>a2>b2"
+    monkeypatch.setitem(PATTERN_ATLAS, ("Q2", "Q2"), PATTERN_ATLAS[("Q3", "Q3")])
+    a, c, theta = (float(x) for x in GAP_POINT[1::2])
+    with pytest.raises(OrderingMismatchError):
+        general_flip_experiment(FlipParams(a=a, c=c, theta=theta))
+
+
+def test_degenerate_point_keeps_the_gap_exemption(capsys):
+    # at a c = 0, B = Bprime = 0 and the initial mirror angle lands in Q4,
+    # which has no atlas entry: only the exemption lets this point pass
+    code, out, _ = run_cli(capsys, "verify", "general", "--a", "0", "--c", "0.5", "--theta", "1")
+    assert code == 0
+    record = json.loads(out)
+    assert record["degeneracyFlag"] is True
+    assert record["ordering"] is None
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the fixed EPS_TIE tie constant exceeds this Incomparable pair's "
+    "margin of 9e-13, so the verdict comes out Interconvertible",
+)
+def test_point_with_a_margin_below_the_tie_constant_is_certified(capsys):
+    code, _, _ = run_cli(
+        capsys,
+        "verify", "general",
+        "--a", "0.004975124378109453", "--c", "0.004975124378109453", "--theta", "0.046889442590892436",
+    )
+    assert code == 0
+
+
 def test_verify_general_boundary_theta_requires_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "general", "--a", "0.5", "--c", "0.5", "--theta", "0.0"])
@@ -157,6 +199,21 @@ def test_check_pair(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert len(lines[1].split(",")) == len(CSV_HEADER.split(","))
+    assert lines[1] == ",,,,,,1,0,,0.5,0.5,,,BackwardCertain,,false"
+
+
+def test_check_pair_csv_refuses_more_than_three_entries(monkeypatch, capsys):
+    # a CSV row has three cells per spectrum; four entries are refused before
+    # any verdict is computed, not truncated
+    monkeypatch.setattr(cli, "verdict", None)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-pair", "--lhs", ".4,.3,.2,.1", "--rhs", ".5,.2,.2,.1", "--format", "csv"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "qflip: error: --format csv holds at most three entries per vector; use --format json"
+    )
 
 
 def test_check_pair_rejects_bad_vector():
@@ -385,8 +442,8 @@ def test_sweep_evaluates_only_certified_points(monkeypatch, capsys):
 
 
 def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsys):
-    # both paths certify through certify_rows: per certification each cubic is
-    # solved once, the atlas is checked once and route_tolerance runs once, and
+    # both paths certify through certify_rows: per certification both cubics are
+    # solved in one call, the atlas is checked once and route_tolerance runs once, and
     # the chain is checked within route_tolerance(A, B, B', base=CHAIN_TIE_TOL)
     calls = {"check_atlas": [], "cubic_roots_rows": [], "route_tolerance": []}
 
@@ -411,12 +468,12 @@ def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsy
     code, out, _ = run_cli(capsys, "sweep", "--grid", "3")
     assert code == 0
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"check_atlas": 1, "cubic_roots_rows": 2, "route_tolerance": 1}
+    assert counts == {"check_atlas": 1, "cubic_roots_rows": 1, "route_tolerance": 1}
     for line in out.strip().splitlines()[:-1]:
         params = json.loads(line)["params"]
         general_flip_experiment(FlipParams(a=params["a"], c=params["c"], theta=params["theta"]))
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"check_atlas": 28, "cubic_roots_rows": 56, "route_tolerance": 28}
+    assert counts == {"check_atlas": 28, "cubic_roots_rows": 28, "route_tolerance": 28}
     sweep, *single = calls["check_atlas"]
     for call in calls["check_atlas"]:
         expected = route_tolerance(call["a_coeff"], call["b_val"], call["bprime_val"], base=CHAIN_TIE_TOL)

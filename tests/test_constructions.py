@@ -262,8 +262,8 @@ _COMPOSITE_ROUTE = {
 
 
 def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
-    # each cubic is solved once (one labeled-root pass each) and the atlas is
-    # checked once (a third pass) and labeled once; the route gate and the
+    # both cubics are solved in one call (one labeled-root pass) and the atlas
+    # is checked once (a second pass) and labeled once; the route gate and the
     # atlas tie tolerance share one route_tolerance call; no composite state
     # is built
     counts = _count_calls(
@@ -280,7 +280,7 @@ def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
     result = general_flip_experiment(FlipParams(a=0.3, c=0.7, theta=1.2), mu=0.4, nu=2.0)
     assert result.ordering is not None
     assert counts == {
-        "cubic_roots_rows": 2, "labeled_roots_rows": 3, "check_atlas": 1, "pattern_labels": 1, "route_tolerance": 1
+        "cubic_roots_rows": 1, "labeled_roots_rows": 2, "check_atlas": 1, "pattern_labels": 1, "route_tolerance": 1
     }
 
 

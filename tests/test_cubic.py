@@ -1,7 +1,7 @@
 import numpy as np
 
-from qflip.bloch import FlipParams, canonical_triple
-from qflip.cubic import cubic_coefficients_rows, cubic_roots_rows, labeled_roots_rows, state_overlap
+from qflip.bloch import FlipParams
+from qflip.cubic import cubic_coefficients_rows, cubic_roots_rows, labeled_roots_rows
 
 SQRT2_INV = 1 / np.sqrt(2)
 AXES = FlipParams(a=SQRT2_INV, c=SQRT2_INV, theta=np.pi / 2)
@@ -26,13 +26,6 @@ def _random_cubics(rng, n):
     coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(*_random_rows(rng, n))
     coeff_a, b_val = np.concatenate([coeff_a, coeff_a]), np.concatenate([coeff_b, coeff_bp])
     return (coeff_a, b_val, *cubic_roots_rows(coeff_a, b_val))
-
-
-def test_overlap_matches_state_inner_product(rng):
-    for _ in range(100):
-        p = _random_params(rng)
-        _, psi, phi = canonical_triple(p)
-        assert abs(state_overlap(p) - np.vdot(psi, phi)) < 1e-14
 
 
 def test_axes_coefficients():

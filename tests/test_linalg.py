@@ -192,6 +192,13 @@ def test_hermitian_eigenvalues_product_matches_determinant(rng):
         assert abs(np.prod(vals) - det) < 1e-9 * max(1.0, abs(det))
 
 
+def test_hermitian_eigenvalues_descending(rng):
+    h = random_hermitian(rng, 6)
+    vals = hermitian_eigenvalues(h)
+    assert np.all(np.diff(vals) <= 0)
+    np.testing.assert_allclose(vals, np.linalg.eigvalsh(h)[::-1], atol=1e-12)
+
+
 def test_hermitian_eigenvalues_rejections(rng):
     with pytest.raises(HermiticityError):
         hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))

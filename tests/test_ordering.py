@@ -11,6 +11,7 @@ from qflip.bloch import FlipParams
 from qflip.cli import SweepConfig, _run_sweep
 from qflip.constructions import general_flip_experiment
 from qflip.cubic import cubic_coefficients_rows, cubic_roots_rows, labeled_roots_rows
+from qflip.kernels import degeneracy
 from qflip.ordering import (
     ALL_PATTERN_IDS,
     PATTERN_ATLAS,
@@ -102,7 +103,7 @@ def test_primary_chain_matches_sorted_labels(rng):
         FlipParams(a=rng.uniform(0.05, 0.95), c=rng.uniform(0.05, 0.95), theta=rng.uniform(0.05, np.pi - 0.05))
         for _ in range(300)
     ]
-    points = [p for p in points if abs(p.degeneracy) >= 1e-3]
+    points = [p for p in points if abs(degeneracy(p.a, p.c, p.theta)) >= 1e-3]
     coeff_a, _, _, t_i, t_f = row = _rows(points)
     for label, a_j, ti_j, tf_j in zip(pattern_labels(check_atlas(*row)), coeff_a, t_i, t_f):
         pattern_id, chain = label.split(":")
@@ -121,7 +122,7 @@ def test_sorted_interleaving_certifies_incomparability(rng):
             c=rng.uniform(0.05, 0.95),
             theta=rng.uniform(0.05, np.pi - 0.05),
         )
-        if abs(p.degeneracy) < 1e-3:
+        if abs(degeneracy(p.a, p.c, p.theta)) < 1e-3:
             continue
         coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows([p.a], [p.c], [p.theta])
         (alpha, beta), _ = cubic_roots_rows(np.append(coeff_a, coeff_a), np.append(coeff_b, coeff_bp))
@@ -134,7 +135,7 @@ def test_sorted_interleaving_certifies_incomparability(rng):
 def test_atlas_fully_witnessed_on_coarse_grid():
     ticks = np.arange(1, 10) / 10.0
     points = [FlipParams(a=a, c=c, theta=theta) for a in ticks for c in ticks for theta in ticks * np.pi]
-    regions = check_atlas(*_rows([p for p in points if abs(p.degeneracy) >= 1e-3]))
+    regions = check_atlas(*_rows([p for p in points if abs(degeneracy(p.a, p.c, p.theta)) >= 1e-3]))
     witnessed = set().union(*(_witnessed(r) for r in regions))
     assert witnessed == set(ALL_PATTERN_IDS)
     assert len(PATTERN_ATLAS) == 8

@@ -58,3 +58,11 @@ def test_sweep_template_rows_match_report_record(fmt, rows):
         _record(row).to_csv_row() if fmt == "csv" else _record(row).to_json_line() for row in rows
     ]
     assert sweep_block(fmt, _columns(rows)).split("\n") == expected
+
+
+def test_csv_row_refuses_a_spectrum_longer_than_three():
+    # the row has three cells per spectrum: shorter spectra are padded, longer ones refused
+    record = ReportRecord(experiment_id="check-pair", lambda_initial=[1.0, 0.0], lambda_final=[0.5, 0.5])
+    assert record.to_csv_row() == ",,,,,,1,0,,0.5,0.5,,,,,false"
+    with pytest.raises(ValueError, match="at most three"):
+        ReportRecord(experiment_id="check-pair", lambda_initial=[0.4, 0.3, 0.2, 0.1]).to_csv_row()
