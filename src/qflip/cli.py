@@ -46,7 +46,7 @@ from .constructions import (
 from .linalg import DimensionError, HermiticityError
 from .ordering import OrderingMismatchError, pattern_labels
 from .report import CSV_HEADER, NonFiniteError, ReportRecord, fmt_float, grid_text, json_line, sweep_block
-from .schmidt import VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdict
+from .schmidt import EPS_TIE, VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdict
 
 # Failures raised while certifying, after the arguments were accepted; they
 # exit 1.  Every other ValueError comes from validating the arguments and
@@ -235,6 +235,11 @@ def _parse_probs(text: str, name: str) -> np.ndarray:
 def _cmd_check_pair(args) -> int:
     lhs = _parse_probs(args.lhs, "--lhs")
     rhs = _parse_probs(args.rhs, "--rhs")
+    # A total is the verdict's last partial sum: two totals more than the tie
+    # tolerance apart would decide the verdict instead of the spectra.
+    gap = abs(float(np.cumsum(lhs)[-1] - np.cumsum(rhs)[-1]))
+    if gap > EPS_TIE:
+        raise ValueError(f"--lhs and --rhs totals differ by {gap:.1e}, more than the tie tolerance {EPS_TIE:.0e}")
     if args.format == "csv" and max(lhs.size, rhs.size) > 3:
         raise ValueError("--format csv holds at most three entries per vector; use --format json")
     v = verdict(lhs, rhs)

@@ -2,10 +2,13 @@
 
 A deterministic local conversion |Psi> -> |Phi> exists exactly when the
 descending Schmidt probability vector of |Psi> is majorized by that of |Phi>
-(every leading partial sum bounded).  Pairs where neither direction holds are
-*incomparable*; for two-dimensional spectra that never happens, and for
-three-dimensional strictly ordered spectra incomparability reduces to a pair
-of partial-sum crossing conditions implemented in :func:`incomparable_3dim`.
+(every leading partial sum bounded).  :func:`verdict_codes` decides both
+directions for a stack of pairs in one pass over the two sides stacked
+together.  Pairs where neither direction holds are *incomparable*; for
+two-dimensional spectra that never happens, and for three-dimensional strictly
+ordered spectra with equal totals incomparability reduces to a pair of
+partial-sum crossing conditions, tested in Python scalars by
+:func:`incomparable_3dim`.
 """
 
 from __future__ import annotations
@@ -73,16 +76,6 @@ def _descending_probs(values: Sequence[float]) -> np.ndarray:
     return np.sort(v)[::-1]
 
 
-def _descending_rows(rows: np.ndarray, width: int) -> np.ndarray:
-    """Rows sorted descending and zero-padded on the right to ``width``."""
-    rows = np.sort(rows, axis=1)[:, ::-1]
-    if rows.shape[1] == width:
-        return rows
-    out = np.zeros((rows.shape[0], width))
-    out[:, : rows.shape[1]] = rows
-    return out
-
-
 def schmidt_decompose(state: PureState, cut: Sequence[int]) -> np.ndarray:
     """Descending squared Schmidt coefficients across the given bipartition.
 
@@ -114,21 +107,36 @@ VERDICT_BY_CODE = (
 def verdict_codes(lhs, rhs, eps: float = EPS_TIE) -> np.ndarray:
     """Row-wise four-way verdict as indices into :data:`VERDICT_BY_CODE`.
 
-    ``lhs`` and ``rhs`` are stacks of spectra, shapes (n, k) and (n, m); each
-    row is sorted descending and the shorter side zero-padded.  Row ``j`` of
-    one side is majorized by row ``j`` of the other when every leading
-    partial sum is bounded by the matching partial sum of the other up to
-    the tie tolerance ``eps``; forward is lhs majorized by rhs.
+    ``lhs`` and ``rhs`` are stacks of spectra, shapes (n, k) and (n, m).  Row
+    ``j`` of one side is majorized by row ``j`` of the other when every
+    leading partial sum is bounded by the matching partial sum of the other
+    up to the tie tolerance ``eps``; forward is lhs majorized by rhs.
+
+    Both sides go into one (n, 2, w) stack, each row sorted (when k != m,
+    each side is sorted first and the shorter one then zero-padded), and one
+    reversed cumulative sum gives the descending partial sums of both.  The
+    two directions are the bounded comparisons ``sums_l <= sums_r + eps`` and
+    ``sums_r <= sums_l + eps``, so a difference of exactly ``eps`` counts as
+    bounded.
     """
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     if lhs.ndim != 2 or rhs.ndim != 2 or lhs.shape[0] != rhs.shape[0] or 0 in lhs.shape[1:] + rhs.shape[1:]:
         raise ValueError(f"expected (n, k) and (n, m) stacks of spectra, got {lhs.shape} and {rhs.shape}")
-    width = max(lhs.shape[1], rhs.shape[1])
-    sums_l = np.cumsum(_descending_rows(lhs, width), axis=1)
-    sums_r = np.cumsum(_descending_rows(rhs, width), axis=1)
-    forward = np.all(sums_l <= sums_r + eps, axis=1)
-    backward = np.all(sums_r <= sums_l + eps, axis=1)
-    return 2 * forward.astype(np.intp) + backward
+    (n, k), m = lhs.shape, rhs.shape[1]
+    if k == m:
+        sides = np.concatenate((lhs, rhs), axis=1).reshape(n, 2, k)
+        sides.sort(axis=2)
+    else:
+        # ascending rows with the padding zeros in front, so that the reversed
+        # row is the descending spectrum followed by its zeros
+        width = max(k, m)
+        sides = np.zeros((n, 2, width))
+        sides[:, 0, width - k :] = np.sort(lhs, axis=1)
+        sides[:, 1, width - m :] = np.sort(rhs, axis=1)
+    sums = sides[:, :, ::-1].cumsum(axis=2)
+    # bounded[:, 0] is sums_l <= sums_r + eps (forward), bounded[:, 1] the reverse
+    bounded = (sums <= sums[:, ::-1] + eps).all(axis=2)
+    return 2 * bounded[:, 0] + bounded[:, 1]
 
 
 def majorizes_rows(lo, hi, eps: float = EPS_TIE) -> np.ndarray:
@@ -168,13 +176,18 @@ def incomparable_3dim(avec, bvec, eps: float = EPS_TIE) -> bool:
 
         a1 > b1 and b1 + b2 > a1 + a2,   or   b1 > a1 and a1 + a2 > b1 + b2,
 
-    or when either six-term interleaving chain holds (a1>b1>b2>a2>a3>b3 or
-    its mirror).  All comparisons are strict beyond ``eps``.  Spectra with
-    internal ties are rejected: route those through :func:`verdict`.
+    each comparison strict beyond ``eps`` (``x > y + eps``).  The test reads
+    the crossings only: when the two totals agree, an interleaving chain such
+    as a1 > b1 > b2 > a2 > a3 > b3 implies a crossing, since a3 > b3 exactly
+    when a1 + a2 < b1 + b2.  For strictly ordered spectra whose totals agree
+    within ``eps`` it answers as ``verdict(a, b) is Verdict.INCOMPARABLE``;
+    the comparisons are the verdict's own, in Python floats.  Spectra with
+    internal ties raise :class:`SpectrumTieError`: route those through
+    :func:`verdict`.
     """
-    a = np.asarray(avec, dtype=float).reshape(-1)
-    b = np.asarray(bvec, dtype=float).reshape(-1)
-    if a.size != 3 or b.size != 3:
+    a = np.asarray(avec, dtype=float).ravel().tolist()
+    b = np.asarray(bvec, dtype=float).ravel().tolist()
+    if len(a) != 3 or len(b) != 3:
         raise ValueError("both spectra must have exactly 3 entries")
     for v, name in ((a, "first"), (b, "second")):
         if not (v[0] > v[1] + eps and v[1] > v[2] + eps):
@@ -182,15 +195,8 @@ def incomparable_3dim(avec, bvec, eps: float = EPS_TIE) -> bool:
                 f"{name} spectrum is not strictly descending beyond {eps:.0e}; "
                 "use verdict() for degenerate spectra"
             )
-
-    def gt(x, y):
-        return x > y + eps
-
-    crossing_ab = gt(a[0], b[0]) and gt(b[0] + b[1], a[0] + a[1])
-    crossing_ba = gt(b[0], a[0]) and gt(a[0] + a[1], b[0] + b[1])
-    chain_ab = gt(a[0], b[0]) and gt(b[0], b[1]) and gt(b[1], a[1]) and gt(a[1], a[2]) and gt(a[2], b[2])
-    chain_ba = gt(b[0], a[0]) and gt(a[0], a[1]) and gt(a[1], b[1]) and gt(b[1], b[2]) and gt(b[2], a[2])
-    return crossing_ab or crossing_ba or chain_ab or chain_ba
+    head_a, head_b = a[0] + a[1], b[0] + b[1]
+    return (a[0] > b[0] + eps and head_b > head_a + eps) or (b[0] > a[0] + eps and head_a > head_b + eps)
 
 
 def entanglement_entropy(probs) -> float:

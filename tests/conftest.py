@@ -28,3 +28,28 @@ def random_strict_triple(rng, min_gap=1e-6):
         v = random_prob_vector(rng, 3)
         if v[0] - v[1] > min_gap and v[1] - v[2] > min_gap:
             return v
+
+
+def prob_vectors(rng, n, size):
+    """``size`` calls of :func:`random_prob_vector` as one (size, n) array.
+
+    One batched Dirichlet draw returns the same vectors bit for bit as
+    ``size`` single draws and leaves ``rng`` in the same state.
+    """
+    return np.sort(rng.dirichlet(np.ones(n), size=size), axis=1)[:, ::-1]
+
+
+def strict_triples(rng, size, min_gap=1e-6):
+    """``size`` calls of :func:`random_strict_triple` as one (size, 3) array.
+
+    Each block draws only as many vectors as triples are still missing, and
+    the rejection keeps the accepted ones in draw order, so the triples and
+    the final state of ``rng`` are those of the sequential calls.
+    """
+    blocks = []
+    while size > 0:
+        v = prob_vectors(rng, 3, size)
+        v = v[(v[:, 0] - v[:, 1] > min_gap) & (v[:, 1] - v[:, 2] > min_gap)]
+        blocks.append(v)
+        size -= len(v)
+    return np.concatenate(blocks)

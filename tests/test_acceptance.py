@@ -38,7 +38,7 @@ from qflip.schmidt import (
     verdict_codes,
 )
 
-from conftest import random_prob_vector, random_strict_triple
+from conftest import prob_vectors, random_prob_vector, random_strict_triple, strict_triples
 
 GRID_N = 40
 GRID_MARGIN = 1e-3
@@ -210,21 +210,33 @@ def test_criterion_6_degenerate_family():
 
 
 def _incomparable_rows(pairs) -> np.ndarray:
-    """Majorization verdict of every (a, b) pair, decided in one batched call."""
-    lhs, rhs = (np.array(side) for side in zip(*pairs))
-    return verdict_codes(lhs, rhs) == VERDICT_BY_CODE.index(Verdict.INCOMPARABLE)
+    """Majorization verdict of every pair of an (n, 2, k) stack, decided in one batched call."""
+    return verdict_codes(pairs[:, 0], pairs[:, 1]) == VERDICT_BY_CODE.index(Verdict.INCOMPARABLE)
 
 
 def test_criterion_7_criterion_equivalence():
     rng = np.random.default_rng(4242)
-    triples = [(random_strict_triple(rng), random_strict_triple(rng)) for _ in range(100_000)]
+    # the draws of 2e5 random_strict_triple calls, then of 2e5 random_prob_vector(rng, 2) calls
+    triples = strict_triples(rng, 200_000).reshape(100_000, 2, 3)
     closed_form = np.array([incomparable_3dim(a, b) for a, b in triples])
     disagreements = int(np.sum(closed_form != _incomparable_rows(triples)))
     assert disagreements == 0
-    pairs = [(random_prob_vector(rng, 2), random_prob_vector(rng, 2)) for _ in range(100_000)]
+    pairs = prob_vectors(rng, 2, 200_000).reshape(100_000, 2, 2)
     disagreements += int(np.sum(_incomparable_rows(pairs)))
     assert disagreements == 0
     _report(7, "closed-form test agrees with the majorization verdict on 1e5 triples; no 2-dim incomparables in 1e5")
+
+
+@pytest.mark.parametrize("min_gap", [1e-6, 0.05])
+def test_criterion_7_block_draws_repeat_the_sequential_draws(min_gap):
+    # at min_gap 0.05 about one draw in four is rejected, so the prefix holds rejections
+    sequential, blocked = np.random.default_rng(4242), np.random.default_rng(4242)
+    expected = [random_strict_triple(sequential, min_gap) for _ in range(2_000)]
+    expected += [random_prob_vector(sequential, 2) for _ in range(2_000)]
+    drawn = list(strict_triples(blocked, 2_000, min_gap)) + list(prob_vectors(blocked, 2, 2_000))
+    assert len(drawn) == len(expected)
+    assert all(np.array_equal(x, y) for x, y in zip(drawn, expected))
+    assert blocked.bit_generator.state == sequential.bit_generator.state
 
 
 def test_criterion_8_entropy_monotonicity():

@@ -231,6 +231,27 @@ def test_check_pair_rejects_non_finite(lhs, capsys):
 
 
 @pytest.mark.parametrize(
+    "rhs",
+    [
+        "0.51,0.29,0.2",  # the partial sums cross only in the totals: was printed as Incomparable
+        "0.45,0.35,0.2",  # an interleaving chain without a crossing: was BackwardCertain beside a true closed form
+    ],
+)
+def test_check_pair_rejects_totals_beyond_the_tie_tolerance(rhs, monkeypatch, capsys):
+    # each total lies within the 1e-6 that a probability vector may miss 1 by,
+    # but the two differ by 5e-7, far beyond the verdict's tie tolerance
+    monkeypatch.setattr(cli, "verdict", None)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check-pair", "--lhs", "0.5,0.3,0.2000005", "--rhs", rhs])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "qflip: error: --lhs and --rhs totals differ by 5.0e-07, more than the tie tolerance 1e-12"
+    )
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "general", "--a", "0.5", "--c", "0.5", "--theta", "1.0", "--mu", "nan"],

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qflip.constructions import AXES_LAMBDA_FINAL, AXES_PARAMS, build_family_state
@@ -194,6 +194,56 @@ def test_verdict_examples():
 def test_incomparable_3dim_examples():
     assert incomparable_3dim([0.51, 0.30, 0.19], [0.49, 0.36, 0.15])
     assert not incomparable_3dim([0.5, 0.3, 0.2], [0.6, 0.3, 0.1])
+
+
+def test_incomparable_3dim_reads_crossings_only():
+    # a1 > b1 > b2 > a2 > a3 > b3 interleaves only because the totals differ
+    # by 5e-7; the leading pairs tie at 0.8, so neither crossing holds, and
+    # the verdict agrees that the pair is comparable
+    assert not incomparable_3dim((0.5, 0.3, 0.2000005), (0.45, 0.35, 0.2))
+    assert verdict((0.5, 0.3, 0.2000005), (0.45, 0.35, 0.2)) is Verdict.BACKWARD_CERTAIN
+    # at equal totals a chain can still fire without a crossing, by rounding:
+    # a3 - b3 lies just beyond the tie tolerance, b1 + b2 - (a1 + a2) just within
+    a = (0.4689968936749105, 0.2705333798743436, 0.26046972645074584)
+    b = (0.4689968936729105, 0.27053337987734366, 0.2604697264497458)
+    assert a[0] + a[1] + a[2] == b[0] + b[1] + b[2] == 1.0
+    assert not incomparable_3dim(a, b)
+    assert verdict(a, b) is Verdict.BACKWARD_CERTAIN
+
+
+def _quanta(draw):
+    """Three distinct multiples of 1/64 summing to 1, largest first, as counts of 1/64."""
+    low = draw(st.integers(0, 20))
+    mid = draw(st.integers(low + 1, (63 - low) // 2))
+    return 64 - low - mid, mid, low
+
+
+@st.composite
+def _strict_pairs(draw):
+    """Two strictly descending triples whose totals agree within the tie tolerance.
+
+    The second triple is drawn afresh or moved one quantum from the first, so
+    that leading partial sums often tie, and every entry is shifted by -1, 0
+    or +1 tie tolerances, as in :func:`_spectrum_stacks`.
+    """
+    qa = _quanta(draw)
+    if draw(st.booleans()):
+        j, k = draw(st.integers(-1, 1)), draw(st.integers(-1, 1))
+        qb = (qa[0] + j, qa[1] + k, qa[2] - j - k)
+        assume(qb[0] > qb[1] > qb[2] >= 0)
+    else:
+        qb = _quanta(draw)
+    a, b = ([q * _QUANTUM + draw(st.integers(-1, 1)) * EPS_TIE for q in qs] for qs in (qa, qb))
+    # summed left to right, as the verdict's last partial sum is
+    assume(abs((a[0] + a[1] + a[2]) - (b[0] + b[1] + b[2])) <= EPS_TIE)
+    return a, b
+
+
+@settings(max_examples=500, deadline=None)
+@given(_strict_pairs())
+def test_incomparable_3dim_is_the_verdict_when_totals_agree(pair):
+    a, b = pair
+    assert incomparable_3dim(a, b) == (verdict(a, b) is Verdict.INCOMPARABLE)
 
 
 def test_incomparable_3dim_rejects_ties_with_verdict_fallback():
