@@ -30,7 +30,7 @@ from .bloch import (
 )
 from .linalg import DimensionError, kron, partial_trace
 from .ordering import CHAIN_TIE_TOL, check_atlas, pattern_labels
-from .schmidt import VERDICT_BY_CODE, PureState, Verdict, schmidt_decompose, verdict, verdict_codes
+from .schmidt import VERDICT_BY_CODE, PureState, Verdict, schmidt_decompose, stacked_verdict_codes, verdict
 
 SPECTRUM_AGREEMENT_TOL = 1e-9
 DEFAULT_DEGENERACY_MARGIN = 1e-6
@@ -63,7 +63,7 @@ def check_margin(margin: float) -> None:
         raise ValueError(f"margin must lie in (0, 1), got {margin}")
 
 
-def route_tolerance(coeff_a, *b_vals, base: float | np.ndarray | None = None):
+def route_tolerance(coeff_a, b_vals, base: float | np.ndarray | None = None):
     """Cross-route agreement tolerance, widened near repeated-root boundaries.
 
     ``base`` (default ``SPECTRUM_AGREEMENT_TOL``) applies away from the
@@ -71,15 +71,14 @@ def route_tolerance(coeff_a, *b_vals, base: float | np.ndarray | None = None):
     repeated-root boundary 2 A^{3/2}, the closed-form roots split a
     near-double pair only to O(sqrt(eps)) while the eigensolver stays fully
     accurate, so the two routes legitimately differ by up to ~4 sqrt(A * eps)
-    there.  Works elementwise on arrays of A and B values.
+    there.  Works elementwise on arrays of A, each with the B values on the
+    last axis of ``b_vals``.
     """
     if base is None:
         base = SPECTRUM_AGREEMENT_TOL
-    edge = 2.0 * coeff_a * np.sqrt(coeff_a)
+    edge = (2.0 * coeff_a * np.sqrt(coeff_a))[..., None]
     widened = 4.0 * np.sqrt(coeff_a * 1e-15)
-    near = False
-    for b_val in b_vals:
-        near = near | (np.abs(edge - np.abs(b_val)) < 1e-9 * edge)
+    near = (np.abs(edge - np.abs(b_vals)) < 1e-9 * edge).any(axis=-1)
     return np.where(near & (widened > base), widened, base)
 
 
@@ -200,19 +199,16 @@ def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``live`` marks (a mask, or one bool for all rows) must be Incomparable,
     and the ordering of each live row, and of each other row whose B and
     Bprime differ by more than ``DEGENERACY_GAP_TOL``, must match the atlas
-    within the route tolerance built on ``CHAIN_TIE_TOL``.  A failure raises
-    :class:`VerificationError` (or :class:`OrderingMismatchError`) naming
-    the first failing point.  Returns the per-row error, verdict codes and
-    :func:`check_atlas` regions.
+    within the route tolerance built on ``CHAIN_TIE_TOL``.  Each step runs
+    once on the stacks of both states (``roots``, ``spectra``, ``B_pair``).
+    A failure raises :class:`VerificationError` (or
+    :class:`OrderingMismatchError`) naming the first failing point.  Returns
+    the per-row error, verdict codes and :func:`check_atlas` regions.
     """
-    max_err = np.maximum(
-        np.max(np.abs(rows["alpha"] - rows["num_alpha"]), axis=1),
-        np.max(np.abs(rows["beta"] - rows["num_beta"]), axis=1),
-    )
+    max_err = np.abs(rows["roots"] - rows["spectra"]).max(axis=(1, 2))
     # the route gate's tolerance and the atlas check's tie tolerance, in one call
     route_tol, tie_tol = route_tolerance(
-        rows["A"][:, None], rows["B"][:, None], rows["Bprime"][:, None],
-        base=np.array([SPECTRUM_AGREEMENT_TOL, CHAIN_TIE_TOL]),
+        rows["A"][:, None], rows["B_pair"][:, None, :], base=np.array([SPECTRUM_AGREEMENT_TOL, CHAIN_TIE_TOL])
     ).T
     disagree = ~(max_err <= route_tol)
     if disagree.any():
@@ -221,7 +217,7 @@ def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"analytic and numeric spectra disagree beyond {SPECTRUM_AGREEMENT_TOL:g} at "
             f"{int(disagree.sum())} points, first at {_where(rows, j)} (error {max_err[j]:.3e})"
         )
-    codes = verdict_codes(rows["num_alpha"], rows["num_beta"])
+    codes = stacked_verdict_codes(rows["spectra"])
     comparable = live & (codes != VERDICT_BY_CODE.index(Verdict.INCOMPARABLE))
     if comparable.any():
         j = int(np.argmax(comparable))

@@ -25,21 +25,23 @@ import numpy as np
 
 from .bloch import complements
 
-_TWO_THIRDS_PI = 2.0 * np.pi / 3.0
+# t * _PHI_SIGNS + _PHI_OFFSETS is (2pi/3 + t, t, 2pi/3 - t) to the bit: x + (-t) is x - t
+_PHI_SIGNS = np.array([1.0, 1.0, -1.0])
+_PHI_OFFSETS = np.array([2.0 * np.pi / 3.0, 0.0, 2.0 * np.pi / 3.0])
 
 
-def cubic_coefficients_rows(a, c, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cubic_coefficients_rows(a, c, theta, bd=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients (A, B, Bprime) of the two characteristic cubics, elementwise.
 
     With w = <psi|phi>, A = [2 a^2 c^2 + |w|^4] / 3 is shared;
     B = 2 a^2 c^2 |w|^2 belongs to the initial state and
     Bprime = 2 a^2 c^2 Re{w^2} to the flipped one.  They satisfy
     B - Bprime = 4 a^2 b^2 c^2 d^2 sin^2(theta), so B >= Bprime always, with
-    equality exactly on great-circle parameters.
+    equality exactly on great-circle parameters.  ``bd``: complements(a, c), if known.
     """
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
-    b, d = complements(a, c)
+    b, d = complements(a, c) if bd is None else bd
     w_re = a * c + b * d * np.cos(theta)
     w_im = b * d * np.sin(theta)
     w2 = w_re * w_re + w_im * w_im
@@ -59,8 +61,7 @@ def labeled_roots_rows(a_coeff, t: np.ndarray) -> np.ndarray:
     angles (3t <= pi) put the cos(t) root last, mirror angles put it in the
     middle.
     """
-    phi = np.empty(np.shape(t) + (3,))
-    phi[..., 0], phi[..., 1], phi[..., 2] = _TWO_THIRDS_PI + t, t, _TWO_THIRDS_PI - t
+    phi = np.asarray(t)[..., None] * _PHI_SIGNS + _PHI_OFFSETS
     return (1.0 - 2.0 * np.sqrt(a_coeff)[..., None] * np.cos(phi)) / 3.0
 
 
@@ -77,6 +78,7 @@ def cubic_roots_rows(a_coeff, b_val) -> tuple[np.ndarray, np.ndarray]:
     b_val = np.asarray(b_val, dtype=float)
     pos = a_coeff > 0.0
     denom = 2.0 * np.power(np.where(pos, a_coeff, 1.0), 1.5)
-    t = np.arccos(np.where(pos, np.clip(-b_val / denom, -1.0, 1.0), 0.0)) / 3.0
-    roots = np.sort(labeled_roots_rows(np.where(pos, a_coeff, 0.0), t), axis=-1)[..., ::-1]
-    return np.ascontiguousarray(roots), t
+    t = np.arccos(np.where(pos, np.minimum(np.maximum(-b_val / denom, -1.0), 1.0), 0.0)) / 3.0
+    roots = labeled_roots_rows(np.where(pos, a_coeff, 0.0), t)
+    roots.sort(axis=-1)
+    return roots[..., ::-1], t

@@ -25,7 +25,7 @@ def degeneracy(a, c, theta) -> np.ndarray:
     return a * b * c * d * np.sin(theta)
 
 
-def family_reduced_rows(a, c, theta, mu=0.0, nu=0.0) -> np.ndarray:
+def family_reduced_rows(a, c, theta, mu=0.0, nu=0.0, bd=None) -> np.ndarray:
     """Qutrit-side reduced matrices (n, 2, 3, 3) of both family states.
 
     ``[:, 0]`` belongs to the initial state (1/sqrt3) sum_j |j>|L_j R_j> and
@@ -35,11 +35,12 @@ def family_reduced_rows(a, c, theta, mu=0.0, nu=0.0) -> np.ndarray:
     e^{i mu} (scalars or one per point) multiply flipped levels 1 and 2, as
     in :func:`qflip.constructions.build_family_state_flipped`.  Entry
     [j, k] of each matrix is <B_k|B_j> / 3 for the 4-dim Bob blocks B_j.
+    ``bd``: complements(a, c), if known.
     """
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     n = a.shape[0]
-    b, d = complements(a, c)
+    b, d = complements(a, c) if bd is None else bd
     # axes (state, level, amplitude, point): with the point axis last, every
     # product and the Gram sums run along it, faster than a point-first layout
     left = np.zeros((3, 2, n), dtype=complex)
@@ -64,15 +65,19 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray, mu=0.0, nu=0.0) -
     the closed-form cubic spectra (coefficients A, B, B' then trig roots)
     and a numeric route that eigensolves the reduced 3x3 matrices of
     :func:`family_reduced_rows`, device phases ``mu`` and ``nu`` included.
-    Returns a dict of per-point arrays, the points' own coordinates
-    included; the initial and flipped columns may be views of one stack.
+    Both share one ``complements(a, c)``.  Returns a dict of per-point arrays,
+    the points' own coordinates included, with the stacks ``B_pair`` (n, 2)
+    and ``roots``, ``spectra`` (n, 2, 3: initial, flipped; descending) beside
+    their per-state views ``alpha``, ``beta``, ``num_alpha``, ``num_beta``.
     """
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(a, c, theta)
-    roots, t = cubic_roots_rows(coeff_a[:, None], np.stack([coeff_b, coeff_bp], axis=1))
-    spectra = np.linalg.eigvalsh(family_reduced_rows(a, c, theta, mu, nu))[..., ::-1]
+    bd = complements(a, c)
+    coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(a, c, theta, bd)
+    b_pair = np.array([coeff_b, coeff_bp]).T
+    roots, t = cubic_roots_rows(coeff_a[:, None], b_pair)
+    spectra = np.linalg.eigvalsh(family_reduced_rows(a, c, theta, mu, nu, bd))[..., ::-1]
     return {
         "a": a,
         "c": c,
@@ -80,6 +85,9 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray, mu=0.0, nu=0.0) -
         "A": coeff_a,
         "B": coeff_b,
         "Bprime": coeff_bp,
+        "B_pair": b_pair,
+        "roots": roots,
+        "spectra": spectra,
         "alpha": roots[:, 0],
         "beta": roots[:, 1],
         "theta_i": t[:, 0],

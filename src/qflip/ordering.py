@@ -71,6 +71,7 @@ def _region_index(angle3):
 # indices: principal/principal, principal/mirror, mirror/principal, mirror/mirror.
 _REP_I = np.array([0, 0, 1, 1])
 _REP_F = np.array([0, 1, 0, 1])
+_PAIRS = np.arange(4)
 # Where each pair's labels a1..a3, b1..b3 sit among a row's twelve labeled
 # roots, laid out as [spectrum][representative][label].
 _PAIR_LABELS = np.concatenate([3 * _REP_I[:, None] + np.arange(3), 6 + 3 * _REP_F[:, None] + np.arange(3)], axis=1)
@@ -121,51 +122,46 @@ def check_atlas(
     1 final, representative 0 principal and 1 mirror.  Every row that
     ``live`` marks (a mask, or one bool for all rows) is checked; any other
     row whose B and Bprime agree within ``DEGENERACY_GAP_TOL`` has no
-    ordering to classify, is not checked and holds -1.  Raises
+    ordering to classify: its angles read as 0, its failures are masked and
+    its regions hold -1.  Raises
     :class:`OrderingMismatchError` when any checked row deviates from the
     atlas.
     """
     a_coeff = np.asarray(a_coeff, dtype=float).reshape(-1)
     gap = np.abs(np.asarray(b_val, dtype=float) - bprime_val).reshape(-1)
-    checked = np.asarray(live) | (gap > DEGENERACY_GAP_TOL)
-    regions = np.full((a_coeff.size, 2, 2), -1, dtype=np.intp)
-    angle3 = 3.0 * np.array([theta_i, theta_f], dtype=float).reshape(2, -1).T[checked]
-    m = angle3.shape[0]
-    if m == 0:
-        return regions
-    reps = np.empty((m, 2, 2))  # (row, spectrum, representative)
-    reps[..., 0] = angle3
-    reps[..., 1] = (2.0 * pi - angle3) % (2.0 * pi)
-    checked_regions = _region_index(reps).astype(np.intp)
-    regions[checked] = checked_regions
+    checked = (np.asarray(live) | (gap > DEGENERACY_GAP_TOL))[:, None]  # (row, 1)
+    n = a_coeff.size
+    reps = np.zeros((n, 2, 2))  # (row, spectrum, representative)
+    angle3 = np.array([theta_i, theta_f], dtype=float).reshape(2, -1).T
+    np.multiply(3.0, angle3, out=reps[..., 0], where=checked)
+    reps[..., 1] = (2.0 * pi - reps[..., 0]) % (2.0 * pi)
+    regions = _region_index(reps).astype(np.intp)
 
     # labeled roots of every representative, flattened to (row, 12)
-    roots = labeled_roots_rows(a_coeff[checked][:, None, None], reps / 3.0).reshape(m, 12)
+    roots = labeled_roots_rows(a_coeff[:, None, None], reps / 3.0).reshape(n, 12)
 
     def region_pair(row, k):
-        return _REGION_NAMES[checked_regions[row, 0, _REP_I[k]]], _REGION_NAMES[checked_regions[row, 1, _REP_F[k]]]
+        return _REGION_NAMES[regions[row, 0, _REP_I[k]]], _REGION_NAMES[regions[row, 1, _REP_F[k]]]
 
     table, gather, _ = _atlas_tables(tuple(PATTERN_ATLAS.items()))
-    entry = table[checked_regions[:, 0, _REP_I], checked_regions[:, 1, _REP_F]]  # (row, pair)
+    entry = table[regions[:, 0, _REP_I], regions[:, 1, _REP_F]]  # (row, pair)
     missing = entry < 0
-    if missing.any():
-        pair = region_pair(*np.argwhere(missing)[0])
-        raise OrderingMismatchError(f"region pair {pair} has no atlas entry")
-    # each pair's six roots in the order of its atlas chain: (row, pair, 6)
-    ordered = roots[np.arange(m)[:, None, None], gather[np.arange(4), entry]]
-    tie_tol = np.asarray(tie_tol, dtype=float)
-    if tie_tol.ndim:
-        tie_tol = tie_tol.reshape(-1)[checked, None, None]
-    holds = (ordered[..., :-1] >= ordered[..., 1:] - tie_tol).all(axis=-1)
-    if not holds.all():
-        row, k = np.argwhere(~holds)[0]
+    # each pair's six roots in the order of its atlas chain: (row, pair, 6); a
+    # pair with no entry (-1) gathers the last chain and fails as missing
+    ordered = roots[np.arange(n)[:, None, None], gather[_PAIRS, entry]]
+    tie_tol = np.reshape(tie_tol, (-1, 1, 1))  # one value for all rows, or one per row
+    fails = (missing | ~(ordered[..., :-1] >= ordered[..., 1:] - tie_tol).all(axis=-1)) & checked
+    if fails.any():
+        if (missing := missing & checked).any():
+            raise OrderingMismatchError(f"region pair {region_pair(*np.argwhere(missing)[0])} has no atlas entry")
+        row, k = np.argwhere(fails)[0]
         pair = region_pair(row, k)
         observed = dict(zip(_LABELS, roots[row, _PAIR_LABELS[k]].tolist()))
         raise OrderingMismatchError(
             f"ordering for region pair {pair} deviates from the atlas chain "
             f"{'>'.join(PATTERN_ATLAS[pair])}: {observed}"
         )
-    return regions
+    return np.where(checked[..., None], regions, -1)
 
 
 def pattern_labels(regions: np.ndarray) -> np.ndarray:

@@ -4,11 +4,11 @@ A deterministic local conversion |Psi> -> |Phi> exists exactly when the
 descending Schmidt probability vector of |Psi> is majorized by that of |Phi>
 (every leading partial sum bounded).  :func:`verdict_codes` decides both
 directions for a stack of pairs in one pass over the two sides stacked
-together.  Pairs where neither direction holds are *incomparable*; for
-two-dimensional spectra that never happens, and for three-dimensional strictly
-ordered spectra with equal totals incomparability reduces to a pair of
-partial-sum crossing conditions, tested in Python scalars by
-:func:`incomparable_3dim`.
+together (:func:`stacked_verdict_codes`).  Pairs where neither direction
+holds are *incomparable*; for two-dimensional spectra that never happens, and
+for three-dimensional strictly ordered spectra with equal totals
+incomparability reduces to a pair of partial-sum crossing conditions, tested
+in Python scalars by :func:`incomparable_3dim`.
 """
 
 from __future__ import annotations
@@ -95,13 +95,22 @@ def schmidt_decompose(state: PureState, cut: Sequence[int]) -> np.ndarray:
     return np.clip(vals, 0.0, None)
 
 
-# Four-way verdict indexed by 2 * forward + backward.
+# Four-way verdict indexed by 2 * forward + backward, the dot product with _CODE_WEIGHTS.
+_CODE_WEIGHTS = np.array([2, 1])
 VERDICT_BY_CODE = (
     Verdict.INCOMPARABLE,
     Verdict.BACKWARD_CERTAIN,
     Verdict.FORWARD_CERTAIN,
     Verdict.INTERCONVERTIBLE,
 )
+
+
+def stacked_verdict_codes(sides, eps: float = EPS_TIE) -> np.ndarray:
+    """:func:`verdict_codes` of an (n, 2, w) stack of lhs (``[:, 0]``) and rhs
+    (``[:, 1]``) spectra, every row descending and zero-padded to width w."""
+    sums = sides.cumsum(axis=2)
+    # bounded[:, 0] is sums_l <= sums_r + eps (forward), bounded[:, 1] the reverse
+    return (sums <= sums[:, ::-1] + eps).all(axis=2).dot(_CODE_WEIGHTS)
 
 
 def verdict_codes(lhs, rhs, eps: float = EPS_TIE) -> np.ndarray:
@@ -133,10 +142,7 @@ def verdict_codes(lhs, rhs, eps: float = EPS_TIE) -> np.ndarray:
         sides = np.zeros((n, 2, width))
         sides[:, 0, width - k :] = np.sort(lhs, axis=1)
         sides[:, 1, width - m :] = np.sort(rhs, axis=1)
-    sums = sides[:, :, ::-1].cumsum(axis=2)
-    # bounded[:, 0] is sums_l <= sums_r + eps (forward), bounded[:, 1] the reverse
-    bounded = (sums <= sums[:, ::-1] + eps).all(axis=2)
-    return 2 * bounded[:, 0] + bounded[:, 1]
+    return stacked_verdict_codes(sides[:, :, ::-1], eps)
 
 
 def majorizes_rows(lo, hi, eps: float = EPS_TIE) -> np.ndarray:

@@ -465,7 +465,7 @@ def test_sweep_evaluates_only_certified_points(monkeypatch, capsys):
 def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsys):
     # both paths certify through certify_rows: per certification both cubics are
     # solved in one call, the atlas is checked once and route_tolerance runs once, and
-    # the chain is checked within route_tolerance(A, B, B', base=CHAIN_TIE_TOL)
+    # the chain is checked within route_tolerance(A, (B, B'), base=CHAIN_TIE_TOL)
     calls = {"check_atlas": [], "cubic_roots_rows": [], "route_tolerance": []}
 
     def recording(name, real):
@@ -497,7 +497,8 @@ def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsy
     assert counts == {"check_atlas": 28, "cubic_roots_rows": 28, "route_tolerance": 28}
     sweep, *single = calls["check_atlas"]
     for call in calls["check_atlas"]:
-        expected = route_tolerance(call["a_coeff"], call["b_val"], call["bprime_val"], base=CHAIN_TIE_TOL)
+        b_pair = np.stack([call["b_val"], call["bprime_val"]], axis=-1)
+        expected = route_tolerance(call["a_coeff"], b_pair, base=CHAIN_TIE_TOL)
         np.testing.assert_array_equal(call["tie_tol"], expected)
     np.testing.assert_array_equal(np.concatenate([call["tie_tol"] for call in single]), sweep["tie_tol"])
 
@@ -578,6 +579,24 @@ def test_sweep_golden_sha256(fmt):
     )
     assert out.returncode == 0, out.stderr
     assert hashlib.sha256(out.stdout).hexdigest() == GOLDEN_SWEEP_GRID12[fmt]
+
+
+# sha256 of the output of the two sweeps perfbench runs (`sweep-dense` and
+# `sweep-sparse`), so a speed-up of any layer must keep their bytes too.
+GOLDEN_BENCHMARK_SWEEPS = {
+    ("--grid", "40"): "6c6aaff3f257b8362b26ccc7ffa7e2e148c8ff69e07504d5398f5592c7a5a924",
+    ("--grid", "80", "--margin", "0.24", "--format", "csv"): (
+        "2506f086ae16edf6071b5b7feb8211841bdd93b7ac4ee07ea9c0ecb802ddc018"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_BENCHMARK_SWEEPS), ids=["grid40-json", "grid80-csv"])
+def test_benchmark_sweeps_golden_sha256(argv, tmp_path, capsys):
+    target = tmp_path / "sweep.out"
+    code, _, _ = run_cli(capsys, "sweep", *argv, "--out", str(target))
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_BENCHMARK_SWEEPS[argv]
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -4,24 +4,27 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qflip import constructions, cubic, kernels
+from qflip import bloch, constructions, cubic, kernels
 from qflip.bloch import FlipParams, canonical_triple, density_to_bloch, qubit_to_bloch, random_qubit
 from qflip.constructions import (
     AXES_LAMBDA_FINAL,
     AXES_LAMBDA_INITIAL,
     AXES_PARAMS,
+    DEFAULT_DEGENERACY_MARGIN,
     VerificationError,
     axes_experiment,
     bob_qubit_reduction,
     build_family_state,
     build_family_state_flipped,
     build_flipper_pair,
+    certify_rows,
     family_reduced_flipped,
     family_reduced_initial,
     flipper_experiment,
     general_flip_experiment,
 )
 from qflip.linalg import DimensionError, partial_trace
+from qflip.ordering import pattern_labels
 from qflip.schmidt import PureState, Verdict, schmidt_decompose, verdict
 
 
@@ -264,11 +267,13 @@ _COMPOSITE_ROUTE = {
 def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
     # both cubics are solved in one call (one labeled-root pass) and the atlas
     # is checked once (a second pass) and labeled once; the route gate and the
-    # atlas tie tolerance share one route_tolerance call; no composite state
-    # is built
+    # atlas tie tolerance share one route_tolerance call; b and d are computed
+    # once for the degeneracy test and once for both routes of grid_eval; no
+    # composite state is built
     counts = _count_calls(
         monkeypatch,
         {
+            "complements": bloch.complements,
             "cubic_roots_rows": cubic.cubic_roots_rows,
             "labeled_roots_rows": cubic.labeled_roots_rows,
             "check_atlas": constructions.check_atlas,
@@ -280,7 +285,12 @@ def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
     result = general_flip_experiment(FlipParams(a=0.3, c=0.7, theta=1.2), mu=0.4, nu=2.0)
     assert result.ordering is not None
     assert counts == {
-        "cubic_roots_rows": 1, "labeled_roots_rows": 2, "check_atlas": 1, "pattern_labels": 1, "route_tolerance": 1
+        "complements": 2,
+        "cubic_roots_rows": 1,
+        "labeled_roots_rows": 2,
+        "check_atlas": 1,
+        "pattern_labels": 1,
+        "route_tolerance": 1,
     }
 
 
@@ -293,3 +303,62 @@ def test_axes_experiment_is_one_certified_family_row(monkeypatch):
     result = axes_experiment(chi=0.4, eta=0.7)
     assert result.params == AXES_PARAMS and (result.mu, result.nu) == (0.7, 0.4)
     assert counts == {"grid_eval": 1, "certify_rows": 1}
+
+
+def _certified_batch(a, c, theta, mu, nu):
+    """grid_eval and certify_rows on one batch of points, every result as an array."""
+    rows = kernels.grid_eval(a, c, theta, mu, nu)
+    live = np.abs(kernels.degeneracy(a, c, theta)) > DEFAULT_DEGENERACY_MARGIN
+    max_err, codes, regions = certify_rows(rows, live)
+    return {**rows, "max_err": max_err, "codes": codes, "regions": regions, "ordering": pattern_labels(regions)}
+
+
+def test_certify_route_is_bit_identical_across_batch_sizes():
+    # a single point is a one-row call of the sweep's batched route, so every
+    # array it returns must carry a batch row's bytes, whatever the batch size;
+    # 8193 rows is one more than a sweep chunk
+    rng = np.random.default_rng(20261019)
+    n = 200
+    a = np.concatenate([rng.uniform(0.0, 1.0, n), [AXES_PARAMS.a, 0.0, 0.0]])
+    c = np.concatenate([rng.uniform(0.0, 1.0, n), [AXES_PARAMS.c, 0.5, 1.0]])
+    theta = np.concatenate([rng.uniform(0.0, np.pi, n), [AXES_PARAMS.theta, 1.0, 1.0]])
+    mu, nu = rng.uniform(-np.pi, np.pi, (2, n + 3))
+    points = np.arange(n + 3)
+    # one-row calls take the phases as floats, as general_flip_experiment does
+    singles = [_certified_batch(a[[j]], c[[j]], theta[[j]], float(mu[j]), float(nu[j])) for j in points]
+    assert singles[-1]["A"][0] == 0.0  # (0, 1, 1): b d vanishes, and with it A
+    assert singles[-1]["ordering"][0] is None and singles[-4]["ordering"][0] is not None
+
+    for size in (2, 7, 8193):
+        # every point at least once, the last batch filled up from the first points
+        index = np.resize(points, max(size, -(-(n + 3) // size) * size))
+        for start in range(0, index.size, size):
+            rows = index[start : start + size]
+            batch = _certified_batch(a[rows], c[rows], theta[rows], mu[rows], nu[rows])
+            for k, j in enumerate(rows):
+                for key, value in singles[j].items():
+                    got, want = batch[key][k], value[0]
+                    if key == "ordering":
+                        assert got == want, (size, j, key)
+                    else:
+                        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (size, j, key)
+
+
+# Weights whose Bob qubit is reversed exactly (w1 + w1' = 1) although the
+# pair is comparable: reversal alone does not make a pair incomparable.
+COMPARABLE_REVERSING_WEIGHTS = ((0.51, 0.48, 0.01), (0.49, 0.36, 0.15))
+
+
+def test_reversing_pair_can_be_comparable(monkeypatch):
+    initial, final = COMPARABLE_REVERSING_WEIGHTS
+    assert verdict(initial, final) is Verdict.BACKWARD_CERTAIN
+    monkeypatch.setattr(constructions, "FLIPPER_WEIGHTS_INITIAL", initial)
+    monkeypatch.setattr(constructions, "FLIPPER_WEIGHTS_FINAL", final)
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        psi = random_qubit(rng)
+        direction = qubit_to_bloch(psi)
+        state_i, state_f = build_flipper_pair(psi)
+        np.testing.assert_allclose(schmidt_decompose(state_i, [0]), initial, atol=1e-12)
+        np.testing.assert_allclose(density_to_bloch(bob_qubit_reduction(state_i)), 0.02 * direction, atol=1e-15)
+        np.testing.assert_allclose(density_to_bloch(bob_qubit_reduction(state_f)), -0.02 * direction, atol=1e-15)
