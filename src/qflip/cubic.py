@@ -23,25 +23,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bloch import complements
-
 # t * _PHI_SIGNS + _PHI_OFFSETS is (2pi/3 + t, t, 2pi/3 - t) to the bit: x + (-t) is x - t
 _PHI_SIGNS = np.array([1.0, 1.0, -1.0])
 _PHI_OFFSETS = np.array([2.0 * np.pi / 3.0, 0.0, 2.0 * np.pi / 3.0])
 
 
-def cubic_coefficients_rows(a, c, theta, bd=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def cubic_coefficients_rows(a, b, c, d, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coefficients (A, B, Bprime) of the two characteristic cubics, elementwise.
 
     With w = <psi|phi>, A = [2 a^2 c^2 + |w|^4] / 3 is shared;
     B = 2 a^2 c^2 |w|^2 belongs to the initial state and
     Bprime = 2 a^2 c^2 Re{w^2} to the flipped one.  They satisfy
     B - Bprime = 4 a^2 b^2 c^2 d^2 sin^2(theta), so B >= Bprime always, with
-    equality exactly on great-circle parameters.  ``bd``: complements(a, c), if known.
+    equality exactly on great-circle parameters.  ``b`` and ``d`` are the
+    complements of ``a`` and ``c``, as :func:`qflip.bloch.complements` gives them.
     """
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    b, d = complements(a, c) if bd is None else bd
+    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
     w_re = a * c + b * d * np.cos(theta)
     w_im = b * d * np.sin(theta)
     w2 = w_re * w_re + w_im * w_im

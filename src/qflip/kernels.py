@@ -25,7 +25,7 @@ def degeneracy(a, c, theta) -> np.ndarray:
     return a * b * c * d * np.sin(theta)
 
 
-def family_reduced_rows(a, c, theta, mu=0.0, nu=0.0, bd=None) -> np.ndarray:
+def family_reduced_rows(a, b, c, d, theta, mu=0.0, nu=0.0) -> np.ndarray:
     """Qutrit-side reduced matrices (n, 2, 3, 3) of both family states.
 
     ``[:, 0]`` belongs to the initial state (1/sqrt3) sum_j |j>|L_j R_j> and
@@ -34,13 +34,12 @@ def family_reduced_rows(a, c, theta, mu=0.0, nu=0.0, bd=None) -> np.ndarray:
     right factor R_j is (|0>, phi, psi).  The device phases e^{i nu} and
     e^{i mu} (scalars or one per point) multiply flipped levels 1 and 2, as
     in :func:`qflip.constructions.build_family_state_flipped`.  Entry
-    [j, k] of each matrix is <B_k|B_j> / 3 for the 4-dim Bob blocks B_j.
-    ``bd``: complements(a, c), if known.
+    [j, k] of each matrix is <B_k|B_j> / 3 for the 4-dim Bob blocks B_j;
+    ``b`` and ``d`` are the complements of ``a`` and ``c``.
     """
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     n = a.shape[0]
-    b, d = complements(a, c) if bd is None else bd
     # axes (state, level, amplitude, point): with the point axis last, every
     # product and the Gram sums run along it, faster than a point-first layout
     left = np.zeros((3, 2, n), dtype=complex)
@@ -68,23 +67,24 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray, mu=0.0, nu=0.0) -
     Both share one ``complements(a, c)``.  Returns a dict of per-point arrays,
     the points' own coordinates included, with the stacks ``B_pair`` (n, 2)
     and ``roots``, ``spectra`` (n, 2, 3: initial, flipped; descending) beside
-    their per-state views ``alpha``, ``beta``, ``num_alpha``, ``num_beta``.
+    their per-state views ``B``, ``Bprime``, ``alpha``, ``beta``,
+    ``num_alpha``, ``num_beta``.
     """
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    bd = complements(a, c)
-    coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(a, c, theta, bd)
+    b, d = complements(a, c)
+    coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(a, b, c, d, theta)
     b_pair = np.array([coeff_b, coeff_bp]).T
     roots, t = cubic_roots_rows(coeff_a[:, None], b_pair)
-    spectra = np.linalg.eigvalsh(family_reduced_rows(a, c, theta, mu, nu, bd))[..., ::-1]
+    spectra = np.linalg.eigvalsh(family_reduced_rows(a, b, c, d, theta, mu, nu))[..., ::-1]
     return {
         "a": a,
         "c": c,
         "theta": theta,
         "A": coeff_a,
-        "B": coeff_b,
-        "Bprime": coeff_bp,
+        "B": b_pair[:, 0],
+        "Bprime": b_pair[:, 1],
         "B_pair": b_pair,
         "roots": roots,
         "spectra": spectra,

@@ -197,14 +197,14 @@ def test_criterion_6_degenerate_family():
         assert result.degenerate
         assert result.verdict is Verdict.INTERCONVERTIBLE
         np.testing.assert_allclose(result.numeric_initial, result.numeric_final, atol=1e-10)
-        _, coeff_b, coeff_bp = cubic_coefficients_rows(p.a, p.c, p.theta)
+        _, coeff_b, coeff_bp = cubic_coefficients_rows(p.a, p.b, p.c, p.d, p.theta)
         assert great_circle_test(*canonical_triple(p)) == (abs(coeff_b - coeff_bp) <= 1e-10)
     # the equivalence also holds at generic non-degenerate points
     for _ in range(100):
         p = FlipParams(
             a=rng.uniform(0.05, 0.95), c=rng.uniform(0.05, 0.95), theta=rng.uniform(0.1, pi - 0.1)
         )
-        _, coeff_b, coeff_bp = cubic_coefficients_rows(p.a, p.c, p.theta)
+        _, coeff_b, coeff_bp = cubic_coefficients_rows(p.a, p.b, p.c, p.d, p.theta)
         assert great_circle_test(*canonical_triple(p)) == (abs(coeff_b - coeff_bp) <= 1e-10)
     _report(6, "100 exactly-degenerate points interconvertible; great-circle test matches |B-B'|<=1e-10")
 

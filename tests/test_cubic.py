@@ -16,8 +16,8 @@ def _random_params(rng):
 
 
 def _random_rows(rng, n):
-    """(a, c, theta) columns of ``n`` random family points, drawn as :func:`_random_params` draws them."""
-    return np.array([[p.a, p.c, p.theta] for p in (_random_params(rng) for _ in range(n))]).T
+    """(a, b, c, d, theta) columns of ``n`` random family points, drawn as :func:`_random_params` draws them."""
+    return np.array([[p.a, p.b, p.c, p.d, p.theta] for p in (_random_params(rng) for _ in range(n))]).T
 
 
 def _random_cubics(rng, n):
@@ -29,7 +29,7 @@ def _random_cubics(rng, n):
 
 
 def test_axes_coefficients():
-    (coeff_a,), (coeff_b,), (coeff_bp,) = cubic_coefficients_rows([AXES.a], [AXES.c], [AXES.theta])
+    (coeff_a,), (coeff_b,), (coeff_bp,) = cubic_coefficients_rows([AXES.a], [AXES.b], [AXES.c], [AXES.d], [AXES.theta])
     assert abs(coeff_a - 0.25) < 1e-15
     assert abs(coeff_b - 0.25) < 1e-15
     assert abs(coeff_bp) < 1e-15
@@ -37,8 +37,8 @@ def test_axes_coefficients():
 
 def test_coefficient_identity_and_sign(rng):
     # B - Bprime == 4 a^2 b^2 c^2 d^2 sin^2(theta), B >= 0, B >= Bprime
-    a, c, theta = _random_rows(rng, 500)
-    _, coeff_b, coeff_bp = cubic_coefficients_rows(a, c, theta)
+    a, b, c, d, theta = _random_rows(rng, 500)
+    _, coeff_b, coeff_bp = cubic_coefficients_rows(a, b, c, d, theta)
     expected_gap = 4.0 * (a * np.sqrt(1 - a * a) * c * np.sqrt(1 - c * c) * np.sin(theta)) ** 2
     assert np.max(np.abs((coeff_b - coeff_bp) - expected_gap)) < 1e-12
     assert np.all(coeff_b >= 0.0)

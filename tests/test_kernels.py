@@ -1,7 +1,7 @@
 import numpy as np
 
 from qflip import kernels
-from qflip.bloch import FlipParams
+from qflip.bloch import FlipParams, complements
 from qflip.constructions import (
     build_family_state,
     build_family_state_flipped,
@@ -45,7 +45,8 @@ def test_family_reduced_rows_carry_the_device_phases(rng):
     t = rng.uniform(0.05, np.pi - 0.05, n)
     mu = rng.uniform(-np.pi, np.pi, n)
     nu = rng.uniform(-np.pi, np.pi, n)
-    reduced = kernels.family_reduced_rows(a, c, t, mu, nu)
+    b, d = complements(a, c)
+    reduced = kernels.family_reduced_rows(a, b, c, d, t, mu, nu)
     assert reduced.shape == (n, 2, 3, 3)
     for i in range(n):
         p = FlipParams(a=a[i], c=c[i], theta=t[i])

@@ -30,8 +30,8 @@ LABELS = np.array(["a1", "a2", "a3", "b1", "b2", "b3"])
 def _rows(points):
     """Columns A, B, Bprime, t_initial, t_final of the family points, as
     :func:`check_atlas` takes them."""
-    a, c, theta = (np.array([getattr(p, key) for p in points]) for key in ("a", "c", "theta"))
-    coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(a, c, theta)
+    columns = (np.array([getattr(p, key) for p in points]) for key in ("a", "b", "c", "d", "theta"))
+    coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(*columns)
     _, t_i = cubic_roots_rows(coeff_a, coeff_b)
     _, t_f = cubic_roots_rows(coeff_a, coeff_bp)
     return coeff_a, coeff_b, coeff_bp, t_i, t_f
@@ -124,7 +124,7 @@ def test_sorted_interleaving_certifies_incomparability(rng):
         )
         if abs(degeneracy(p.a, p.c, p.theta)) < 1e-3:
             continue
-        coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows([p.a], [p.c], [p.theta])
+        coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows([p.a], [p.b], [p.c], [p.d], [p.theta])
         (alpha, beta), _ = cubic_roots_rows(np.append(coeff_a, coeff_a), np.append(coeff_b, coeff_bp))
         try:
             assert incomparable_3dim(alpha, beta)
