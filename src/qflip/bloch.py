@@ -10,7 +10,7 @@ than baked into the convention.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, isfinite, pi, sin, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
@@ -120,21 +120,3 @@ def complements(a, c) -> tuple[np.ndarray, np.ndarray]:
     """The family's b = sqrt(1 - a^2) and d = sqrt(1 - c^2), elementwise, clamped at zero."""
     return np.sqrt(np.maximum(1.0 - a * a, 0.0)), np.sqrt(np.maximum(1.0 - c * c, 0.0))
 
-
-def canonical_triple(p: FlipParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three family states (|0>, a|0>+b|1>, c|0>+d e^{i theta}|1>)."""
-    first = np.array([1.0, 0.0], dtype=complex)
-    second = np.array([p.a, p.b], dtype=complex)
-    third = np.array([p.c, p.d * (cos(p.theta) + 1j * sin(p.theta))], dtype=complex)
-    return first, second, third
-
-
-def great_circle_test(q1, q2, q3, tol: float = 1e-10) -> bool:
-    """True when the three Bloch vectors are coplanar with the sphere center.
-
-    Uses the determinant of the stacked Bloch vectors; for
-    ``canonical_triple(p)`` the determinant equals 4*a*b*c*d*sin(theta).
-    Near-coplanar triples within ``tol`` count as lying on a great circle.
-    """
-    det = np.linalg.det(np.array([qubit_to_bloch(q1), qubit_to_bloch(q2), qubit_to_bloch(q3)]))
-    return bool(abs(det) <= tol)

@@ -43,7 +43,6 @@ from .constructions import (
     flipper_experiment,
     general_flip_experiment,
 )
-from .linalg import DimensionError, HermiticityError
 from .ordering import OrderingMismatchError, pattern_labels
 from .report import CSV_HEADER, NonFiniteError, ReportRecord, fmt_float, grid_text, json_line, sweep_block
 from .schmidt import EPS_TIE, VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdict
@@ -54,8 +53,6 @@ from .schmidt import EPS_TIE, VERDICT_BY_CODE, SpectrumTieError, incomparable_3d
 CERTIFICATION_ERRORS = (
     VerificationError,
     OrderingMismatchError,
-    HermiticityError,
-    DimensionError,
     SpectrumTieError,
     NonFiniteError,
     np.linalg.LinAlgError,

@@ -1,4 +1,4 @@
-"""Builders for the shared states of the flip experiments, and the experiments.
+"""The flip experiments and the certificate of a family point.
 
 Each experiment pits an initial qutrit-times-two-qubit state against the state
 a hypothetical exact flipping device would produce from it, then compares the
@@ -7,9 +7,9 @@ conversion between the two would have to exist if the device did; the spectra
 come out incomparable instead, except exactly on great-circle (degenerate)
 parameter sets.
 
-A sweep and a single family point are certified alike, by :func:`certify_rows`
-on :func:`qflip.kernels.grid_eval` rows; the family's ``kron`` state builders
-are the independent oracle that tests hold that Gram route against.
+Neither state is ever built in full: every local spectrum comes from the Gram
+matrix of Bob's blocks.  A sweep and a single family point are certified
+alike, by :func:`certify_rows` on :func:`qflip.kernels.grid_eval` rows.
 """
 
 from __future__ import annotations
@@ -20,17 +20,9 @@ from math import pi, sqrt
 import numpy as np
 
 from . import kernels
-from .bloch import (
-    FlipParams,
-    canonical_triple,
-    density_to_bloch,
-    flip,
-    qubit_to_bloch,
-    random_qubit,
-)
-from .linalg import DimensionError, kron, partial_trace
+from .bloch import FlipParams, density_to_bloch, flip, qubit_to_bloch, random_qubit
 from .ordering import CHAIN_TIE_TOL, check_atlas, pattern_labels
-from .schmidt import VERDICT_BY_CODE, PureState, Verdict, schmidt_decompose, stacked_verdict_codes, verdict
+from .schmidt import VERDICT_BY_CODE, Verdict, stacked_verdict_codes, verdict
 
 SPECTRUM_AGREEMENT_TOL = 1e-9
 DEFAULT_DEGENERACY_MARGIN = 1e-6
@@ -49,8 +41,6 @@ AXES_LAMBDA_FINAL = (
 
 # The x/y/z axis states are the family's canonical triple at these parameters.
 AXES_PARAMS = FlipParams(a=1.0 / sqrt(2.0), c=1.0 / sqrt(2.0), theta=pi / 2.0)
-
-_QUTRIT_BASIS = tuple(np.eye(3, dtype=complex)[j] for j in range(3))
 
 
 class VerificationError(RuntimeError):
@@ -80,92 +70,6 @@ def route_tolerance(coeff_a, b_vals, base: float | np.ndarray | None = None):
     widened = 4.0 * np.sqrt(coeff_a * 1e-15)
     near = (np.abs(edge - np.abs(b_vals)) < 1e-9 * edge).any(axis=-1)
     return np.where(near & (widened > base), widened, base)
-
-
-def _qutrit_sum(blocks: list[np.ndarray], phases: list[complex]) -> PureState:
-    amps = sum(g * kron(e, blk) for e, blk, g in zip(_QUTRIT_BASIS, blocks, phases))
-    return PureState(amps / sqrt(3.0), (3, 2, 2))
-
-
-def build_flipper_pair(psi) -> tuple[PureState, PureState]:
-    """The two correlated states whose interconversion would flip ``psi``.
-
-    Bob's three orthogonal levels are realized on his two qubits as
-    |psi psi>, |psibar psi>, |psibar psibar>, so that tracing everything but
-    his first qubit leaves a mixture of |psi> and |psibar> whose weights
-    differ between the two states.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    psi_bar = flip(psi)
-    levels = [kron(psi, psi), kron(psi_bar, psi), kron(psi_bar, psi_bar)]
-
-    def assemble(weights):
-        amps = sum(
-            sqrt(w) * kron(e, lvl) for e, lvl, w in zip(_QUTRIT_BASIS, levels, weights)
-        )
-        return PureState(amps, (3, 2, 2))
-
-    return assemble(FLIPPER_WEIGHTS_INITIAL), assemble(FLIPPER_WEIGHTS_FINAL)
-
-
-def bob_qubit_reduction(state: PureState) -> np.ndarray:
-    """Density matrix of Bob's first qubit in a (3, 2, 2) state."""
-    if state.dims != (3, 2, 2):
-        raise DimensionError(f"expected dims (3, 2, 2), got {state.dims}")
-    return partial_trace(state.density(), state.dims, keep=[1])
-
-
-def build_family_state(p: FlipParams) -> PureState:
-    """General family state: levels tag |0 0>, |psi phi> and |phi psi>."""
-    zero, psi, phi = canonical_triple(p)
-    blocks = [kron(zero, zero), kron(psi, phi), kron(phi, psi)]
-    return _qutrit_sum(blocks, [1.0, 1.0, 1.0])
-
-
-def build_family_state_flipped(p: FlipParams, mu: float = 0.0, nu: float = 0.0) -> PureState:
-    """Family state after flipping Bob's second qubit, with device phases."""
-    zero, psi, phi = canonical_triple(p)
-    blocks = [kron(zero, flip(zero)), kron(psi, flip(phi)), kron(phi, flip(psi))]
-    return _qutrit_sum(blocks, [1.0, np.exp(1j * nu), np.exp(1j * mu)])
-
-
-def family_reduced_initial(p: FlipParams) -> np.ndarray:
-    """Closed form of the qutrit-side reduction of :func:`build_family_state`."""
-    _, psi, phi = canonical_triple(p)
-    ac = p.a * p.c
-    overlap2 = abs(np.vdot(psi, phi)) ** 2
-    m = np.array(
-        [
-            [1.0, ac, ac],
-            [ac, 1.0, overlap2],
-            [ac, overlap2, 1.0],
-        ],
-        dtype=complex,
-    )
-    return m / 3.0
-
-
-def family_reduced_flipped(p: FlipParams, mu: float = 0.0, nu: float = 0.0) -> np.ndarray:
-    """Closed form of the qutrit-side reduction of the flipped family state.
-
-    Under this package's complement convention the off-diagonal a*c entries
-    carry a plus sign; conventions whose complement is the negative of ours
-    produce the same matrix with both phases shifted by pi, and the spectrum
-    is identical either way.
-    """
-    _, psi, phi = canonical_triple(p)
-    ac = p.a * p.c
-    phi_psi = np.vdot(phi, psi)
-    psi_phi = np.vdot(psi, phi)
-    m = np.array(
-        [
-            [1.0, ac * np.exp(-1j * nu), ac * np.exp(-1j * mu)],
-            [ac * np.exp(1j * nu), 1.0, phi_psi**2 * np.exp(1j * (nu - mu))],
-            [ac * np.exp(1j * mu), psi_phi**2 * np.exp(1j * (mu - nu)), 1.0],
-        ],
-        dtype=complex,
-    )
-    return m / 3.0
 
 
 @dataclass(frozen=True)
@@ -302,21 +206,48 @@ class FlipperExperimentResult:
     verdict: Verdict
 
 
+def flipper_reductions(psi, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Qutrit spectrum and Bob's first-qubit density matrix of one flipper state.
+
+    The state is sum_j sqrt(w_j) |j>|L_j>, with ``weights`` w_j and Bob's
+    three orthogonal levels L_j = |psi psi>, |psibar psi>, |psibar psibar> on
+    his two qubits, so that his first qubit holds a mixture of |psi> and
+    |psibar>.  Both reductions come from Bob's blocks B_j = sqrt(w_j) L_j,
+    held as a (level, qubit 1, qubit 2) array, without the composite state:
+    the qutrit side is the Gram matrix G[j, k] = sum_{p,r} B[j,p,r]
+    conj(B[k,p,r]), whose spectrum is eigvalsh((G + G^dagger)/2), descending,
+    and Bob's first qubit is rho[p, q] = sum_{j,r} B[j,p,r] conj(B[j,q,r]).
+    Each sum runs over r first, the order of a partial trace.
+    """
+    psi = np.asarray(psi, dtype=complex)
+    psi_bar = flip(psi)
+    levels = np.array([psi, psi_bar, psi_bar])[:, :, None] * np.array([psi, psi, psi_bar])[:, None, :]
+    blocks = np.sqrt(np.asarray(weights, dtype=float))[:, None, None] * levels
+    # products on axes (j, k, p, r) and (j, p, q, r), summed over r first as a
+    # partial trace sums, so both reductions carry the composite state's bytes
+    gram = (blocks[:, None] * blocks[None].conj()).sum(axis=3).sum(axis=2)
+    rho = (blocks[:, :, None] * blocks[:, None].conj()).sum(axis=3).sum(axis=0)
+    return np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)[::-1], rho
+
+
 def flipper_experiment(seed: int = DEFAULT_FLIPPER_SEED) -> FlipperExperimentResult:
     """Run the flipper experiment for a seeded random qubit.
 
     Asserts that Bob's local qubit carries +0.02 times the qubit's Bloch
     vector in the initial state and -0.02 times it in the final one, and that
     the pair is incomparable: converting one state to the other would reverse
-    an arbitrary spin direction.
+    an arbitrary spin direction.  Both states go through
+    :func:`flipper_reductions`, with ``FLIPPER_WEIGHTS_INITIAL`` and
+    ``FLIPPER_WEIGHTS_FINAL``.
     """
     rng = np.random.default_rng(seed)
     psi = random_qubit(rng)
     direction = qubit_to_bloch(psi)
-    state_i, state_f = build_flipper_pair(psi)
+    lam_i, rho_i = flipper_reductions(psi, FLIPPER_WEIGHTS_INITIAL)
+    lam_f, rho_f = flipper_reductions(psi, FLIPPER_WEIGHTS_FINAL)
 
-    bloch_i = density_to_bloch(bob_qubit_reduction(state_i))
-    bloch_f = density_to_bloch(bob_qubit_reduction(state_f))
+    bloch_i = density_to_bloch(rho_i)
+    bloch_f = density_to_bloch(rho_f)
     dev = max(
         np.max(np.abs(bloch_i - 0.02 * direction)),
         np.max(np.abs(bloch_f + 0.02 * direction)),
@@ -324,8 +255,6 @@ def flipper_experiment(seed: int = DEFAULT_FLIPPER_SEED) -> FlipperExperimentRes
     if dev > 1e-12:
         raise VerificationError(f"local Bloch vectors deviate from +-0.02 by {dev:.3e}")
 
-    lam_i = schmidt_decompose(state_i, cut=[0])
-    lam_f = schmidt_decompose(state_f, cut=[0])
     max_err = float(
         max(
             np.max(np.abs(lam_i - np.array(FLIPPER_WEIGHTS_INITIAL))),

@@ -32,8 +32,7 @@ def family_reduced_rows(a, b, c, d, theta, mu=0.0, nu=0.0) -> np.ndarray:
     ``[:, 1]`` to the flipped one, where Bob's second qubit carries the
     complement of R_j: level j's left factor L_j is (|0>, psi, phi) and its
     right factor R_j is (|0>, phi, psi).  The device phases e^{i nu} and
-    e^{i mu} (scalars or one per point) multiply flipped levels 1 and 2, as
-    in :func:`qflip.constructions.build_family_state_flipped`.  Entry
+    e^{i mu} (scalars or one per point) multiply flipped levels 1 and 2.  Entry
     [j, k] of each matrix is <B_k|B_j> / 3 for the 4-dim Bob blocks B_j;
     ``b`` and ``d`` are the complements of ``a`` and ``c``.
     """

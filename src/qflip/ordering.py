@@ -124,8 +124,8 @@ def check_atlas(
     row whose B and Bprime agree within ``DEGENERACY_GAP_TOL`` has no
     ordering to classify: its angles read as 0, its failures are masked and
     its regions hold -1.  Raises
-    :class:`OrderingMismatchError` when any checked row deviates from the
-    atlas.
+    :class:`OrderingMismatchError` when any checked row has a non-finite
+    angle or deviates from the atlas.
     """
     a_coeff = np.asarray(a_coeff, dtype=float).reshape(-1)
     gap = np.abs(np.asarray(b_val, dtype=float) - bprime_val).reshape(-1)
@@ -134,6 +134,10 @@ def check_atlas(
     reps = np.zeros((n, 2, 2))  # (row, spectrum, representative)
     angle3 = np.array([theta_i, theta_f], dtype=float).reshape(2, -1).T
     np.multiply(3.0, angle3, out=reps[..., 0], where=checked)
+    if not np.isfinite(reps).all():  # unchecked rows and the mirrors hold 0 here
+        row = int(np.argmin(np.isfinite(reps).all(axis=(1, 2))))
+        ti, tf = angle3[row].tolist()
+        raise OrderingMismatchError(f"row {row} has a non-finite angle: theta_i={ti!r}, theta_f={tf!r}")
     reps[..., 1] = (2.0 * pi - reps[..., 0]) % (2.0 * pi)
     regions = _region_index(reps).astype(np.intp)
 

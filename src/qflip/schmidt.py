@@ -1,4 +1,4 @@
-"""Schmidt spectra of bipartite pure states and the LOCC conversion verdict.
+"""The LOCC conversion verdict on Schmidt spectra of bipartite pure states.
 
 A deterministic local conversion |Psi> -> |Phi> exists exactly when the
 descending Schmidt probability vector of |Psi> is majorized by that of |Phi>
@@ -14,47 +14,14 @@ in Python scalars by :func:`incomparable_3dim`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from math import log2, prod
-from typing import Sequence
 
 import numpy as np
 
-from .linalg import DimensionError, hermitian_eigenvalues, partial_trace
-
 EPS_TIE = 1e-12
-STATE_NORM_TOL = 1e-12
 
 
 class SpectrumTieError(ValueError):
     """Raised when a spectrum violates the strict-ordering precondition."""
-
-
-@dataclass(frozen=True)
-class PureState:
-    """Normalized amplitude vector with a declared tensor factorization."""
-
-    amplitudes: np.ndarray
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in dims):
-            raise DimensionError("subsystem dimensions must be positive")
-        if amps.size != prod(dims):
-            raise DimensionError(
-                f"{amps.size} amplitudes do not fill subsystems of dims {dims}"
-            )
-        norm2 = float(np.vdot(amps, amps).real)
-        if abs(norm2 - 1.0) > STATE_NORM_TOL:
-            raise ValueError(f"state is not normalized: |amp|^2 = {norm2!r}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "dims", dims)
-
-    def density(self) -> np.ndarray:
-        return np.outer(self.amplitudes, self.amplitudes.conj())
 
 
 class Verdict(enum.Enum):
@@ -67,32 +34,6 @@ class Verdict(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def _descending_probs(values: Sequence[float]) -> np.ndarray:
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.size == 0:
-        raise ValueError("empty spectrum")
-    return np.sort(v)[::-1]
-
-
-def schmidt_decompose(state: PureState, cut: Sequence[int]) -> np.ndarray:
-    """Descending squared Schmidt coefficients across the given bipartition.
-
-    ``cut`` lists the subsystem indices forming one side; the complement forms
-    the other.  The spectrum is computed from the reduced density matrix of
-    the smaller side, so it always has min(d_A, d_B) entries.
-    """
-    cut = sorted(set(int(k) for k in cut))
-    n = len(state.dims)
-    if not cut or len(cut) == n or any(k < 0 or k >= n for k in cut):
-        raise DimensionError(f"cut {cut} is not a bipartition of {n} subsystems")
-    d_cut = prod(state.dims[k] for k in cut)
-    d_rest = prod(state.dims[k] for k in range(n) if k not in cut)
-    keep = cut if d_cut <= d_rest else [k for k in range(n) if k not in cut]
-    reduced = partial_trace(state.density(), state.dims, keep)
-    vals = hermitian_eigenvalues(reduced)
-    return np.clip(vals, 0.0, None)
 
 
 # Four-way verdict indexed by 2 * forward + backward, the dot product with _CODE_WEIGHTS.
@@ -204,10 +145,3 @@ def incomparable_3dim(avec, bvec, eps: float = EPS_TIE) -> bool:
     head_a, head_b = a[0] + a[1], b[0] + b[1]
     return (a[0] > b[0] + eps and head_b > head_a + eps) or (b[0] > a[0] + eps and head_a > head_b + eps)
 
-
-def entanglement_entropy(probs) -> float:
-    """Shannon entropy of a Schmidt probability vector, in bits."""
-    p = _descending_probs(probs)
-    if np.any(p < -1e-10) or abs(p.sum() - 1.0) > 1e-10:
-        raise ValueError("spectrum is not a probability vector")
-    return float(-sum(x * log2(x) for x in p if x > 0.0))

@@ -13,32 +13,37 @@ import numpy as np
 import pytest
 
 from qflip import kernels
-from qflip.bloch import FlipParams, canonical_triple, great_circle_test, qubit_to_bloch, random_qubit
+from qflip.bloch import FlipParams, density_to_bloch, qubit_to_bloch, random_qubit
 from qflip.constructions import (
     AXES_LAMBDA_FINAL,
     AXES_LAMBDA_INITIAL,
     AXES_PARAMS,
-    bob_qubit_reduction,
-    build_family_state,
-    build_family_state_flipped,
-    build_flipper_pair,
+    FLIPPER_WEIGHTS_FINAL,
+    FLIPPER_WEIGHTS_INITIAL,
     general_flip_experiment,
 )
-from qflip.bloch import density_to_bloch
 from qflip.cubic import cubic_coefficients_rows
 from qflip.ordering import ALL_PATTERN_IDS, REGION_BOUNDS, check_atlas, pattern_labels
 from qflip.schmidt import (
     VERDICT_BY_CODE,
     SpectrumTieError,
     Verdict,
-    entanglement_entropy,
     incomparable_3dim,
-    schmidt_decompose,
     verdict,
     verdict_codes,
 )
 
 from conftest import prob_vectors, random_prob_vector, random_strict_triple, strict_triples
+from oracle import (
+    bob_qubit_reduction,
+    build_family_state,
+    build_family_state_flipped,
+    build_flipper_pair,
+    canonical_triple,
+    entanglement_entropy,
+    great_circle_test,
+    schmidt_decompose,
+)
 
 GRID_N = 40
 GRID_MARGIN = 1e-3
@@ -86,7 +91,7 @@ def test_criterion_2_flipper_experiment():
     for _ in range(100):
         psi = random_qubit(rng)
         direction = qubit_to_bloch(psi)
-        state_i, state_f = build_flipper_pair(psi)
+        state_i, state_f = build_flipper_pair(psi, FLIPPER_WEIGHTS_INITIAL, FLIPPER_WEIGHTS_FINAL)
         dev_i = np.max(np.abs(density_to_bloch(bob_qubit_reduction(state_i)) - 0.02 * direction))
         dev_f = np.max(np.abs(density_to_bloch(bob_qubit_reduction(state_f)) + 0.02 * direction))
         worst = max(worst, dev_i, dev_f)

@@ -5,15 +5,15 @@ from hypothesis import strategies as st
 
 from qflip.bloch import (
     FlipParams,
-    canonical_triple,
     flip,
-    great_circle_test,
     orthogonal_complement,
     qubit,
     qubit_to_bloch,
     random_qubit,
 )
 from qflip.kernels import degeneracy
+
+from oracle import canonical_triple, great_circle_test
 
 KET_0 = np.array([1.0, 0.0], dtype=complex)
 KET_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)

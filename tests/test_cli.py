@@ -18,7 +18,6 @@ import qflip.cli as cli
 from qflip import constructions, cubic, ordering
 from qflip.bloch import FlipParams
 from qflip.constructions import AXES_PARAMS, VerificationError, general_flip_experiment, route_tolerance
-from qflip.linalg import DimensionError, HermiticityError
 from qflip.ordering import CHAIN_TIE_TOL, PATTERN_ATLAS, OrderingMismatchError
 from qflip.report import CSV_HEADER, NonFiniteError
 from qflip.schmidt import SpectrumTieError
@@ -293,8 +292,6 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
     [
         OrderingMismatchError("forced ordering"),
         np.linalg.LinAlgError("forced eigensolver failure"),
-        HermiticityError("forced hermiticity defect"),
-        DimensionError("forced dimension mismatch"),
         SpectrumTieError("forced spectrum tie"),
         NonFiniteError("forced non-finite value"),
     ],
@@ -310,14 +307,7 @@ def test_certification_errors_exit_one(error, monkeypatch, capsys):
     assert f"verification failed: {error}" in err
 
 
-@pytest.mark.parametrize(
-    "error",
-    [
-        HermiticityError("forced hermiticity defect"),
-        DimensionError("forced dimension mismatch"),
-        SpectrumTieError("forced spectrum tie"),
-    ],
-)
+@pytest.mark.parametrize("error", [SpectrumTieError("forced spectrum tie")])
 def test_single_point_certification_errors_exit_one(error, monkeypatch, capsys):
     # internal ValueErrors raised while certifying are failures, not usage errors
     def boom(*args, **kwargs):

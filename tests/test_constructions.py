@@ -5,27 +5,39 @@ import numpy as np
 import pytest
 
 from qflip import bloch, constructions, cubic, kernels
-from qflip.bloch import FlipParams, canonical_triple, density_to_bloch, qubit_to_bloch, random_qubit
+from qflip.bloch import FlipParams, density_to_bloch, qubit_to_bloch, random_qubit
 from qflip.constructions import (
     AXES_LAMBDA_FINAL,
     AXES_LAMBDA_INITIAL,
     AXES_PARAMS,
     DEFAULT_DEGENERACY_MARGIN,
+    FLIPPER_WEIGHTS_FINAL,
+    FLIPPER_WEIGHTS_INITIAL,
     VerificationError,
     axes_experiment,
+    certify_rows,
+    flipper_experiment,
+    flipper_reductions,
+    general_flip_experiment,
+)
+from qflip.ordering import pattern_labels
+from qflip.schmidt import Verdict, verdict
+
+from oracle import (
+    DimensionError,
+    PureState,
     bob_qubit_reduction,
     build_family_state,
     build_family_state_flipped,
     build_flipper_pair,
-    certify_rows,
+    canonical_triple,
     family_reduced_flipped,
     family_reduced_initial,
-    flipper_experiment,
-    general_flip_experiment,
+    partial_trace,
+    schmidt_decompose,
 )
-from qflip.linalg import DimensionError, partial_trace
-from qflip.ordering import pattern_labels
-from qflip.schmidt import PureState, Verdict, schmidt_decompose, verdict
+
+FLIPPER_WEIGHTS = (FLIPPER_WEIGHTS_INITIAL, FLIPPER_WEIGHTS_FINAL)
 
 
 def _random_params(rng, theta_lo=1e-2, theta_hi=np.pi - 1e-2):
@@ -70,7 +82,7 @@ def test_axes_experiment_record():
 
 def test_flipper_pair_bob_levels_orthonormal(rng):
     psi = random_qubit(rng)
-    state_i, _ = build_flipper_pair(psi)
+    state_i, _ = build_flipper_pair(psi, *FLIPPER_WEIGHTS)
     # the three Bob levels live in the amplitude blocks of the qutrit index
     blocks = state_i.amplitudes.reshape(3, 4)
     gram = blocks @ blocks.conj().T
@@ -79,7 +91,7 @@ def test_flipper_pair_bob_levels_orthonormal(rng):
 
 def test_flipper_pair_spectra_and_verdict(rng):
     psi = random_qubit(rng)
-    state_i, state_f = build_flipper_pair(psi)
+    state_i, state_f = build_flipper_pair(psi, *FLIPPER_WEIGHTS)
     lam_i = schmidt_decompose(state_i, [0])
     lam_f = schmidt_decompose(state_f, [0])
     np.testing.assert_allclose(lam_i, [0.51, 0.30, 0.19], atol=1e-12)
@@ -91,7 +103,7 @@ def test_flipper_bloch_reversal(rng):
     for _ in range(25):
         psi = random_qubit(rng)
         direction = qubit_to_bloch(psi)
-        state_i, state_f = build_flipper_pair(psi)
+        state_i, state_f = build_flipper_pair(psi, *FLIPPER_WEIGHTS)
         np.testing.assert_allclose(
             density_to_bloch(bob_qubit_reduction(state_i)), 0.02 * direction, atol=1e-12
         )
@@ -102,7 +114,7 @@ def test_flipper_bloch_reversal(rng):
 
 def test_bob_qubit_reduction_contract(rng):
     psi = random_qubit(rng)
-    state_i, _ = build_flipper_pair(psi)
+    state_i, _ = build_flipper_pair(psi, *FLIPPER_WEIGHTS)
     rho = bob_qubit_reduction(state_i)
     assert abs(np.trace(rho).real - 1.0) < 1e-12
     with pytest.raises(DimensionError):
@@ -257,19 +269,11 @@ def _count_calls(monkeypatch, targets: dict) -> Counter:
     return counts
 
 
-# the one-point route builds no composite state
-_COMPOSITE_ROUTE = {
-    "PureState": constructions.PureState,
-    "schmidt_decompose": constructions.schmidt_decompose,
-}
-
-
 def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
     # both cubics are solved in one call (one labeled-root pass) and the atlas
     # is checked once (a second pass) and labeled once; the route gate and the
     # atlas tie tolerance share one route_tolerance call; b and d are computed
-    # once for the degeneracy test and once for both routes of grid_eval; no
-    # composite state is built
+    # once for the degeneracy test and once for both routes of grid_eval
     counts = _count_calls(
         monkeypatch,
         {
@@ -279,7 +283,6 @@ def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
             "check_atlas": constructions.check_atlas,
             "pattern_labels": constructions.pattern_labels,
             "route_tolerance": constructions.route_tolerance,
-            **_COMPOSITE_ROUTE,
         },
     )
     result = general_flip_experiment(FlipParams(a=0.3, c=0.7, theta=1.2), mu=0.4, nu=2.0)
@@ -298,7 +301,7 @@ def test_axes_experiment_is_one_certified_family_row(monkeypatch):
     # the axes case is certified by the sweep's route, like any family point
     counts = _count_calls(
         monkeypatch,
-        {"grid_eval": kernels.grid_eval, "certify_rows": constructions.certify_rows, **_COMPOSITE_ROUTE},
+        {"grid_eval": kernels.grid_eval, "certify_rows": constructions.certify_rows},
     )
     result = axes_experiment(chi=0.4, eta=0.7)
     assert result.params == AXES_PARAMS and (result.mu, result.nu) == (0.7, 0.4)
@@ -349,16 +352,30 @@ def test_certify_route_is_bit_identical_across_batch_sizes():
 COMPARABLE_REVERSING_WEIGHTS = ((0.51, 0.48, 0.01), (0.49, 0.36, 0.15))
 
 
-def test_reversing_pair_can_be_comparable(monkeypatch):
+def test_reversing_pair_can_be_comparable():
     initial, final = COMPARABLE_REVERSING_WEIGHTS
     assert verdict(initial, final) is Verdict.BACKWARD_CERTAIN
-    monkeypatch.setattr(constructions, "FLIPPER_WEIGHTS_INITIAL", initial)
-    monkeypatch.setattr(constructions, "FLIPPER_WEIGHTS_FINAL", final)
     rng = np.random.default_rng(5)
     for _ in range(50):
         psi = random_qubit(rng)
         direction = qubit_to_bloch(psi)
-        state_i, state_f = build_flipper_pair(psi)
-        np.testing.assert_allclose(schmidt_decompose(state_i, [0]), initial, atol=1e-12)
-        np.testing.assert_allclose(density_to_bloch(bob_qubit_reduction(state_i)), 0.02 * direction, atol=1e-15)
-        np.testing.assert_allclose(density_to_bloch(bob_qubit_reduction(state_f)), -0.02 * direction, atol=1e-15)
+        lam_i, rho_i = flipper_reductions(psi, initial)
+        _, rho_f = flipper_reductions(psi, final)
+        np.testing.assert_allclose(lam_i, initial, atol=1e-12)
+        np.testing.assert_allclose(density_to_bloch(rho_i), 0.02 * direction, atol=1e-15)
+        np.testing.assert_allclose(density_to_bloch(rho_f), -0.02 * direction, atol=1e-15)
+
+
+def test_flipper_gram_route_matches_the_composite_states_bit_for_bit():
+    # the Gram route sums in the partial trace's order and symmetrizes as
+    # hermitian_eigenvalues does, so it reproduces the full 12-dim states'
+    # spectrum and Bob-qubit reduction byte for byte
+    for seed in range(200):
+        psi = random_qubit(np.random.default_rng(seed))
+        for weights in (FLIPPER_WEIGHTS, COMPARABLE_REVERSING_WEIGHTS):
+            for state, w in zip(build_flipper_pair(psi, *weights), weights):
+                lam, rho = flipper_reductions(psi, w)
+                oracle_rho = bob_qubit_reduction(state)
+                assert lam.tobytes() == schmidt_decompose(state, [0]).tobytes(), (seed, w)
+                assert rho.tobytes() == oracle_rho.tobytes(), (seed, w)
+                assert density_to_bloch(rho).tobytes() == density_to_bloch(oracle_rho).tobytes(), (seed, w)

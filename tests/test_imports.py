@@ -1,4 +1,4 @@
-"""Lint: every name a qflip module imports is used in that module.
+"""Lint: every name a qflip module, or the test oracle, imports is used in it.
 
 Standard-library ``ast`` only.  ``__init__.py`` is exempt: its imports are the
 package's re-exports.
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qflip"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + [Path(__file__).with_name("oracle.py")]
 
 
 def unused_imports(source: str) -> list[str]:

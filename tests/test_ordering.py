@@ -162,6 +162,13 @@ def test_atlas_check_skips_degenerate_rows():
     assert pattern_labels(regions).tolist() == [None]
 
 
+def test_atlas_check_rejects_a_non_finite_angle_in_a_checked_row():
+    with pytest.raises(OrderingMismatchError, match="row 0 has a non-finite angle: theta_i=nan"):
+        check_atlas([0.1], [0.3], [0.01], [np.nan], [0.5], live=True)
+    # the same angle in a row that is not checked reads as 0
+    assert check_atlas([0.1], [0.3], [0.3], [np.nan], [0.5]).tolist() == [[[-1, -1], [-1, -1]]]
+
+
 ORIGINAL_ATLAS = dict(PATTERN_ATLAS)
 
 

@@ -3,24 +3,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qflip.constructions import AXES_LAMBDA_FINAL, AXES_PARAMS, build_family_state
-from qflip.linalg import DimensionError, kron
+from qflip.constructions import AXES_LAMBDA_FINAL, AXES_PARAMS
 from qflip.schmidt import (
     EPS_TIE,
     VERDICT_BY_CODE,
-    PureState,
     SpectrumTieError,
     Verdict,
-    entanglement_entropy,
     incomparable_3dim,
     majorizes,
     majorizes_rows,
-    schmidt_decompose,
     verdict,
     verdict_codes,
 )
 
 from conftest import random_prob_vector, random_strict_triple, random_unitary
+from oracle import DimensionError, PureState, build_family_state, entanglement_entropy, kron, schmidt_decompose
 
 
 def _brute_incomparable(a, b, eps=EPS_TIE):
