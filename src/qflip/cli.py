@@ -9,7 +9,7 @@ Subcommands::
     qflip check-pair --lhs p1,p2,... --rhs q1,q2,...
 
 Exit codes: 0 on success, 1 when a certification check fails, 2 on usage
-errors and when the output cannot be written.
+errors, when the output cannot be written and when memory runs out.
 """
 
 from __future__ import annotations
@@ -257,8 +257,9 @@ def _cmd_check_pair(args) -> int:
     return 0
 
 
-# Certified points per chunk: each chunk is evaluated, certified, formatted and
-# written before the next, so a sweep's memory is O(CHUNK_ROWS), not O(N^3).
+# Points per chunk: each chunk is evaluated, certified, formatted and written
+# before the next.  Besides one chunk, a sweep holds O(N^2) for the point
+# selection and 8 bytes per certified point for their flat indices.
 CHUNK_ROWS = 8192
 
 _VERDICT_TEXT = np.array([str(v) for v in VERDICT_BY_CODE], dtype=object)
@@ -294,7 +295,7 @@ def _sweep_chunk(fmt: str, ticks: np.ndarray, angles: np.ndarray, text: tuple, f
 def _run_sweep(cfg: SweepConfig, out: TextIO) -> dict:
     """Evaluate, certify and write every grid point beyond the margin, chunk by chunk.
 
-    The margin mask depends only on (a, c, theta), so the kernel runs on the
+    The margin test depends only on (a, c, theta), so the kernel runs on the
     certified points alone, ``CHUNK_ROWS`` at a time, in grid order; with
     ``cfg.jobs`` above 1 the chunks are spread over a process pool.  Each
     chunk's records are written to ``out`` (the CSV header first) as soon as
@@ -305,11 +306,9 @@ def _run_sweep(cfg: SweepConfig, out: TextIO) -> dict:
     n = cfg.grid_n
     ticks = np.arange(1, n + 1) / (n + 1)
     angles = ticks * pi
-    # the measure broadcast over the (a, c, theta) axes, so no N^3 coordinate
-    # grid is built; only the flat indices of the points beyond the margin stay
-    measure = kernels.degeneracy(ticks[:, None, None], ticks[None, :, None], angles)
-    flat = np.flatnonzero(np.abs(measure) > cfg.margin)
-    del measure
+    # only the flat indices of the points beyond the margin are built, from
+    # the rows of (a, c) that can hold one: no array of the grid's size
+    flat = kernels.beyond_margin(ticks, angles, cfg.margin, CHUNK_ROWS)
     if flat.size == 0:
         raise VerificationError(
             f"no grid point lies beyond the degeneracy margin {cfg.margin:g}; nothing was certified"
@@ -446,6 +445,9 @@ def main(argv=None) -> int:
         return 1
     except OutputError as exc:
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    except MemoryError as exc:
+        # a grid too large for this machine: the arguments, not a failed certificate
+        parser.exit(2, f"{parser.prog}: error: not enough memory: {exc or 'allocation failed'}\n")
     except ValueError as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error exits

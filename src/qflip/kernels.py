@@ -1,7 +1,8 @@
 """Vectorized numpy kernels for the hot paths.
 
-The great-circle measure |a b c d sin theta| and the batched per-point
-evaluation that backs grid sweeps: the closed-form cubic of
+The great-circle measure |a b c d sin theta|, the selection of a sweep's
+grid points beyond a margin, and the batched per-point evaluation that
+backs grid sweeps: the closed-form cubic of
 :mod:`qflip.cubic` beside the numeric Gram route it is checked against.
 """
 
@@ -15,14 +16,51 @@ from .cubic import cubic_coefficients_rows, cubic_roots_rows
 BACKEND = "numpy"
 
 
+def row_scale(a, c) -> np.ndarray:
+    """The factor a b c d of the great-circle measure, fixed along theta."""
+    b, d = complements(a, c)
+    return a * b * c * d
+
+
 def degeneracy(a, c, theta) -> np.ndarray:
     """Signed great-circle measure a b c d sin(theta) of each family point.
 
     The three states are coplanar on the Bloch sphere exactly where it
     vanishes; the sweep certifies only points where it exceeds the margin.
     """
-    b, d = complements(a, c)
-    return a * b * c * d * np.sin(theta)
+    return row_scale(a, c) * np.sin(theta)
+
+
+def beyond_margin(ticks: np.ndarray, angles: np.ndarray, margin: float, block: int) -> np.ndarray:
+    """Flat indices, ascending, of the (a, c, theta) grid points whose measure exceeds ``margin``.
+
+    The grid is ``ticks`` x ``ticks`` x ``angles`` (angles in (0, pi)), and
+    the result equals ``np.flatnonzero(np.abs(degeneracy(...)) > margin)``
+    over it, bit for bit, without an array of the grid's size.  Row (a, c)
+    is kept only if |row_scale * s_max| > margin for the largest grid sine
+    s_max: rounded products are monotone, so no other row holds a point
+    beyond the margin.  Each run of consecutive kept rows is evaluated in
+    pieces of at most ``block`` points.
+    """
+    n_theta = len(angles)
+    scale = row_scale(ticks[:, None], ticks[None, :]).ravel()
+    sines = np.sin(angles)
+    rows = np.flatnonzero(np.abs(scale * sines.max()) > margin)
+    if rows.size == 0:
+        return rows
+    # runs of consecutive kept rows, as flat point ranges [start, stop)
+    breaks = np.flatnonzero(np.diff(rows) != 1) + 1
+    starts = rows[np.r_[0, breaks]] * n_theta
+    stops = (rows[np.r_[breaks - 1, rows.size - 1]] + 1) * n_theta
+    pieces = []
+    for start, stop in zip(starts.tolist(), stops.tolist()):
+        for lo in range(start, stop, block):
+            # flat points [lo, hi) lie in rows [first, last); a piece may cut a row
+            hi = min(lo + block, stop)
+            first, last = lo // n_theta, -(-hi // n_theta)
+            measure = (scale[first:last, None] * sines).ravel()[lo - first * n_theta : hi - first * n_theta]
+            pieces.append(np.flatnonzero(np.abs(measure) > margin) + lo)
+    return np.concatenate(pieces)
 
 
 def family_reduced_rows(a, b, c, d, theta, mu=0.0, nu=0.0) -> np.ndarray:

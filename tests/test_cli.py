@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import qflip.cli as cli
-from qflip import constructions, cubic, ordering
+from qflip import constructions, cubic, kernels, ordering
 from qflip.bloch import FlipParams
 from qflip.constructions import AXES_PARAMS, VerificationError, general_flip_experiment, route_tolerance
 from qflip.ordering import CHAIN_TIE_TOL, PATTERN_ATLAS, OrderingMismatchError
@@ -509,9 +509,30 @@ def test_sweep_and_verify_general_print_the_same_coefficients(capsys):
         assert single[single.index('"lambda_initial"') :] == values + "\n"
 
 
+def _dense_measure(n):
+    """|a b c d sin theta| over the whole N^3 grid of a sweep: the selection's oracle."""
+    ticks = np.arange(1, n + 1) / (n + 1)
+    return np.abs(kernels.degeneracy(ticks[:, None, None], ticks[None, :, None], ticks * np.pi))
+
+
+def _attained_margins(n):
+    """The largest and second-largest measure on grid n: margins the strict > meets exactly."""
+    values = np.unique(_dense_measure(n))
+    return [float(values[-1]), float(values[-2])]
+
+
 def test_sweep_wide_margin_filters_everything(capsys):
     # a sweep that certifies no point is a vacuous pass, so it fails
     code, out, err = run_cli(capsys, "sweep", "--grid", "2", "--margin", "0.5")
+    assert code == 1
+    assert out == ""
+    assert "nothing was certified" in err
+
+
+@pytest.mark.parametrize("grid", [2, 12, 40])
+def test_sweep_at_the_largest_measure_certifies_nothing(grid, capsys):
+    # no point lies strictly beyond the grid's largest measure
+    code, out, err = run_cli(capsys, "sweep", "--grid", str(grid), "--margin", repr(_attained_margins(grid)[0]))
     assert code == 1
     assert out == ""
     assert "nothing was certified" in err
@@ -745,9 +766,9 @@ def test_full_output_target_is_a_write_error(argv, to_stdout, tmp_path):
 
 
 def test_sweep_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, capsys):
-    # 8x the points must not take 8x the memory: besides the margin mask (about
-    # 17 bytes per grid point while it is built) and the flat index list of the
-    # certified points (8 bytes each), a sweep holds one chunk at a time
+    # 8x the points must not take 8x the memory: besides the point selection
+    # (O(N^2)) and the flat index list of the certified points (8 bytes each),
+    # a sweep holds one chunk at a time
     monkeypatch.setattr(cli, "CHUNK_ROWS", 256)
 
     def peak(grid):
@@ -760,6 +781,79 @@ def test_sweep_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, capsys):
             tracemalloc.stop()
 
     assert peak(32) < 2 * peak(16)
+
+
+class _Discard:
+    """A text sink that keeps nothing, so only the sweep's own memory is traced."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_sparse_sweep_memory_grows_like_the_grid_squared(monkeypatch):
+    # at margin 0.24 few points are certified: doubling the grid is 8x the
+    # points but only 4x the (a, c) rows, which alone the selection holds
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 256)
+
+    def peak(grid):
+        tracemalloc.start()
+        try:
+            cli._run_sweep(cli.SweepConfig(grid_n=grid, margin=0.24), _Discard())
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(192) < 4 * peak(96)
+
+
+@pytest.mark.parametrize("chunk_rows", [None, 7], ids=["default-chunk", "chunk-7"])
+@pytest.mark.parametrize("grid", [2, 3, 12, 40, 80, 97])
+def test_sweep_selection_equals_the_dense_mask(grid, chunk_rows, monkeypatch):
+    # the row bound and the pieces must keep exactly the mask's points, in its
+    # order and dtype; margins at attained values hit the strict > and the
+    # row bound with equality, and 7 cuts the pieces inside rows
+    if chunk_rows is not None:
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    ticks = np.arange(1, grid + 1) / (grid + 1)
+    measure = _dense_measure(grid)
+    for margin in [1e-6, 0.1, 0.24, 0.2499, *_attained_margins(grid)]:
+        expected = np.flatnonzero(measure > margin)
+        got = kernels.beyond_margin(ticks, ticks * np.pi, margin, cli.CHUNK_ROWS)
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+
+
+# sha256 of a sparse sweep on a finer grid than perfbench's, pinned before the
+# selection stopped building the N^3 mask
+GOLDEN_SPARSE_GRID160_CSV = "41e3d1ca0f2ba0290fcf6b38e9eeb0f5e53c543e4a0041699abbe5bd0deafc69"
+
+
+def test_sparse_grid160_sweep_golden_sha256(tmp_path, capsys):
+    target = tmp_path / "sweep.csv"
+    code, _, _ = run_cli(capsys, "sweep", "--grid", "160", "--margin", "0.24", "--format", "csv", "--out", str(target))
+    assert code == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_SPARSE_GRID160_CSV
+
+
+@pytest.mark.parametrize("to_file", [True, False])
+def test_sweep_out_of_memory_is_a_usage_error(to_file, monkeypatch, tmp_path, capsys):
+    # a grid too large to select from: exit 2 with one line, not the
+    # certification-failure code with a traceback, and no spool left behind
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)")
+
+    monkeypatch.setattr(cli.kernels, "beyond_margin", too_large)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where a stdout spool goes
+    out_flags = ["--out", str(tmp_path / "sweep.ndjson")] if to_file else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--grid", "1000000", *out_flags])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "qflip: error: not enough memory: Unable to allocate 7.28 TiB for an array with shape (1000000000000,)\n"
+    )
+    assert list(tmp_path.iterdir()) == []
 
 
 # sha256 of each single-point command's output, pinned like the sweep's so
