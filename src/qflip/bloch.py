@@ -1,16 +1,16 @@
 """Qubit states, Bloch-sphere geometry and the antiunitary flip.
 
-A qubit is a normalized length-2 complex numpy array.  The orthogonal
-complement uses the fixed convention (amp0, amp1) -> (-conj(amp1),
-conj(amp0)), which sends |0> exactly to |1>; any extra phase of a physical
-flipping device is exposed as an explicit argument of :func:`flip` rather
-than baked into the convention.
+A qubit is a normalized length-2 complex numpy array.  The flip is the
+orthogonal complement under the fixed convention (amp0, amp1) ->
+(-conj(amp1), conj(amp0)), which sends |0> exactly to |1>; the extra phases
+of a physical flipping device enter the family states as the explicit
+``mu`` and ``nu`` of :func:`qflip.kernels.grid_eval` instead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from math import isfinite, pi, sqrt
+from dataclasses import dataclass
+from math import isfinite, pi
 
 import numpy as np
 
@@ -19,14 +19,6 @@ NORM_TOL = 1e-12
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
-
-def qubit(amp0, amp1) -> np.ndarray:
-    """Validated qubit from two complex amplitudes."""
-    q = np.array([amp0, amp1], dtype=complex)
-    if abs(np.vdot(q, q).real - 1.0) > NORM_TOL:
-        raise ValueError(f"qubit is not normalized: |amp|^2 = {np.vdot(q, q).real!r}")
-    return q
 
 
 def require_qubit(q) -> np.ndarray:
@@ -69,19 +61,13 @@ def density_to_bloch(rho) -> np.ndarray:
     )
 
 
-def orthogonal_complement(q) -> np.ndarray:
-    """The orthogonal qubit under the fixed phase convention."""
+def flip(q) -> np.ndarray:
+    """Antiunitary flip: the orthogonal qubit under the fixed phase convention.
+
+    The Bloch vector of the output is the negation of the input's.
+    """
     q = require_qubit(q)
     return np.array([-np.conj(q[1]), np.conj(q[0])])
-
-
-def flip(q, phase: float = 0.0) -> np.ndarray:
-    """Antiunitary flip: e^{i phase} times the orthogonal complement.
-
-    The Bloch vector of the output is the negation of the input's for every
-    choice of ``phase``.
-    """
-    return np.exp(1j * phase) * orthogonal_complement(q)
 
 
 @dataclass(frozen=True)
@@ -89,18 +75,16 @@ class FlipParams:
     """Parameters (a, c, theta) of three states in their simplest form.
 
     The triple is (|0>, a|0> + b|1>, c|0> + d e^{i theta}|1>) with
-    b = sqrt(1 - a^2) and d = sqrt(1 - c^2).  For the generic family theta
-    must lie strictly inside (0, pi); boundary values are only meaningful for
-    deliberately degenerate (great-circle) configurations and require
-    ``allow_boundary_theta``.
+    b = sqrt(1 - a^2) and d = sqrt(1 - c^2), as :func:`complements` gives
+    them.  For the generic family theta must lie strictly inside (0, pi);
+    boundary values are only meaningful for deliberately degenerate
+    (great-circle) configurations and require ``allow_boundary_theta``.
     """
 
     a: float
     c: float
     theta: float
     allow_boundary_theta: bool = False
-    b: float = field(init=False)
-    d: float = field(init=False)
 
     def __post_init__(self):
         for name in ("a", "c", "theta"):
@@ -112,8 +96,6 @@ class FlipParams:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
         if not self.allow_boundary_theta and not 0.0 < self.theta < pi:
             raise ValueError("theta on the boundary of (0, pi) requires allow_boundary_theta=True")
-        object.__setattr__(self, "b", sqrt(max(0.0, 1.0 - self.a * self.a)))
-        object.__setattr__(self, "d", sqrt(max(0.0, 1.0 - self.c * self.c)))
 
 
 def complements(a, c) -> tuple[np.ndarray, np.ndarray]:

@@ -70,7 +70,6 @@ class SweepConfig:
 
     grid_n: int
     margin: float = DEFAULT_DEGENERACY_MARGIN
-    output_path: str | None = None
     fmt: str = "json"
     jobs: int = 1
 
@@ -340,14 +339,8 @@ def _run_sweep(cfg: SweepConfig, out: TextIO) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig(
-        grid_n=args.grid,
-        margin=args.margin,
-        output_path=args.out,
-        fmt=args.format,
-        jobs=args.jobs,
-    )
-    with _spool(cfg.output_path) as out:
+    cfg = SweepConfig(grid_n=args.grid, margin=args.margin, fmt=args.format, jobs=args.jobs)
+    with _spool(args.out) as out:
         summary = _run_sweep(cfg, out)
         if cfg.fmt == "csv":
             counts = ";".join(f"{k}={v}" for k, v in summary["pattern_counts"].items())
@@ -377,6 +370,13 @@ def finite_float(text: str) -> float:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """Type of ``--seed``: a seed for numpy's generator, anything else a usage error."""
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _add_output_flags(parser) -> None:
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--out", default=None, help="write output to this path instead of stdout")
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_axes.set_defaults(func=_cmd_verify_axes)
 
     p_flip = vsub.add_parser("flipper", help="incomparable pair implies a universal flipper")
-    p_flip.add_argument("--seed", type=int, default=DEFAULT_FLIPPER_SEED)
+    p_flip.add_argument("--seed", type=non_negative_int, default=DEFAULT_FLIPPER_SEED)
     _add_output_flags(p_flip)
     p_flip.set_defaults(func=_cmd_verify_flipper)
 

@@ -53,19 +53,16 @@ def check_margin(margin: float) -> None:
         raise ValueError(f"margin must lie in (0, 1), got {margin}")
 
 
-def route_tolerance(coeff_a, b_vals, base: float | np.ndarray | None = None):
+def route_tolerance(coeff_a, b_vals, base: float | np.ndarray):
     """Cross-route agreement tolerance, widened near repeated-root boundaries.
 
-    ``base`` (default ``SPECTRUM_AGREEMENT_TOL``) applies away from the
-    boundaries.  Where some |B| lies within a relative 1e-9 of the
-    repeated-root boundary 2 A^{3/2}, the closed-form roots split a
-    near-double pair only to O(sqrt(eps)) while the eigensolver stays fully
-    accurate, so the two routes legitimately differ by up to ~4 sqrt(A * eps)
-    there.  Works elementwise on arrays of A, each with the B values on the
+    ``base`` applies away from the boundaries.  Where some |B| lies within a
+    relative 1e-9 of the repeated-root boundary 2 A^{3/2}, the closed-form
+    roots split a near-double pair only to O(sqrt(eps)) while the eigensolver
+    stays fully accurate, so the two routes legitimately differ by up to
+    ~4 sqrt(A * eps) there.  Works elementwise on arrays of A, each with the B values on the
     last axis of ``b_vals``.
     """
-    if base is None:
-        base = SPECTRUM_AGREEMENT_TOL
     edge = (2.0 * coeff_a * np.sqrt(coeff_a))[..., None]
     widened = 4.0 * np.sqrt(coeff_a * 1e-15)
     near = (np.abs(edge - np.abs(b_vals)) < 1e-9 * edge).any(axis=-1)
@@ -78,8 +75,6 @@ class FlipExperimentResult:
     :func:`qflip.ordering.pattern_labels` label, None where it has none."""
 
     params: FlipParams
-    mu: float
-    nu: float
     coeff_a: float
     coeff_b: float
     coeff_bprime: float
@@ -160,8 +155,6 @@ def general_flip_experiment(
 
     return FlipExperimentResult(
         params=p,
-        mu=mu,
-        nu=nu,
         coeff_a=float(rows["A"][0]),
         coeff_b=float(rows["B"][0]),
         coeff_bprime=float(rows["Bprime"][0]),
@@ -195,8 +188,6 @@ def axes_experiment(chi: float = 0.0, eta: float = 0.0) -> FlipExperimentResult:
 
 @dataclass(frozen=True)
 class FlipperExperimentResult:
-    seed: int
-    psi: np.ndarray
     direction: np.ndarray
     bloch_initial: np.ndarray
     bloch_final: np.ndarray
@@ -265,8 +256,6 @@ def flipper_experiment(seed: int = DEFAULT_FLIPPER_SEED) -> FlipperExperimentRes
     if v is not Verdict.INCOMPARABLE:
         raise VerificationError(f"flipper experiment expected Incomparable, got {v}")
     return FlipperExperimentResult(
-        seed=seed,
-        psi=psi,
         direction=direction,
         bloch_initial=bloch_i,
         bloch_final=bloch_f,

@@ -104,8 +104,7 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray, mu=0.0, nu=0.0) -
     Both share one ``complements(a, c)``.  Returns a dict of per-point arrays,
     the points' own coordinates included, with the stacks ``B_pair`` (n, 2)
     and ``roots``, ``spectra`` (n, 2, 3: initial, flipped; descending) beside
-    their per-state views ``B``, ``Bprime``, ``alpha``, ``beta``,
-    ``num_alpha``, ``num_beta``.
+    their per-state views ``B``, ``Bprime``, ``num_alpha``, ``num_beta``.
     """
     a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -125,8 +124,6 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray, mu=0.0, nu=0.0) -
         "B_pair": b_pair,
         "roots": roots,
         "spectra": spectra,
-        "alpha": roots[:, 0],
-        "beta": roots[:, 1],
         "theta_i": t[:, 0],
         "theta_f": t[:, 1],
         "num_alpha": spectra[:, 0],

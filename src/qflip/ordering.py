@@ -15,7 +15,6 @@ its principal region pair and chain, for a sweep and a single point alike.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import pi
 
 import numpy as np
@@ -48,8 +47,6 @@ PATTERN_ATLAS = {
     ("Q3", "Q4"): _CHAIN_MM,
 }
 
-ALL_PATTERN_IDS = tuple(f"{ri}{rf}" for ri, rf in PATTERN_ATLAS)
-
 CHAIN_TIE_TOL = 1e-12
 DEGENERACY_GAP_TOL = 1e-10
 
@@ -77,25 +74,27 @@ _PAIRS = np.arange(4)
 _PAIR_LABELS = np.concatenate([3 * _REP_I[:, None] + np.arange(3), 6 + 3 * _REP_F[:, None] + np.arange(3)], axis=1)
 
 
-@lru_cache(maxsize=8)
-def _atlas_tables(atlas: tuple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The atlas items as arrays: a 4x4 table from region indices to an entry
-    number (-1 where the atlas has no entry), per representative pair and
-    entry the chain as indices into a row's twelve labeled roots, and the
-    label ``pattern_id:chain`` of each region code 4 * initial + final (code
-    16, for rows :func:`check_atlas` skipped, and codes without an entry hold
-    None).  Keyed by the items, so the check and the labels always follow the
-    current contents of :data:`PATTERN_ATLAS`."""
+def _atlas_tables(atlas: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """An atlas as arrays: a 4x4 table from region indices to an entry number
+    (-1 where the atlas has no entry), per representative pair and entry the
+    chain as indices into a row's twelve labeled roots, and the label
+    ``pattern_id:chain`` of each region code 4 * initial + final (code 16,
+    for rows :func:`check_atlas` skipped, and codes without an entry hold
+    None)."""
     table = np.full((4, 4), -1, dtype=np.intp)
     chains = np.empty((len(atlas), 6), dtype=np.intp)
     labels = np.full(17, None, dtype=object)
-    for k, ((ri, rf), chain) in enumerate(atlas):
+    for k, ((ri, rf), chain) in enumerate(atlas.items()):
         i, f = _REGION_NAMES.index(ri), _REGION_NAMES.index(rf)
         table[i, f] = k
         chains[k] = [_LABELS.index(x) for x in chain]
         labels[4 * i + f] = f"{ri}{rf}:{'>'.join(chain)}"
     # gather[pair, entry, j] = _PAIR_LABELS[pair, chains[entry, j]]
     return table, _PAIR_LABELS[:, chains], labels
+
+
+# The tables of PATTERN_ATLAS, which check_atlas and pattern_labels read.
+_ATLAS_TABLES = _atlas_tables(PATTERN_ATLAS)
 
 
 def check_atlas(
@@ -144,10 +143,7 @@ def check_atlas(
     # labeled roots of every representative, flattened to (row, 12)
     roots = labeled_roots_rows(a_coeff[:, None, None], reps / 3.0).reshape(n, 12)
 
-    def region_pair(row, k):
-        return _REGION_NAMES[regions[row, 0, _REP_I[k]]], _REGION_NAMES[regions[row, 1, _REP_F[k]]]
-
-    table, gather, _ = _atlas_tables(tuple(PATTERN_ATLAS.items()))
+    table, gather, labels = _ATLAS_TABLES
     entry = table[regions[:, 0, _REP_I], regions[:, 1, _REP_F]]  # (row, pair)
     missing = entry < 0
     # each pair's six roots in the order of its atlas chain: (row, pair, 6); a
@@ -156,14 +152,16 @@ def check_atlas(
     tie_tol = np.reshape(tie_tol, (-1, 1, 1))  # one value for all rows, or one per row
     fails = (missing | ~(ordered[..., :-1] >= ordered[..., 1:] - tie_tol).all(axis=-1)) & checked
     if fails.any():
-        if (missing := missing & checked).any():
-            raise OrderingMismatchError(f"region pair {region_pair(*np.argwhere(missing)[0])} has no atlas entry")
-        row, k = np.argwhere(fails)[0]
-        pair = region_pair(row, k)
+        missing &= checked
+        row, k = np.argwhere(missing if missing.any() else fails)[0]
+        i, f = regions[row, 0, _REP_I[k]], regions[row, 1, _REP_F[k]]
+        pair = _REGION_NAMES[i], _REGION_NAMES[f]
+        if missing[row, k]:
+            raise OrderingMismatchError(f"region pair {pair} has no atlas entry")
         observed = dict(zip(_LABELS, roots[row, _PAIR_LABELS[k]].tolist()))
         raise OrderingMismatchError(
             f"ordering for region pair {pair} deviates from the atlas chain "
-            f"{'>'.join(PATTERN_ATLAS[pair])}: {observed}"
+            f"{labels[4 * i + f].partition(':')[2]}: {observed}"
         )
     return np.where(checked[..., None], regions, -1)
 
@@ -171,6 +169,6 @@ def check_atlas(
 def pattern_labels(regions: np.ndarray) -> np.ndarray:
     """Label ``pattern_id:chain`` of each row's principal region pair, as
     returned by :func:`check_atlas`; None for rows it did not check."""
-    labels = _atlas_tables(tuple(PATTERN_ATLAS.items()))[2]
+    labels = _ATLAS_TABLES[2]
     principal_i, principal_f = regions[:, 0, 0], regions[:, 1, 0]
     return labels[np.where(principal_i < 0, 16, 4 * principal_i + principal_f)]

@@ -157,11 +157,7 @@ _SWEEP_JSON_ROW = (
     '"A": %.17g, "B": %.17g, "Bprime": %.17g, "ordering": %s, "verdict": %s, '
     '"maxAnalyticNumericError": %.17g, "degeneracyFlag": false}'
 )
-_SWEEP_CSV_FIELDS = (
-    "a", "c", "theta", "A", "B", "Bprime",
-    "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3",
-    "ordering", "verdict", "max_err",
-)
+_SWEEP_CSV_FIELDS = CSV_COLUMNS[:-1]  # degenerate is the template's constant false
 _SWEEP_CSV_ROW = ",".join(["%s"] * 3 + ["%.17g"] * 9 + ["%s", "%s", "%.17g", "false"])
 _TEXT_FIELDS = ("ordering", "verdict")
 

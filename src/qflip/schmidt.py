@@ -46,28 +46,28 @@ VERDICT_BY_CODE = (
 )
 
 
-def stacked_verdict_codes(sides, eps: float = EPS_TIE) -> np.ndarray:
+def stacked_verdict_codes(sides) -> np.ndarray:
     """:func:`verdict_codes` of an (n, 2, w) stack of lhs (``[:, 0]``) and rhs
     (``[:, 1]``) spectra, every row descending and zero-padded to width w."""
     sums = sides.cumsum(axis=2)
-    # bounded[:, 0] is sums_l <= sums_r + eps (forward), bounded[:, 1] the reverse
-    return (sums <= sums[:, ::-1] + eps).all(axis=2).dot(_CODE_WEIGHTS)
+    # bounded[:, 0] is sums_l <= sums_r + EPS_TIE (forward), bounded[:, 1] the reverse
+    return (sums <= sums[:, ::-1] + EPS_TIE).all(axis=2).dot(_CODE_WEIGHTS)
 
 
-def verdict_codes(lhs, rhs, eps: float = EPS_TIE) -> np.ndarray:
+def verdict_codes(lhs, rhs) -> np.ndarray:
     """Row-wise four-way verdict as indices into :data:`VERDICT_BY_CODE`.
 
     ``lhs`` and ``rhs`` are stacks of spectra, shapes (n, k) and (n, m).  Row
     ``j`` of one side is majorized by row ``j`` of the other when every
     leading partial sum is bounded by the matching partial sum of the other
-    up to the tie tolerance ``eps``; forward is lhs majorized by rhs.
+    up to the tie tolerance ``EPS_TIE``; forward is lhs majorized by rhs.
 
     Both sides go into one (n, 2, w) stack, each row sorted (when k != m,
     each side is sorted first and the shorter one then zero-padded), and one
     reversed cumulative sum gives the descending partial sums of both.  The
-    two directions are the bounded comparisons ``sums_l <= sums_r + eps`` and
-    ``sums_r <= sums_l + eps``, so a difference of exactly ``eps`` counts as
-    bounded.
+    two directions are the bounded comparisons ``sums_l <= sums_r + EPS_TIE``
+    and ``sums_r <= sums_l + EPS_TIE``, so a difference of exactly ``EPS_TIE``
+    counts as bounded.
     """
     lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
     if lhs.ndim != 2 or rhs.ndim != 2 or lhs.shape[0] != rhs.shape[0] or 0 in lhs.shape[1:] + rhs.shape[1:]:
@@ -83,55 +83,38 @@ def verdict_codes(lhs, rhs, eps: float = EPS_TIE) -> np.ndarray:
         sides = np.zeros((n, 2, width))
         sides[:, 0, width - k :] = np.sort(lhs, axis=1)
         sides[:, 1, width - m :] = np.sort(rhs, axis=1)
-    return stacked_verdict_codes(sides[:, :, ::-1], eps)
+    return stacked_verdict_codes(sides[:, :, ::-1])
 
 
-def majorizes_rows(lo, hi, eps: float = EPS_TIE) -> np.ndarray:
-    """Row-wise majorization: entry ``j`` is True when row ``j`` of ``lo`` is
-    majorized by row ``j`` of ``hi``, the forward half of :func:`verdict_codes`."""
-    return verdict_codes(lo, hi, eps) >= 2
-
-
-def _row(values) -> np.ndarray:
-    return np.asarray(values, dtype=float).reshape(1, -1)
-
-
-def majorizes(lo, hi, eps: float = EPS_TIE) -> bool:
-    """True when ``lo`` is majorized by ``hi`` (lo precedes hi in the order).
-
-    Every leading partial sum of ``lo`` must be bounded by the corresponding
-    partial sum of ``hi``, up to the tie tolerance ``eps``; the shorter vector
-    is zero-padded.  In conversion terms: a state with spectrum ``lo``
-    converts deterministically to one with spectrum ``hi``.  One-row form of
-    :func:`majorizes_rows`.
-    """
-    return bool(majorizes_rows(_row(lo), _row(hi), eps)[0])
-
-
-def verdict(lhs, rhs, eps: float = EPS_TIE) -> Verdict:
+def verdict(lhs, rhs) -> Verdict:
     """Combine both majorization directions into the four-way classification.
 
-    One-row form of :func:`verdict_codes`.
+    One-row form of :func:`verdict_codes`, whose forward direction is lhs
+    majorized by rhs: a state with spectrum lhs converts deterministically to
+    one with spectrum rhs.
     """
-    return VERDICT_BY_CODE[verdict_codes(_row(lhs), _row(rhs), eps)[0]]
+    lhs = np.asarray(lhs, dtype=float).reshape(1, -1)
+    rhs = np.asarray(rhs, dtype=float).reshape(1, -1)
+    return VERDICT_BY_CODE[verdict_codes(lhs, rhs)[0]]
 
 
-def incomparable_3dim(avec, bvec, eps: float = EPS_TIE) -> bool:
+def incomparable_3dim(avec, bvec) -> bool:
     """Closed-form incomparability test for strictly ordered length-3 spectra.
 
     Returns True when either partial-sum crossing holds:
 
         a1 > b1 and b1 + b2 > a1 + a2,   or   b1 > a1 and a1 + a2 > b1 + b2,
 
-    each comparison strict beyond ``eps`` (``x > y + eps``).  The test reads
-    the crossings only: when the two totals agree, an interleaving chain such
-    as a1 > b1 > b2 > a2 > a3 > b3 implies a crossing, since a3 > b3 exactly
-    when a1 + a2 < b1 + b2.  For strictly ordered spectra whose totals agree
-    within ``eps`` it answers as ``verdict(a, b) is Verdict.INCOMPARABLE``;
+    each comparison strict beyond ``EPS_TIE`` (``x > y + EPS_TIE``).  The
+    test reads the crossings only: when the two totals agree, an interleaving
+    chain such as a1 > b1 > b2 > a2 > a3 > b3 implies a crossing, since
+    a3 > b3 exactly when a1 + a2 < b1 + b2.  For strictly ordered spectra whose totals agree
+    within ``EPS_TIE`` it answers as ``verdict(a, b) is Verdict.INCOMPARABLE``;
     the comparisons are the verdict's own, in Python floats.  Spectra with
     internal ties raise :class:`SpectrumTieError`: route those through
     :func:`verdict`.
     """
+    eps = EPS_TIE
     a = np.asarray(avec, dtype=float).ravel().tolist()
     b = np.asarray(bvec, dtype=float).ravel().tolist()
     if len(a) != 3 or len(b) != 3:

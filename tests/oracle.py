@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from qflip.bloch import FlipParams, flip, qubit_to_bloch
+from qflip.bloch import FlipParams, complements, flip, qubit_to_bloch
 
 DIM_CAP = 12
 HERMITICITY_TOL = 1e-10
@@ -187,9 +187,10 @@ def entanglement_entropy(probs) -> float:
 
 def canonical_triple(p: FlipParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The three family states (|0>, a|0>+b|1>, c|0>+d e^{i theta}|1>)."""
+    b, d = complements(p.a, p.c)
     first = np.array([1.0, 0.0], dtype=complex)
-    second = np.array([p.a, p.b], dtype=complex)
-    third = np.array([p.c, p.d * (cos(p.theta) + 1j * sin(p.theta))], dtype=complex)
+    second = np.array([p.a, b], dtype=complex)
+    third = np.array([p.c, d * (cos(p.theta) + 1j * sin(p.theta))], dtype=complex)
     return first, second, third
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qflip import kernels
-from qflip.bloch import FlipParams, density_to_bloch, qubit_to_bloch, random_qubit
+from qflip.bloch import FlipParams, complements, density_to_bloch, qubit_to_bloch, random_qubit
 from qflip.constructions import (
     AXES_LAMBDA_FINAL,
     AXES_LAMBDA_INITIAL,
@@ -23,7 +23,7 @@ from qflip.constructions import (
     general_flip_experiment,
 )
 from qflip.cubic import cubic_coefficients_rows
-from qflip.ordering import ALL_PATTERN_IDS, REGION_BOUNDS, check_atlas, pattern_labels
+from qflip.ordering import PATTERN_ATLAS, REGION_BOUNDS, check_atlas, pattern_labels
 from qflip.schmidt import (
     VERDICT_BY_CODE,
     SpectrumTieError,
@@ -45,6 +45,7 @@ from oracle import (
     schmidt_decompose,
 )
 
+ALL_PATTERN_IDS = {f"{ri}{rf}" for ri, rf in PATTERN_ATLAS}
 GRID_N = 40
 GRID_MARGIN = 1e-3
 
@@ -64,10 +65,7 @@ def grid():
     data["a"], data["c"], data["theta"] = flat
     data["eval_seconds"] = elapsed
     data["mask"] = np.abs(kernels.degeneracy(*flat)) > GRID_MARGIN
-    data["max_err"] = np.maximum(
-        np.max(np.abs(data["alpha"] - data["num_alpha"]), axis=1),
-        np.max(np.abs(data["beta"] - data["num_beta"]), axis=1),
-    )
+    data["max_err"] = np.abs(data["roots"] - data["spectra"]).max(axis=(1, 2))
     return data
 
 
@@ -150,10 +148,10 @@ def test_criterion_4_ordering_atlas_coverage(grid):
     pattern_counts = dict(Counter(label.split(":")[0] for label in pattern_labels(regions)))
     for i in np.flatnonzero(mask):
         try:
-            assert incomparable_3dim(grid["alpha"][i], grid["beta"][i])
+            assert incomparable_3dim(*grid["roots"][i])
         except SpectrumTieError:
-            assert verdict(grid["alpha"][i], grid["beta"][i]) is Verdict.INCOMPARABLE
-    assert witnessed == set(ALL_PATTERN_IDS)
+            assert verdict(*grid["roots"][i]) is Verdict.INCOMPARABLE
+    assert witnessed == ALL_PATTERN_IDS
     _report(
         4,
         f"every point matches the atlas, all {len(ALL_PATTERN_IDS)} region cases witnessed "
@@ -202,14 +200,16 @@ def test_criterion_6_degenerate_family():
         assert result.degenerate
         assert result.verdict is Verdict.INTERCONVERTIBLE
         np.testing.assert_allclose(result.numeric_initial, result.numeric_final, atol=1e-10)
-        _, coeff_b, coeff_bp = cubic_coefficients_rows(p.a, p.b, p.c, p.d, p.theta)
+        b, d = complements(p.a, p.c)
+        _, coeff_b, coeff_bp = cubic_coefficients_rows(p.a, b, p.c, d, p.theta)
         assert great_circle_test(*canonical_triple(p)) == (abs(coeff_b - coeff_bp) <= 1e-10)
     # the equivalence also holds at generic non-degenerate points
     for _ in range(100):
         p = FlipParams(
             a=rng.uniform(0.05, 0.95), c=rng.uniform(0.05, 0.95), theta=rng.uniform(0.1, pi - 0.1)
         )
-        _, coeff_b, coeff_bp = cubic_coefficients_rows(p.a, p.b, p.c, p.d, p.theta)
+        b, d = complements(p.a, p.c)
+        _, coeff_b, coeff_bp = cubic_coefficients_rows(p.a, b, p.c, d, p.theta)
         assert great_circle_test(*canonical_triple(p)) == (abs(coeff_b - coeff_bp) <= 1e-10)
     _report(6, "100 exactly-degenerate points interconvertible; great-circle test matches |B-B'|<=1e-10")
 

@@ -126,6 +126,12 @@ def test_verify_general_degenerate_flag(capsys):
     assert record["verdict"] == "Interconvertible"
 
 
+def _corrupt_atlas(monkeypatch):
+    """Install the tables of an atlas whose Q2Q2 entry holds the Q3Q3 chain."""
+    corrupted = {**PATTERN_ATLAS, ("Q2", "Q2"): PATTERN_ATLAS[("Q3", "Q3")]}
+    monkeypatch.setattr(ordering, "_ATLAS_TABLES", ordering._atlas_tables(corrupted))
+
+
 # Grid-100 point (0, 0, 0): its measure m = 3.05e-6 lies beyond the default
 # margin, but |B - Bprime| = 4 m^2 = 3.7e-11 lies within DEGENERACY_GAP_TOL.
 GAP_POINT = ("--a", "0.009900990099009901", "--c", "0.009900990099009901", "--theta", "0.031104877758314782")
@@ -138,7 +144,7 @@ def test_live_point_within_the_gap_tolerance_is_checked_against_the_atlas(monkey
     assert 0 < record["B"] - record["Bprime"] <= ordering.DEGENERACY_GAP_TOL
     assert record["degeneracyFlag"] is False
     assert record["ordering"] == "Q2Q2:a1>b1>b3>a3>a2>b2"
-    monkeypatch.setitem(PATTERN_ATLAS, ("Q2", "Q2"), PATTERN_ATLAS[("Q3", "Q3")])
+    _corrupt_atlas(monkeypatch)
     a, c, theta = (float(x) for x in GAP_POINT[1::2])
     with pytest.raises(OrderingMismatchError):
         general_flip_experiment(FlipParams(a=a, c=c, theta=theta))
@@ -271,6 +277,19 @@ def test_non_finite_float_flags_are_usage_errors(argv, capsys):
     assert "finite" in err
 
 
+def test_negative_seed_is_a_usage_error_naming_the_flag(monkeypatch, capsys):
+    # numpy would reject it too, but in words that do not name the flag
+    monkeypatch.setattr(cli, "flipper_experiment", None)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "flipper", "--seed", "-1"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "qflip verify flipper: error: argument --seed: expected a non-negative integer, got '-1'"
+    )
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "general", "--a", "0.5"])
@@ -389,7 +408,7 @@ def test_sweep_non_incomparable_verdict_fails_before_writing(monkeypatch, tmp_pa
     def equal_spectra(*args):
         # both routes agree, but the final spectrum equals the initial one
         data = real_grid_eval(*args)
-        data["beta"][7] = data["alpha"][7]
+        data["roots"][7, 1] = data["roots"][7, 0]
         data["num_beta"][7] = data["num_alpha"][7]
         return data
 
@@ -402,7 +421,7 @@ def test_sweep_non_incomparable_verdict_fails_before_writing(monkeypatch, tmp_pa
 
 
 def test_sweep_corrupted_atlas_fails_before_writing(monkeypatch, tmp_path, capsys):
-    monkeypatch.setitem(PATTERN_ATLAS, ("Q2", "Q2"), PATTERN_ATLAS[("Q3", "Q3")])
+    _corrupt_atlas(monkeypatch)
     target = tmp_path / "sweep.ndjson"
     code, _, err = run_cli(capsys, "sweep", "--grid", "4", "--out", str(target))
     assert code == 1

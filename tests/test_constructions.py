@@ -298,13 +298,22 @@ def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
 
 
 def test_axes_experiment_is_one_certified_family_row(monkeypatch):
-    # the axes case is certified by the sweep's route, like any family point
+    # the axes case is certified by the sweep's route, like any family point,
+    # with the phases (chi, eta) in the roles of (nu, mu)
     counts = _count_calls(
         monkeypatch,
         {"grid_eval": kernels.grid_eval, "certify_rows": constructions.certify_rows},
     )
+    phases = []
+    counting_grid_eval = constructions.kernels.grid_eval
+
+    def grid_eval(a, c, theta, mu, nu):
+        phases.append((mu, nu))
+        return counting_grid_eval(a, c, theta, mu, nu)
+
+    monkeypatch.setattr(constructions.kernels, "grid_eval", grid_eval)
     result = axes_experiment(chi=0.4, eta=0.7)
-    assert result.params == AXES_PARAMS and (result.mu, result.nu) == (0.7, 0.4)
+    assert result.params == AXES_PARAMS and phases == [(0.7, 0.4)]
     assert counts == {"grid_eval": 1, "certify_rows": 1}
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 
-from qflip.bloch import FlipParams
+from qflip.bloch import FlipParams, complements
 from qflip.cubic import cubic_coefficients_rows, cubic_roots_rows, labeled_roots_rows
 
 SQRT2_INV = 1 / np.sqrt(2)
@@ -15,9 +15,15 @@ def _random_params(rng):
     )
 
 
+def _columns(p):
+    """(a, b, c, d, theta) of the family point ``p``."""
+    b, d = complements(p.a, p.c)
+    return p.a, b, p.c, d, p.theta
+
+
 def _random_rows(rng, n):
     """(a, b, c, d, theta) columns of ``n`` random family points, drawn as :func:`_random_params` draws them."""
-    return np.array([[p.a, p.b, p.c, p.d, p.theta] for p in (_random_params(rng) for _ in range(n))]).T
+    return np.array([_columns(_random_params(rng)) for _ in range(n)]).T
 
 
 def _random_cubics(rng, n):
@@ -29,7 +35,7 @@ def _random_cubics(rng, n):
 
 
 def test_axes_coefficients():
-    (coeff_a,), (coeff_b,), (coeff_bp,) = cubic_coefficients_rows([AXES.a], [AXES.b], [AXES.c], [AXES.d], [AXES.theta])
+    coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(*_columns(AXES))
     assert abs(coeff_a - 0.25) < 1e-15
     assert abs(coeff_b - 0.25) < 1e-15
     assert abs(coeff_bp) < 1e-15

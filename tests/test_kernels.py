@@ -32,8 +32,8 @@ def test_grid_eval_matches_full_stack(rng):
         oracle_f = schmidt_decompose(build_family_state_flipped(p, mu[i], nu[i]), [0])
         np.testing.assert_allclose(data["num_alpha"][i], oracle_i, rtol=0, atol=1e-14)
         np.testing.assert_allclose(data["num_beta"][i], oracle_f, rtol=0, atol=1e-14)
-        np.testing.assert_allclose(data["alpha"][i], oracle_i, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(data["beta"][i], oracle_f, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(data["roots"][i, 0], oracle_i, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(data["roots"][i, 1], oracle_f, rtol=0, atol=1e-12)
 
 
 def test_family_reduced_rows_carry_the_device_phases(rng):

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qflip.bloch import FlipParams
+from qflip import ordering
+from qflip.bloch import FlipParams, complements
 from qflip.cli import SweepConfig, _run_sweep
 from qflip.constructions import general_flip_experiment
 from qflip.cubic import cubic_coefficients_rows, cubic_roots_rows, labeled_roots_rows
 from qflip.kernels import degeneracy
 from qflip.ordering import (
-    ALL_PATTERN_IDS,
     PATTERN_ATLAS,
     REGION_BOUNDS,
     OrderingMismatchError,
@@ -24,14 +24,16 @@ from qflip.ordering import (
 from qflip.schmidt import SpectrumTieError, Verdict, incomparable_3dim, verdict
 
 NAMES = tuple(REGION_BOUNDS)
+ALL_PATTERN_IDS = {f"{ri}{rf}" for ri, rf in PATTERN_ATLAS}
 LABELS = np.array(["a1", "a2", "a3", "b1", "b2", "b3"])
 
 
 def _rows(points):
     """Columns A, B, Bprime, t_initial, t_final of the family points, as
     :func:`check_atlas` takes them."""
-    columns = (np.array([getattr(p, key) for p in points]) for key in ("a", "b", "c", "d", "theta"))
-    coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(*columns)
+    a, c, theta = (np.array([getattr(p, key) for p in points]) for key in ("a", "c", "theta"))
+    b, d = complements(a, c)
+    coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(a, b, c, d, theta)
     _, t_i = cubic_roots_rows(coeff_a, coeff_b)
     _, t_f = cubic_roots_rows(coeff_a, coeff_bp)
     return coeff_a, coeff_b, coeff_bp, t_i, t_f
@@ -124,7 +126,7 @@ def test_sorted_interleaving_certifies_incomparability(rng):
         )
         if abs(degeneracy(p.a, p.c, p.theta)) < 1e-3:
             continue
-        coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows([p.a], [p.b], [p.c], [p.d], [p.theta])
+        coeff_a, coeff_b, coeff_bp = _rows([p])[:3]
         (alpha, beta), _ = cubic_roots_rows(np.append(coeff_a, coeff_a), np.append(coeff_b, coeff_bp))
         try:
             assert incomparable_3dim(alpha, beta)
@@ -137,7 +139,7 @@ def test_atlas_fully_witnessed_on_coarse_grid():
     points = [FlipParams(a=a, c=c, theta=theta) for a in ticks for c in ticks for theta in ticks * np.pi]
     regions = check_atlas(*_rows([p for p in points if abs(degeneracy(p.a, p.c, p.theta)) >= 1e-3]))
     witnessed = set().union(*(_witnessed(r) for r in regions))
-    assert witnessed == set(ALL_PATTERN_IDS)
+    assert witnessed == ALL_PATTERN_IDS
     assert len(PATTERN_ATLAS) == 8
 
 
@@ -169,28 +171,25 @@ def test_atlas_check_rejects_a_non_finite_angle_in_a_checked_row():
     assert check_atlas([0.1], [0.3], [0.3], [np.nan], [0.5]).tolist() == [[[-1, -1], [-1, -1]]]
 
 
-ORIGINAL_ATLAS = dict(PATTERN_ATLAS)
-
-
 @contextmanager
 def _atlas_with(pair, chain):
-    """PATTERN_ATLAS with one entry replaced (or removed, for chain None)."""
-    if chain is None:
-        del PATTERN_ATLAS[pair]
-    else:
-        PATTERN_ATLAS[pair] = chain
+    """The tables of PATTERN_ATLAS with one entry replaced (or removed, for chain None) installed."""
+    atlas = {key: value for key, value in PATTERN_ATLAS.items() if key != pair}
+    if chain is not None:
+        atlas[pair] = chain
+    original = ordering._ATLAS_TABLES
+    ordering._ATLAS_TABLES = ordering._atlas_tables(atlas)
     try:
         yield
     finally:
-        PATTERN_ATLAS.clear()
-        PATTERN_ATLAS.update(ORIGINAL_ATLAS)
+        ordering._ATLAS_TABLES = original
 
 
 def test_atlas_check_applies_tie_tolerance_per_row():
     # B' > 0 witnesses only {Q2, Q3} x {Q2, Q3}, B' < 0 only {Q2, Q3} x {Q1, Q4},
     # so a wrong chain for Q2Q1 breaks the second row alone
     columns = _rows([FlipParams(a=0.9, c=0.9, theta=0.3), FlipParams(a=0.8, c=0.6, theta=2 * np.pi / 3)])
-    with _atlas_with(("Q2", "Q1"), ORIGINAL_ATLAS[("Q3", "Q3")]):
+    with _atlas_with(("Q2", "Q1"), PATTERN_ATLAS[("Q3", "Q3")]):
         with pytest.raises(OrderingMismatchError):
             check_atlas(*columns)
         # roots lie in [0, 1], so a tie tolerance of 1 forgives any chain
@@ -201,13 +200,13 @@ def test_atlas_check_applies_tie_tolerance_per_row():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from(sorted(ORIGINAL_ATLAS)),
-    st.sampled_from([None, *sorted(set(ORIGINAL_ATLAS.values()))]),
+    st.sampled_from(sorted(PATTERN_ATLAS)),
+    st.sampled_from([None, *sorted(set(PATTERN_ATLAS.values()))]),
 )
 def test_corrupted_atlas_entry_makes_the_sweep_fail(pair, chain):
     cfg = SweepConfig(grid_n=9)
     with _atlas_with(pair, chain):
-        if chain == ORIGINAL_ATLAS[pair]:
+        if chain == PATTERN_ATLAS[pair]:
             _run_sweep(cfg, io.StringIO())
         else:
             with pytest.raises(OrderingMismatchError):

@@ -10,8 +10,6 @@ from qflip.schmidt import (
     SpectrumTieError,
     Verdict,
     incomparable_3dim,
-    majorizes,
-    majorizes_rows,
     verdict,
     verdict_codes,
 )
@@ -26,6 +24,11 @@ def _brute_incomparable(a, b, eps=EPS_TIE):
     fwd = all(sum(a[: k + 1]) <= sum(b[: k + 1]) + eps for k in range(len(a)))
     bwd = all(sum(b[: k + 1]) <= sum(a[: k + 1]) + eps for k in range(len(a)))
     return not fwd and not bwd
+
+
+def _majorizes(lo, hi):
+    """``lo`` is majorized by ``hi``: the forward half of the verdict."""
+    return verdict(lo, hi) in (Verdict.FORWARD_CERTAIN, Verdict.INTERCONVERTIBLE)
 
 
 def _brute_majorizes(lo, hi, eps=EPS_TIE):
@@ -63,12 +66,10 @@ def _spectrum_stacks(draw):
 @given(_spectrum_stacks())
 def test_batched_scalar_and_brute_force_majorization_agree(stacks):
     lo, hi = stacks
-    batched = majorizes_rows(np.array(lo), np.array(hi)).tolist()
     codes = verdict_codes(np.array(lo), np.array(hi)).tolist()
     for row, (x, y) in enumerate(zip(lo, hi)):
         forward, backward = _brute_majorizes(x, y), _brute_majorizes(y, x)
-        assert batched[row] == majorizes(x, y) == forward
-        assert majorizes(y, x) == backward
+        assert _majorizes(y, x) == backward
         assert VERDICT_BY_CODE[codes[row]] is verdict(x, y)
         assert verdict(x, y) is {
             (True, True): Verdict.INTERCONVERTIBLE,
@@ -82,16 +83,17 @@ def test_majorization_tie_at_eps_is_inclusive():
     # leading sums differing by exactly the tolerance still count as bounded
     lo = [0.5, 0.25, 0.25]
     hi = [0.5 - EPS_TIE, 0.25 + EPS_TIE, 0.25]
-    assert majorizes(lo, hi) and _brute_majorizes(lo, hi)
-    assert not majorizes(lo, hi, eps=0.0)
-    assert majorizes_rows([lo, hi], [hi, lo]).tolist() == [True, True]
+    assert _majorizes(lo, hi) and _brute_majorizes(lo, hi)
+    assert not _brute_majorizes(lo, hi, eps=0.0)  # the pair sits on the tie
+    interconvertible = VERDICT_BY_CODE.index(Verdict.INTERCONVERTIBLE)
+    assert verdict_codes([lo, hi], [hi, lo]).tolist() == [interconvertible, interconvertible]
 
 
 def test_majorizes_rows_rejects_mismatched_stacks():
     with pytest.raises(ValueError):
-        majorizes_rows(np.ones((2, 3)), np.ones((3, 3)))
+        verdict_codes(np.ones((2, 3)), np.ones((3, 3)))
     with pytest.raises(ValueError):
-        majorizes([], [1.0])
+        verdict([], [1.0])
 
 
 def test_pure_state_validation():
@@ -151,33 +153,33 @@ def test_schmidt_local_unitary_invariance(rng):
 
 
 def test_majorizes_examples():
-    assert majorizes([0.5, 0.5], [1.0, 0.0])
+    assert _majorizes([0.5, 0.5], [1.0, 0.0])
     lam_i = np.array([2 / 3, 1 / 6, 1 / 6])
     lam_f = np.array(AXES_LAMBDA_FINAL)
-    assert not majorizes(lam_i, lam_f)
-    assert not majorizes(lam_f, lam_i)
-    assert majorizes([0.3, 0.3, 0.4], [0.4, 0.3, 0.3])  # unsorted input is sorted first
+    assert not _majorizes(lam_i, lam_f)
+    assert not _majorizes(lam_f, lam_i)
+    assert _majorizes([0.3, 0.3, 0.4], [0.4, 0.3, 0.3])  # unsorted input is sorted first
 
 
 def test_majorizes_pads_shorter_vector():
-    assert majorizes([0.5, 0.5], [1.0])
-    assert not majorizes([1.0], [0.5, 0.5])
+    assert _majorizes([0.5, 0.5], [1.0])
+    assert not _majorizes([1.0], [0.5, 0.5])
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=2, max_value=6))
 def test_majorizes_reflexive(seed, n):
     lam = random_prob_vector(np.random.default_rng(seed), n)
-    assert majorizes(lam, lam)
+    assert _majorizes(lam, lam)
 
 
 def test_majorizes_transitive_on_sampled_chains(rng):
     hits = 0
     while hits < 50:
         x, y, z = (random_prob_vector(rng, 4) for _ in range(3))
-        if majorizes(x, y) and majorizes(y, z):
+        if _majorizes(x, y) and _majorizes(y, z):
             hits += 1
-            assert majorizes(x, z)
+            assert _majorizes(x, z)
 
 
 def test_verdict_examples():
