@@ -10,7 +10,8 @@ taken half-open.  :func:`check_atlas` verifies many spectrum pairs at once
 against the atlas under every valid representative combination; any mismatch
 raises instead of being glossed over, since it would mean the table (or this
 implementation) is wrong.  :func:`pattern_labels` names each checked pair by
-its principal region pair and chain, for a sweep and a single point alike.
+its principal region pair and chain, for a sweep and a single point alike;
+a sweep counts the pairs by their region codes (:func:`pattern_codes`).
 """
 
 from __future__ import annotations
@@ -166,9 +167,21 @@ def check_atlas(
     return np.where(checked[..., None], regions, -1)
 
 
+def pattern_codes(regions: np.ndarray) -> np.ndarray:
+    """Region code 4 * initial + final of each row's principal region pair, as
+    returned by :func:`check_atlas`; 16 for rows it did not check.
+    ``code_labels()[code]`` names a code."""
+    principal_i, principal_f = regions[:, 0, 0], regions[:, 1, 0]
+    return np.where(principal_i < 0, 16, 4 * principal_i + principal_f)
+
+
+def code_labels() -> np.ndarray:
+    """Label ``pattern_id:chain`` of each of the 17 region codes; None for
+    code 16 and for codes without an atlas entry."""
+    return _ATLAS_TABLES[2]
+
+
 def pattern_labels(regions: np.ndarray) -> np.ndarray:
     """Label ``pattern_id:chain`` of each row's principal region pair, as
     returned by :func:`check_atlas`; None for rows it did not check."""
-    labels = _ATLAS_TABLES[2]
-    principal_i, principal_f = regions[:, 0, 0], regions[:, 1, 0]
-    return labels[np.where(principal_i < 0, 16, 4 * principal_i + principal_f)]
+    return code_labels()[pattern_codes(regions)]

@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 import qflip.cli as cli
-from qflip import constructions, cubic, kernels, ordering
+from qflip import constructions, cubic, kernels, ordering, report
 from qflip.bloch import FlipParams
 from qflip.constructions import AXES_PARAMS, VerificationError, general_flip_experiment, route_tolerance
 from qflip.ordering import CHAIN_TIE_TOL, PATTERN_ATLAS, OrderingMismatchError
-from qflip.report import CSV_HEADER, NonFiniteError
+from qflip.report import CSV_HEADER, NonFiniteError, fmt_float
 from qflip.schmidt import SpectrumTieError
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
@@ -638,6 +638,22 @@ def test_sweep_chunk_boundaries_keep_the_golden_bytes(fmt, jobs, monkeypatch, ca
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SWEEP_GRID12[fmt]
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_SWEEP_GRID12))
+def test_sweep_formats_every_record_float_in_numpy(fmt, monkeypatch, capsys):
+    # report.float_text hands fmt_float only what it cannot format itself; on
+    # grid 12 that is nothing, so fmt_float sees only grid_text's ticks and
+    # angles and, in JSON, the summary's two floats
+    calls = []
+    monkeypatch.setattr(report, "fmt_float", lambda x: calls.append(x) or fmt_float(x))
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "12", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SWEEP_GRID12[fmt]
+    ticks = np.arange(1, 13) / 13
+    summary = json.loads(out.splitlines()[-1]) if fmt == "json" else {}
+    summary_floats = [summary[k] for k in ("margin", "max_analytic_numeric_error") if k in summary]
+    assert calls == [*ticks.tolist(), *(ticks * np.pi).tolist(), *summary_floats]
 
 
 @pytest.mark.parametrize("chunk_rows, pools", [(8192, []), (1000, [2])])

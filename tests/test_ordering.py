@@ -164,6 +164,18 @@ def test_atlas_check_skips_degenerate_rows():
     assert pattern_labels(regions).tolist() == [None]
 
 
+def test_pattern_codes_name_the_principal_region_pair():
+    # a sweep counts patterns by code; code_labels turns a code into pattern_labels' label
+    points = [FlipParams(a=a, c=c, theta=t) for a in (0.2, 0.7) for c in (0.3, 0.8) for t in (0.4, 2.6)]
+    regions = check_atlas(*_rows([*points, FlipParams(a=1.0, c=0.5, theta=1.0)]))
+    codes = ordering.pattern_codes(regions)
+    assert codes.tolist() == (4 * regions[:, 0, 0] + regions[:, 1, 0]).tolist()[:-1] + [16]
+    assert ordering.code_labels()[codes].tolist() == pattern_labels(regions).tolist()
+    assert [ordering.code_labels()[4 * NAMES.index(ri) + NAMES.index(rf)] for ri, rf in PATTERN_ATLAS] == [
+        f"{ri}{rf}:{'>'.join(chain)}" for (ri, rf), chain in PATTERN_ATLAS.items()
+    ]
+
+
 def test_atlas_check_rejects_a_non_finite_angle_in_a_checked_row():
     with pytest.raises(OrderingMismatchError, match="row 0 has a non-finite angle: theta_i=nan"):
         check_atlas([0.1], [0.3], [0.01], [np.nan], [0.5], live=True)
