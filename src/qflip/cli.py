@@ -21,12 +21,13 @@ import shutil
 import stat
 import sys
 import tempfile
+import threading
 from collections import Counter
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite, pi
-from typing import Iterable, Iterator, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,7 +83,7 @@ class SweepConfig:
 
 
 @contextmanager
-def _spool(out_path: str | None) -> Iterator[TextIO]:
+def _spool(out_path: str | None) -> Iterator[BinaryIO]:
     """A temporary file for the whole output, published only if the block succeeds.
 
     Where ``out_path`` is a regular file, or does not exist yet, the spool
@@ -114,7 +115,7 @@ def _spool(out_path: str | None) -> Iterator[TextIO]:
             raise
         raise OutputError(f"cannot write --out {out_path}: {exc.strerror}") from exc
     try:
-        with os.fdopen(fd, "w+") as fh:
+        with os.fdopen(fd, "w+b") as fh:
             yield fh
             if rename:
                 os.fchmod(fd, mode)
@@ -128,14 +129,15 @@ def _spool(out_path: str | None) -> Iterator[TextIO]:
             os.unlink(spool)
 
 
-def _copy_out(spool: TextIO, out_path: str | None) -> None:
+def _copy_out(spool: BinaryIO, out_path: str | None) -> None:
     try:
         if out_path:
-            with open(out_path, "w") as out:
+            with open(out_path, "wb") as out:
                 shutil.copyfileobj(spool, out)
         else:
-            shutil.copyfileobj(spool, sys.stdout)
-            sys.stdout.flush()
+            sys.stdout.flush()  # text written before the spool goes first
+            shutil.copyfileobj(spool, sys.stdout.buffer)
+            sys.stdout.buffer.flush()
     except OSError as exc:
         if not out_path:
             # Point stdout at devnull so that the flush at interpreter exit cannot raise.
@@ -150,8 +152,7 @@ def _emit(blocks: Iterable[str], out_path: str | None) -> None:
     """Write each block followed by a newline to ``out_path`` or stdout, through a spool."""
     with _spool(out_path) as fh:
         for block in blocks:
-            fh.write(block)
-            fh.write("\n")
+            fh.write(f"{block}\n".encode())
 
 
 def _emit_record(record: ReportRecord, fmt: str, out_path: str | None) -> None:
@@ -256,22 +257,23 @@ def _cmd_check_pair(args) -> int:
     return 0
 
 
-# Points per chunk: each chunk is evaluated, certified, formatted and written
-# before the next.  Besides one chunk, a sweep holds O(N^2) for the point
-# selection and 8 bytes per certified point for their flat indices.
+# Points per chunk.  With --jobs 1 a worker thread evaluates and certifies
+# the next chunk while the current one is formatted and written, so two
+# chunks are in flight at a time.  Besides them, a sweep holds O(N^2) for the
+# point selection and 8 bytes per certified point for their flat indices.
 CHUNK_ROWS = 8192
 
 _VERDICT_TEXT = np.array([str(v) for v in VERDICT_BY_CODE], dtype=object)
 
 
-def _sweep_chunk(fmt: str, ticks: np.ndarray, angles: np.ndarray, text: tuple, flat: np.ndarray):
-    """Evaluate, certify and format one chunk of certified grid points.
+def _evaluate_chunk(ticks: np.ndarray, angles: np.ndarray, text: tuple, flat: np.ndarray):
+    """Evaluate and certify one chunk of certified grid points.
 
     ``flat`` holds the points' flat indices into the (a, c, theta) grid and
     ``text`` is :func:`grid_text` of ``ticks`` and ``angles``.  Returns the
-    chunk's record block, its largest analytic/numeric error and its
-    ordering pattern counts.  A failed check raises from
-    :func:`certify_rows`.
+    chunk's record columns as :func:`sweep_block` takes them, its largest
+    analytic/numeric error and its ordering pattern counts.  A failed check
+    raises from :func:`certify_rows`.
     """
     ia, ic, itheta = np.unravel_index(flat, (len(ticks), len(ticks), len(angles)))
     rows = kernels.grid_eval(ticks[ia], ticks[ic], angles[itheta])
@@ -289,17 +291,58 @@ def _sweep_chunk(fmt: str, ticks: np.ndarray, angles: np.ndarray, text: tuple, f
     }
     per_code = np.bincount(patterns, minlength=labels.size)
     counts = {labels[c]: int(per_code[c]) for c in np.flatnonzero(per_code) if labels[c] is not None}
-    return sweep_block(fmt, columns), float(max_err.max()), counts
+    return columns, float(max_err.max()), counts
 
 
-def _run_sweep(cfg: SweepConfig, out: TextIO) -> dict:
+def _sweep_chunk(fmt: str, ticks: np.ndarray, angles: np.ndarray, text: tuple, flat: np.ndarray):
+    """:func:`_evaluate_chunk` with the columns formatted into the chunk's record block."""
+    columns, max_err, counts = _evaluate_chunk(ticks, angles, text, flat)
+    return sweep_block(fmt, columns), max_err, counts
+
+
+def _capture(evaluate: Callable, item, outcome: list) -> None:
+    """Set ``outcome`` to ``evaluate(item)`` and None, or to None and the exception it raised."""
+    try:
+        outcome[:] = evaluate(item), None
+    except BaseException as exc:  # raised again by the thread that reads outcome
+        outcome[:] = None, exc
+
+
+def _evaluated_ahead(evaluate: Callable, items: Sequence) -> Iterator:
+    """``map(evaluate, items)`` over a non-empty sequence, evaluating the next
+    item on a worker thread while the caller uses the current result.
+
+    The first item is evaluated on the calling thread, so one item starts no
+    thread, and no item is evaluated more than one ahead of the result the
+    caller holds.  An exception the worker raised is raised here in its
+    item's turn.  The worker is joined before the next result is handed out
+    and when the generator is closed: close it if the caller stops early.
+    """
+    result = evaluate(items[0])
+    for item in items[1:]:
+        outcome = []
+        worker = threading.Thread(target=_capture, args=(evaluate, item, outcome), name="qflip-evaluate")
+        worker.start()
+        try:
+            yield result
+        finally:
+            worker.join()
+        result, error = outcome
+        if error is not None:
+            raise error
+    yield result
+
+
+def _run_sweep(cfg: SweepConfig, out: BinaryIO) -> dict:
     """Evaluate, certify and write every grid point beyond the margin, chunk by chunk.
 
     The margin test depends only on (a, c, theta), so the kernel runs on the
-    certified points alone, ``CHUNK_ROWS`` at a time, in grid order; with
-    ``cfg.jobs`` above 1 the chunks are spread over a process pool.  Each
-    chunk's records are written to ``out`` (the CSV header first) as soon as
-    :func:`certify_rows` has checked them; a failure raises
+    certified points alone, ``CHUNK_ROWS`` at a time, and the chunks' records
+    are written to ``out`` (the CSV header first) in grid order.  With
+    ``cfg.jobs`` above 1 a process pool evaluates, certifies and formats
+    whole chunks; otherwise a worker thread evaluates and certifies chunk
+    k + 1 while this thread formats and writes chunk k.  No record is written
+    before :func:`certify_rows` has checked it; a failure raises
     :class:`VerificationError` (or :class:`OrderingMismatchError`), and the
     caller discards ``out``.  Returns the summary.
     """
@@ -314,16 +357,22 @@ def _run_sweep(cfg: SweepConfig, out: TextIO) -> dict:
             f"no grid point lies beyond the degeneracy margin {cfg.margin:g}; nothing was certified"
         )
     if cfg.fmt == "csv":
-        out.write(CSV_HEADER + "\n")
-    work = partial(_sweep_chunk, cfg.fmt, ticks, angles, grid_text(ticks, angles))
-    chunks = (flat[start : start + CHUNK_ROWS] for start in range(0, flat.size, CHUNK_ROWS))
+        out.write(f"{CSV_HEADER}\n".encode())
+    grid = (ticks, angles, grid_text(ticks, angles))
+    chunks = [flat[start : start + CHUNK_ROWS] for start in range(0, flat.size, CHUNK_ROWS)]
+    workers = min(cfg.jobs, len(chunks))  # no idle worker, no pool for one chunk
+    if workers > 1:
+        stage = multiprocessing.get_context("spawn").Pool(workers)
+        results = stage.imap(partial(_sweep_chunk, cfg.fmt, *grid), chunks)
+    else:
+        evaluated = _evaluated_ahead(partial(_evaluate_chunk, *grid), chunks)
+        stage = closing(evaluated)  # joins the worker thread on every path
+        results = ((sweep_block(cfg.fmt, columns), err, counts) for columns, err, counts in evaluated)
     max_err, pattern_counts = 0.0, Counter()
-    workers = min(cfg.jobs, -(-flat.size // CHUNK_ROWS))  # no idle worker, no pool for one chunk
-    parallel = multiprocessing.get_context("spawn").Pool(workers) if workers > 1 else nullcontext()
-    with parallel as pool:
-        for block, chunk_err, counts in (pool.imap if pool else map)(work, chunks):
+    with stage:
+        for block, chunk_err, counts in results:
             out.write(block)
-            out.write("\n")
+            out.write(b"\n")
             max_err = max(max_err, chunk_err)
             pattern_counts.update(counts)
     return {
@@ -345,16 +394,17 @@ def _cmd_sweep(args) -> int:
         summary = _run_sweep(cfg, out)
         if cfg.fmt == "csv":
             counts = ";".join(f"{k}={v}" for k, v in summary["pattern_counts"].items())
-            out.write(
+            line = (
                 f"# summary points_total={summary['points_total']}"
                 f" points_emitted={summary['points_emitted']}"
                 f" points_degenerate_skipped={summary['points_degenerate_skipped']}"
                 f" max_analytic_numeric_error={fmt_float(summary['max_analytic_numeric_error'])}"
                 f" non_incomparable_count={summary['non_incomparable_count']}"
-                f" pattern_counts={counts}\n"
+                f" pattern_counts={counts}"
             )
         else:
-            out.write(json_line(summary) + "\n")
+            line = json_line(summary)
+        out.write(f"{line}\n".encode())
     print(
         f"sweep: {summary['points_emitted']} records, "
         f"max analytic/numeric error {summary['max_analytic_numeric_error']:.3e}, "
@@ -375,6 +425,20 @@ def non_negative_int(text: str) -> int:
     """Type of ``--seed``: a seed for numpy's generator, anything else a usage error."""
     if (value := int(text)) < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
+def grid_size(text: str) -> int:
+    """Type of ``--grid``: at least two points per axis, anything else a usage error."""
+    if (value := int(text)) < 2:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """Type of ``--jobs``: at least one worker, anything else a usage error."""
+    if (value := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -421,9 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.set_defaults(func=_cmd_verify_general)
 
     p_sweep = sub.add_parser("sweep", help="evaluate the family over a full grid")
-    p_sweep.add_argument("--grid", type=int, required=True, help="points per axis")
+    p_sweep.add_argument("--grid", type=grid_size, required=True, help="points per axis")
     p_sweep.add_argument("--margin", type=finite_float, default=DEFAULT_DEGENERACY_MARGIN)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes, each evaluating, certifying and formatting whole chunks")
+    p_sweep.add_argument("--jobs", type=positive_int, default=1, help="worker processes, each evaluating, certifying and formatting whole chunks")
     _add_output_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -294,7 +294,7 @@ def grid_text(ticks: np.ndarray, angles: np.ndarray) -> tuple[np.ndarray, np.nda
     )
 
 
-def sweep_block(fmt: str, columns: dict[str, np.ndarray]) -> str:
+def sweep_block(fmt: str, columns: dict[str, np.ndarray]) -> bytes:
     """Format sweep records from columns, one row per record, as one block.
 
     ``columns`` maps every field of the sweep row (a, c, theta, ia, ic,
@@ -303,9 +303,9 @@ def sweep_block(fmt: str, columns: dict[str, np.ndarray]) -> str:
     their text as bytes, as :func:`grid_text` gives it; ``ordering`` and
     ``verdict`` are object arrays of strings, ``ordering`` None where a record
     has none; every other field is a float array.  The block is its rows
-    joined by newlines, without a trailing newline, and reads exactly as the
-    records' ``to_json_line`` / ``to_csv_row``.  A NaN or an infinity raises
-    :class:`NonFiniteError`.
+    joined by newlines, without a trailing newline, as ASCII bytes, and reads
+    exactly as the records' ``to_json_line`` / ``to_csv_row``.  A NaN or an
+    infinity raises :class:`NonFiniteError`.
     """
     if fmt == "csv":
         template, fields, render = _SWEEP_CSV_ROW, _SWEEP_CSV_FIELDS, _csv_text
@@ -321,4 +321,4 @@ def sweep_block(fmt: str, columns: dict[str, np.ndarray]) -> str:
             part.append([rendered[x] for x in values])
         else:
             part.append(float_text(columns[name], name))
-    return b"\n".join([template % row for row in zip(*part)]).decode()
+    return b"\n".join([template % row for row in zip(*part)])

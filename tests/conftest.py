@@ -1,5 +1,17 @@
+import threading
+
 import numpy as np
 import pytest
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread alive which was not alive before it."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate() if thread not in before]
+    if left:
+        pytest.fail(f"threads left running: {left}")
 
 
 @pytest.fixture

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -288,6 +290,26 @@ def test_negative_seed_is_a_usage_error_naming_the_flag(monkeypatch, capsys):
     assert err.splitlines()[-1] == (
         "qflip verify flipper: error: argument --seed: expected a non-negative integer, got '-1'"
     )
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["--grid", "1"], {"grid_n": 1}, "argument --grid: expected an integer of at least 2, got '1'"),
+        (["--grid", "3", "--jobs", "0"], {"grid_n": 3, "jobs": 0}, "argument --jobs: expected a positive integer, got '0'"),
+    ],
+)
+def test_sweep_size_errors_name_the_flag(argv, config, message, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_run_sweep", None)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"qflip sweep: error: {message}"
+    # a config built directly, without the parser, is checked as well
+    with pytest.raises(ValueError, match="must be at least"):
+        cli.SweepConfig(**config)
 
 
 def test_usage_error_exit_code():
@@ -732,6 +754,84 @@ def test_sweep_failing_in_its_last_chunk_leaves_nothing(to_file, monkeypatch, tm
     assert list(tmp_path.iterdir()) == []
 
 
+def test_sweep_failing_on_the_worker_thread_leaves_nothing(monkeypatch, tmp_path, capsys):
+    # chunk 3 fails its route gate on the worker thread while chunk 2 is written
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where a misplaced spool would go
+    real_grid_eval = cli.kernels.grid_eval
+    on_main_thread = []
+
+    def off_in_third_chunk(*args):
+        data = real_grid_eval(*args)
+        on_main_thread.append(threading.current_thread() is threading.main_thread())
+        if len(on_main_thread) == 3:
+            data["num_alpha"][[2, 5], 1] += 1e-6
+        return data
+
+    monkeypatch.setattr(cli.kernels, "grid_eval", off_in_third_chunk)
+    threads = threading.active_count()
+    code, out, err = run_cli(capsys, "sweep", "--grid", "12", "--out", str(tmp_path / "sweep.ndjson"))
+    assert code == 1
+    # grid 12 certifies every point, so row 2 of chunk 3 is flat index 16, grid point (0, 1, 4)
+    ticks = np.arange(1, 13) / 13
+    point = f"a={float(ticks[0])!r}, c={float(ticks[1])!r}, theta={float(ticks[4] * np.pi)!r}"
+    assert f"at 2 points, first at {point}" in err
+    assert on_main_thread == [True, False, False]  # nothing is evaluated past the failing chunk
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+    assert threading.active_count() == threads
+
+
+def test_sweep_reports_a_formatting_failure_before_the_next_chunks_failure(monkeypatch, capsys):
+    # chunk 1 fails to format while chunk 2, which fails too, is evaluated on
+    # the worker: the error of the earlier chunk is reported, after the join
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    evaluating, evaluated = threading.Event(), []
+
+    def second_chunk_fails_slowly(*args):
+        evaluated.append(len(args[0]))
+        if len(evaluated) == 2:
+            evaluating.set()
+            time.sleep(0.2)  # still running when the main thread fails, unless joined
+            evaluated.append("done")
+            raise VerificationError("forced in chunk 2")
+        return real_grid_eval(*args)
+
+    def first_block_fails(fmt, columns):
+        assert evaluating.wait(timeout=60), "chunk 2 was not evaluated while chunk 1 was formatted"
+        raise NonFiniteError("forced in chunk 1")
+
+    real_grid_eval = cli.kernels.grid_eval
+    monkeypatch.setattr(cli.kernels, "grid_eval", second_chunk_fails_slowly)
+    monkeypatch.setattr(cli, "sweep_block", first_block_fails)
+    threads = threading.active_count()
+    code, out, err = run_cli(capsys, "sweep", "--grid", "12")
+    assert code == 1
+    assert err == "verification failed: forced in chunk 1\n"
+    assert evaluated == [7, 7, "done"]  # one chunk ahead, and the worker was joined
+    assert out == ""
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("chunk_rows, threads", [(8192, 0), (1000, 1)], ids=["one-chunk", "two-chunks"])
+def test_sweep_starts_a_thread_for_each_chunk_after_the_first(chunk_rows, threads, monkeypatch, capsys):
+    # grid 12 certifies 1728 points: a sweep of one chunk, like perfbench's
+    # sweep-sparse, starts no thread at all; one of two chunks starts one
+    real_thread, started = threading.Thread, []
+
+    def counted_thread(*args, **kwargs):
+        assert len(started) < threads, "the sweep started a thread beyond one per later chunk"
+        started.append(kwargs["name"])
+        return real_thread(*args, **kwargs)
+
+    monkeypatch.setattr(threading, "Thread", counted_thread)
+    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "12")
+    assert code == 0
+    assert len(started) == threads
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SWEEP_GRID12["json"]
+
+
 @pytest.mark.parametrize("existing_mode", [None, 0o640])
 def test_sweep_out_file_mode_is_that_of_a_plain_open(existing_mode, tmp_path, capsys):
     # the spool is made private (0600); the published file is not
@@ -803,7 +903,7 @@ def test_full_output_target_is_a_write_error(argv, to_stdout, tmp_path):
 def test_sweep_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, capsys):
     # 8x the points must not take 8x the memory: besides the point selection
     # (O(N^2)) and the flat index list of the certified points (8 bytes each),
-    # a sweep holds one chunk at a time
+    # a sweep holds two chunks at a time, one written while the next is evaluated
     monkeypatch.setattr(cli, "CHUNK_ROWS", 256)
 
     def peak(grid):
@@ -819,10 +919,10 @@ def test_sweep_memory_is_bounded_by_the_chunk(monkeypatch, tmp_path, capsys):
 
 
 class _Discard:
-    """A text sink that keeps nothing, so only the sweep's own memory is traced."""
+    """A byte sink that keeps nothing, so only the sweep's own memory is traced."""
 
-    def write(self, text):
-        return len(text)
+    def write(self, data):
+        return len(data)
 
 
 def test_sparse_sweep_memory_grows_like_the_grid_squared(monkeypatch):

@@ -219,7 +219,7 @@ def test_corrupted_atlas_entry_makes_the_sweep_fail(pair, chain):
     cfg = SweepConfig(grid_n=9)
     with _atlas_with(pair, chain):
         if chain == PATTERN_ATLAS[pair]:
-            _run_sweep(cfg, io.StringIO())
+            _run_sweep(cfg, io.BytesIO())
         else:
             with pytest.raises(OrderingMismatchError):
-                _run_sweep(cfg, io.StringIO())
+                _run_sweep(cfg, io.BytesIO())

@@ -59,7 +59,7 @@ def test_sweep_template_rows_match_report_record(fmt, rows):
     expected = [
         _record(row).to_csv_row() if fmt == "csv" else _record(row).to_json_line() for row in rows
     ]
-    assert sweep_block(fmt, _columns(rows)).split("\n") == expected
+    assert sweep_block(fmt, _columns(rows)).decode().split("\n") == expected
 
 
 def test_csv_row_refuses_a_spectrum_longer_than_three():
