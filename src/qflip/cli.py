@@ -257,26 +257,38 @@ def _cmd_check_pair(args) -> int:
     return 0
 
 
-# Points per chunk.  With --jobs 1 a worker thread evaluates and certifies
-# the next chunk while the current one is formatted and written, so two
-# chunks are in flight at a time.  Besides them, a sweep holds O(N^2) for the
-# point selection and 8 bytes per certified point for their flat indices.
-CHUNK_ROWS = 8192
+# Points per chunk.  With --jobs 1 a worker thread runs the kernel on the
+# next chunk while this thread certifies, formats and writes the current one,
+# so two chunks are in flight at a time.  A larger chunk leaves the first
+# chunk's kernel unoverlapped for longer, a smaller one pays more per-call
+# overhead: a grid-40 sweep took a median 0.48 s in process with 2,048 or
+# 8,192 rows and 0.44 s with 4,096 (2-vCPU VM, numpy 2.4).  Besides the
+# chunks, a sweep holds O(N^2) for the point selection and 8 bytes per
+# certified point for their flat indices.
+CHUNK_ROWS = 4096
 
 _VERDICT_TEXT = np.array([str(v) for v in VERDICT_BY_CODE], dtype=object)
 
 
-def _evaluate_chunk(ticks: np.ndarray, angles: np.ndarray, text: tuple, flat: np.ndarray):
-    """Evaluate and certify one chunk of certified grid points.
+def _evaluate_chunk(ticks: np.ndarray, angles: np.ndarray, flat: np.ndarray):
+    """Run the kernel on one chunk of grid points.
 
-    ``flat`` holds the points' flat indices into the (a, c, theta) grid and
-    ``text`` is :func:`grid_text` of ``ticks`` and ``angles``.  Returns the
-    chunk's record columns as :func:`sweep_block` takes them, its largest
-    analytic/numeric error and its ordering pattern counts.  A failed check
-    raises from :func:`certify_rows`.
+    ``flat`` holds the points' flat indices into the (a, c, theta) grid.
+    Returns the :func:`kernels.grid_eval` rows and the points' grid indices
+    (ia, ic, itheta).
     """
-    ia, ic, itheta = np.unravel_index(flat, (len(ticks), len(ticks), len(angles)))
-    rows = kernels.grid_eval(ticks[ia], ticks[ic], angles[itheta])
+    ia, ic, itheta = index = np.unravel_index(flat, (len(ticks), len(ticks), len(angles)))
+    return kernels.grid_eval(ticks[ia], ticks[ic], angles[itheta]), index
+
+
+def _certify_chunk(fmt: str, text: tuple, evaluated: tuple):
+    """Certify one chunk :func:`_evaluate_chunk` returned and format its records.
+
+    ``text`` is :func:`grid_text` of the grid's ticks and angles.  Returns
+    the chunk's record block, its largest analytic/numeric error and its
+    ordering pattern counts.  A failed check raises from :func:`certify_rows`.
+    """
+    rows, (ia, ic, itheta) = evaluated
     # every row lies beyond the margin, so every verdict must be Incomparable
     max_err, codes, regions = certify_rows(rows, live=True)
     patterns, labels = pattern_codes(regions), code_labels()
@@ -291,13 +303,12 @@ def _evaluate_chunk(ticks: np.ndarray, angles: np.ndarray, text: tuple, flat: np
     }
     per_code = np.bincount(patterns, minlength=labels.size)
     counts = {labels[c]: int(per_code[c]) for c in np.flatnonzero(per_code) if labels[c] is not None}
-    return columns, float(max_err.max()), counts
+    return sweep_block(fmt, columns), float(max_err.max()), counts
 
 
 def _sweep_chunk(fmt: str, ticks: np.ndarray, angles: np.ndarray, text: tuple, flat: np.ndarray):
-    """:func:`_evaluate_chunk` with the columns formatted into the chunk's record block."""
-    columns, max_err, counts = _evaluate_chunk(ticks, angles, text, flat)
-    return sweep_block(fmt, columns), max_err, counts
+    """One whole chunk, as a pool worker runs it: :func:`_evaluate_chunk` then :func:`_certify_chunk`."""
+    return _certify_chunk(fmt, text, _evaluate_chunk(ticks, angles, flat))
 
 
 def _capture(evaluate: Callable, item, outcome: list) -> None:
@@ -317,6 +328,12 @@ def _evaluated_ahead(evaluate: Callable, items: Sequence) -> Iterator:
     caller holds.  An exception the worker raised is raised here in its
     item's turn.  The worker is joined before the next result is handed out
     and when the generator is closed: close it if the caller stops early.
+
+    The sweep hands it the kernel alone (:func:`_evaluate_chunk`).  Only work
+    in numpy calls that release the interpreter lock overlaps the caller's,
+    and every call the worker makes must take the lock back from a caller
+    that formats records in Python; numpy's eigensolver does not run in
+    parallel within one process, so a second worker would gain nothing.
     """
     result = evaluate(items[0])
     for item in items[1:]:
@@ -340,11 +357,13 @@ def _run_sweep(cfg: SweepConfig, out: BinaryIO) -> dict:
     certified points alone, ``CHUNK_ROWS`` at a time, and the chunks' records
     are written to ``out`` (the CSV header first) in grid order.  With
     ``cfg.jobs`` above 1 a process pool evaluates, certifies and formats
-    whole chunks; otherwise a worker thread evaluates and certifies chunk
-    k + 1 while this thread formats and writes chunk k.  No record is written
-    before :func:`certify_rows` has checked it; a failure raises
-    :class:`VerificationError` (or :class:`OrderingMismatchError`), and the
-    caller discards ``out``.  Returns the summary.
+    whole chunks; otherwise a worker thread runs the kernel on chunk k + 1
+    while this thread certifies, formats and writes chunk k, so every record
+    is certified on the thread that writes it, just before it is written.
+    No record is written before :func:`certify_rows` has checked it; a
+    failure raises :class:`VerificationError` (or
+    :class:`OrderingMismatchError`), and the caller discards ``out``.
+    Returns the summary.
     """
     n = cfg.grid_n
     ticks = np.arange(1, n + 1) / (n + 1)
@@ -358,16 +377,16 @@ def _run_sweep(cfg: SweepConfig, out: BinaryIO) -> dict:
         )
     if cfg.fmt == "csv":
         out.write(f"{CSV_HEADER}\n".encode())
-    grid = (ticks, angles, grid_text(ticks, angles))
+    text = grid_text(ticks, angles)
     chunks = [flat[start : start + CHUNK_ROWS] for start in range(0, flat.size, CHUNK_ROWS)]
     workers = min(cfg.jobs, len(chunks))  # no idle worker, no pool for one chunk
     if workers > 1:
         stage = multiprocessing.get_context("spawn").Pool(workers)
-        results = stage.imap(partial(_sweep_chunk, cfg.fmt, *grid), chunks)
+        results = stage.imap(partial(_sweep_chunk, cfg.fmt, ticks, angles, text), chunks)
     else:
-        evaluated = _evaluated_ahead(partial(_evaluate_chunk, *grid), chunks)
+        evaluated = _evaluated_ahead(partial(_evaluate_chunk, ticks, angles), chunks)
         stage = closing(evaluated)  # joins the worker thread on every path
-        results = ((sweep_block(cfg.fmt, columns), err, counts) for columns, err, counts in evaluated)
+        results = map(partial(_certify_chunk, cfg.fmt, text), evaluated)
     max_err, pattern_counts = 0.0, Counter()
     with stage:
         for block, chunk_err, counts in results:

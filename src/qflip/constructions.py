@@ -125,7 +125,7 @@ def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"first {VERDICT_BY_CODE[codes[j]]} at {_where(rows, j)}"
         )
     regions = check_atlas(
-        rows["A"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"], live=live, tie_tol=tie_tol
+        rows["roots"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"], live=live, tie_tol=tie_tol
     )
     return max_err, codes, regions
 

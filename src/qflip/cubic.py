@@ -12,7 +12,9 @@ cubic: with cos(3*t) = -Bval / (2 A^{3/2}),
 
 The angle t is only determined up to the mirror 2pi - 3t at the level of its
 cosine; :func:`labeled_roots_rows` evaluates the printed root labels for any
-representative so the atlas check can reason about both.
+representative.  For the principal t the descending roots are those labels in
+order (0, 2, 1), and the mirror's labels are the descending roots as they
+stand, so the atlas check reads both representatives off the sorted roots.
 
 The ``_rows`` functions are the only copy of the closed form and work
 elementwise on arrays; a single family point is a one-row call, so a sweep row

@@ -113,7 +113,11 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray, mu=0.0, nu=0.0) -
     coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(a, b, c, d, theta)
     b_pair = np.array([coeff_b, coeff_bp]).T
     roots, t = cubic_roots_rows(coeff_a[:, None], b_pair)
-    spectra = np.linalg.eigvalsh(family_reduced_rows(a, b, c, d, theta, mu, nu))[..., ::-1]
+    # the reduced matrices come with the point axis innermost in memory; a
+    # C-contiguous copy gives the eigensolver the same bits and made a grid-40
+    # sweep 5-10% faster (20 in-process pairs, 2-vCPU VM, numpy 2.4)
+    reduced = np.ascontiguousarray(family_reduced_rows(a, b, c, d, theta, mu, nu))
+    spectra = np.linalg.eigvalsh(reduced)[..., ::-1]
     return {
         "a": a,
         "c": c,

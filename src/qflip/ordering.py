@@ -20,8 +20,6 @@ from math import pi
 
 import numpy as np
 
-from .cubic import labeled_roots_rows
-
 REGION_BOUNDS = {
     "Q1": "[0, pi/2)",
     "Q2": "[pi/2, pi)",
@@ -70,15 +68,20 @@ def _region_index(angle3):
 _REP_I = np.array([0, 0, 1, 1])
 _REP_F = np.array([0, 1, 0, 1])
 _PAIRS = np.arange(4)
-# Where each pair's labels a1..a3, b1..b3 sit among a row's twelve labeled
-# roots, laid out as [spectrum][representative][label].
-_PAIR_LABELS = np.concatenate([3 * _REP_I[:, None] + np.arange(3), 6 + 3 * _REP_F[:, None] + np.arange(3)], axis=1)
+# The rank in a spectrum's descending roots of each printed label, per
+# representative: a principal angle (3t <= pi) puts the cos(t) root last, so
+# its labels 0, 1, 2 are the ranks 0, 2, 1; the mirror's labels are the ranks
+# as they stand (see :func:`qflip.cubic.labeled_roots_rows`).
+_RANK_OF_LABEL = np.array([[0, 2, 1], [0, 1, 2]])
+# Where each pair's labels a1..a3, b1..b3 sit among a row's six descending
+# roots, laid out as [spectrum][rank].
+_PAIR_LABELS = np.concatenate([_RANK_OF_LABEL[_REP_I], 3 + _RANK_OF_LABEL[_REP_F]], axis=1)
 
 
 def _atlas_tables(atlas: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """An atlas as arrays: a 4x4 table from region indices to an entry number
     (-1 where the atlas has no entry), per representative pair and entry the
-    chain as indices into a row's twelve labeled roots, and the label
+    chain as indices into a row's six descending roots, and the label
     ``pattern_id:chain`` of each region code 4 * initial + final (code 16,
     for rows :func:`check_atlas` skipped, and codes without an entry hold
     None)."""
@@ -99,7 +102,7 @@ _ATLAS_TABLES = _atlas_tables(PATTERN_ATLAS)
 
 
 def check_atlas(
-    a_coeff,
+    roots,
     b_val,
     bprime_val,
     theta_i,
@@ -109,13 +112,17 @@ def check_atlas(
 ) -> np.ndarray:
     """Verify the labeled-root ordering of many spectrum pairs against the atlas.
 
-    Takes per-row arrays (or scalars, for one row) of the shared coefficient
-    A, the two B values and the principal third-angles of the initial and
-    final cubics.  For every row, each representative angle 3t (principal)
-    and 2pi - 3t (mirror) of each spectrum is placed in its quadrant, and all
-    four representative pairs are checked in one stacked pass: the pair must
-    have an atlas entry and the six labeled roots must descend along its
-    chain within ``tie_tol``, a scalar or one value per row.
+    Takes what :func:`qflip.kernels.grid_eval` holds for each row: the
+    descending closed-form ``roots`` (n, 2, 3) of the initial and final
+    cubics, the two B values and the cubics' principal third-angles.  For
+    every row, each representative angle 3t (principal) and 2pi - 3t
+    (mirror) of each spectrum is placed in its quadrant, and all four
+    representative pairs are checked in one stacked pass: the pair must have
+    an atlas entry and its six labeled roots must descend along its chain
+    within ``tie_tol``, a scalar or one value per row.  The labeled roots are
+    read from ``roots``: for the principal t the descending roots are the
+    labels in order (0, 2, 1), and the mirror's labels are the roots as they
+    stand.
 
     Returns an integer array of shape (n, 2, 2) holding the quadrant index
     (0..3 for Q1..Q4) of [spectrum][representative], spectrum 0 initial and
@@ -127,10 +134,10 @@ def check_atlas(
     :class:`OrderingMismatchError` when any checked row has a non-finite
     angle or deviates from the atlas.
     """
-    a_coeff = np.asarray(a_coeff, dtype=float).reshape(-1)
+    roots = np.asarray(roots, dtype=float).reshape(-1, 6)  # (row, [spectrum][rank])
     gap = np.abs(np.asarray(b_val, dtype=float) - bprime_val).reshape(-1)
     checked = (np.asarray(live) | (gap > DEGENERACY_GAP_TOL))[:, None]  # (row, 1)
-    n = a_coeff.size
+    n = roots.shape[0]
     reps = np.zeros((n, 2, 2))  # (row, spectrum, representative)
     angle3 = np.array([theta_i, theta_f], dtype=float).reshape(2, -1).T
     np.multiply(3.0, angle3, out=reps[..., 0], where=checked)
@@ -140,9 +147,6 @@ def check_atlas(
         raise OrderingMismatchError(f"row {row} has a non-finite angle: theta_i={ti!r}, theta_f={tf!r}")
     reps[..., 1] = (2.0 * pi - reps[..., 0]) % (2.0 * pi)
     regions = _region_index(reps).astype(np.intp)
-
-    # labeled roots of every representative, flattened to (row, 12)
-    roots = labeled_roots_rows(a_coeff[:, None, None], reps / 3.0).reshape(n, 12)
 
     table, gather, labels = _ATLAS_TABLES
     entry = table[regions[:, 0, _REP_I], regions[:, 1, _REP_F]]  # (row, pair)

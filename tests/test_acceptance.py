@@ -140,7 +140,7 @@ def test_criterion_4_ordering_atlas_coverage(grid):
     mask = grid["mask"]
     # every representative pair of every point is checked against the atlas in
     # one batched pass, at check_atlas's default tie tolerance
-    regions = check_atlas(*(grid[key][mask] for key in ("A", "B", "Bprime", "theta_i", "theta_f")))
+    regions = check_atlas(*(grid[key][mask] for key in ("roots", "B", "Bprime", "theta_i", "theta_f")))
     assert np.all(regions >= 0)  # no point was skipped as degenerate
     names = tuple(REGION_BOUNDS)
     pairs = np.unique(4 * regions[:, 0, :, None] + regions[:, 1, None, :])

@@ -495,9 +495,10 @@ def test_sweep_evaluates_only_certified_points(monkeypatch, capsys):
 
 def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsys):
     # both paths certify through certify_rows: per certification both cubics are
-    # solved in one call, the atlas is checked once and route_tolerance runs once, and
-    # the chain is checked within route_tolerance(A, (B, B'), base=CHAIN_TIE_TOL)
-    calls = {"check_atlas": [], "cubic_roots_rows": [], "route_tolerance": []}
+    # solved in one call, the atlas is checked once, on grid_eval's own roots,
+    # and route_tolerance runs once, and the chain is checked within
+    # route_tolerance(A, (B, B'), base=CHAIN_TIE_TOL)
+    calls = {"certify_rows": [], "check_atlas": [], "cubic_roots_rows": [], "route_tolerance": []}
 
     def recording(name, real):
         def wrapper(*args, **kwargs):
@@ -509,6 +510,7 @@ def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsy
         return wrapper
 
     targets = {
+        "certify_rows": constructions.certify_rows,
         "check_atlas": ordering.check_atlas,
         "cubic_roots_rows": cubic.cubic_roots_rows,
         "route_tolerance": constructions.route_tolerance,
@@ -520,16 +522,18 @@ def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsy
     code, out, _ = run_cli(capsys, "sweep", "--grid", "3")
     assert code == 0
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"check_atlas": 1, "cubic_roots_rows": 1, "route_tolerance": 1}
+    assert counts == {"certify_rows": 1, "check_atlas": 1, "cubic_roots_rows": 1, "route_tolerance": 1}
     for line in out.strip().splitlines()[:-1]:
         params = json.loads(line)["params"]
         general_flip_experiment(FlipParams(a=params["a"], c=params["c"], theta=params["theta"]))
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"check_atlas": 28, "cubic_roots_rows": 28, "route_tolerance": 28}
+    assert counts == {"certify_rows": 28, "check_atlas": 28, "cubic_roots_rows": 28, "route_tolerance": 28}
     sweep, *single = calls["check_atlas"]
-    for call in calls["check_atlas"]:
+    for certified, call in zip(calls["certify_rows"], calls["check_atlas"]):
+        rows = certified["rows"]
+        assert call["roots"] is rows["roots"]
         b_pair = np.stack([call["b_val"], call["bprime_val"]], axis=-1)
-        expected = route_tolerance(call["a_coeff"], b_pair, base=CHAIN_TIE_TOL)
+        expected = route_tolerance(rows["A"], b_pair, base=CHAIN_TIE_TOL)
         np.testing.assert_array_equal(call["tie_tol"], expected)
     np.testing.assert_array_equal(np.concatenate([call["tie_tol"] for call in single]), sweep["tie_tol"])
 
@@ -754,21 +758,80 @@ def test_sweep_failing_in_its_last_chunk_leaves_nothing(to_file, monkeypatch, tm
     assert list(tmp_path.iterdir()) == []
 
 
+def _record_sweep_stages(monkeypatch) -> dict:
+    """Wrap the sweep's kernel, certificate and formatter to record, per call,
+    whether it ran on the main thread.  Wraps whatever ``grid_eval`` is set."""
+    stages = {"grid_eval": [], "certify_rows": [], "sweep_block": []}
+
+    def recording(name, real):
+        def wrapper(*args, **kwargs):
+            stages[name].append(threading.current_thread() is threading.main_thread())
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cli.kernels, "grid_eval", recording("grid_eval", cli.kernels.grid_eval))
+    monkeypatch.setattr(cli, "certify_rows", recording("certify_rows", cli.certify_rows))
+    monkeypatch.setattr(cli, "sweep_block", recording("sweep_block", cli.sweep_block))
+    return stages
+
+
+def test_sweep_certifies_every_record_on_the_thread_that_writes_it(monkeypatch, capsys):
+    # grid 12 certifies 1728 points, 18 chunks of 100: the worker thread runs
+    # only the kernel, for every chunk after the first; the main thread, which
+    # writes, certifies and formats every chunk
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 100)
+    stages = _record_sweep_stages(monkeypatch)
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "12")
+    assert code == 0
+    assert stages == {"grid_eval": [True] + [False] * 17, "certify_rows": [True] * 18, "sweep_block": [True] * 18}
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SWEEP_GRID12["json"]
+
+
 def test_sweep_failing_on_the_worker_thread_leaves_nothing(monkeypatch, tmp_path, capsys):
-    # chunk 3 fails its route gate on the worker thread while chunk 2 is written
+    # chunk 3's kernel fails on the worker thread while chunk 2 is certified and written
     monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where a misplaced spool would go
-    real_grid_eval = cli.kernels.grid_eval
-    on_main_thread = []
+    real_grid_eval, calls = cli.kernels.grid_eval, []
+
+    def fails_in_third_chunk(a, c, theta):
+        calls.append(len(a))
+        if len(calls) == 3:
+            where = f"a={float(a[2])!r}, c={float(c[2])!r}, theta={float(theta[2])!r}"
+            raise np.linalg.LinAlgError(f"Eigenvalues did not converge, first at {where}")
+        return real_grid_eval(a, c, theta)
+
+    monkeypatch.setattr(cli.kernels, "grid_eval", fails_in_third_chunk)
+    stages = _record_sweep_stages(monkeypatch)
+    threads = threading.active_count()
+    code, out, err = run_cli(capsys, "sweep", "--grid", "12", "--out", str(tmp_path / "sweep.ndjson"))
+    assert code == 1
+    # grid 12 certifies every point, so row 2 of chunk 3 is flat index 16, grid point (0, 1, 4)
+    ticks = np.arange(1, 13) / 13
+    point = f"a={float(ticks[0])!r}, c={float(ticks[1])!r}, theta={float(ticks[4] * np.pi)!r}"
+    assert err == f"verification failed: Eigenvalues did not converge, first at {point}\n"
+    # no kernel past the failing chunk; only the chunks before it are certified and formatted
+    assert stages == {"grid_eval": [True, False, False], "certify_rows": [True, True], "sweep_block": [True, True]}
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+    assert threading.active_count() == threads
+
+
+def test_sweep_failing_its_certificate_on_the_writing_thread_leaves_nothing(monkeypatch, tmp_path, capsys):
+    # chunk 3 fails its route gate on the main thread while chunk 4's kernel runs on the worker
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))  # where a misplaced spool would go
+    real_grid_eval, calls = cli.kernels.grid_eval, []
 
     def off_in_third_chunk(*args):
         data = real_grid_eval(*args)
-        on_main_thread.append(threading.current_thread() is threading.main_thread())
-        if len(on_main_thread) == 3:
+        calls.append(len(args[0]))
+        if len(calls) == 3:
             data["num_alpha"][[2, 5], 1] += 1e-6
         return data
 
     monkeypatch.setattr(cli.kernels, "grid_eval", off_in_third_chunk)
+    stages = _record_sweep_stages(monkeypatch)
     threads = threading.active_count()
     code, out, err = run_cli(capsys, "sweep", "--grid", "12", "--out", str(tmp_path / "sweep.ndjson"))
     assert code == 1
@@ -776,7 +839,11 @@ def test_sweep_failing_on_the_worker_thread_leaves_nothing(monkeypatch, tmp_path
     ticks = np.arange(1, 13) / 13
     point = f"a={float(ticks[0])!r}, c={float(ticks[1])!r}, theta={float(ticks[4] * np.pi)!r}"
     assert f"at 2 points, first at {point}" in err
-    assert on_main_thread == [True, False, False]  # nothing is evaluated past the failing chunk
+    # the kernel ran one chunk past the failing one, no more; nothing past it
+    # was certified, and only the chunks before it were formatted
+    assert stages == {
+        "grid_eval": [True, False, False, False], "certify_rows": [True, True, True], "sweep_block": [True, True]
+    }
     assert out == ""
     assert list(tmp_path.iterdir()) == []
     assert threading.active_count() == threads

@@ -270,10 +270,10 @@ def _count_calls(monkeypatch, targets: dict) -> Counter:
 
 
 def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
-    # both cubics are solved in one call (one labeled-root pass) and the atlas
-    # is checked once (a second pass) and labeled once; the route gate and the
-    # atlas tie tolerance share one route_tolerance call; b and d are computed
-    # once for the degeneracy test and once for both routes of grid_eval
+    # both cubics are solved in one call (the one labeled-root pass) and the
+    # atlas is checked once, on those roots, and labeled once; the route gate
+    # and the atlas tie tolerance share one route_tolerance call; b and d are
+    # computed once for the degeneracy test and once for both routes of grid_eval
     counts = _count_calls(
         monkeypatch,
         {
@@ -290,7 +290,7 @@ def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
     assert counts == {
         "complements": 2,
         "cubic_roots_rows": 1,
-        "labeled_roots_rows": 2,
+        "labeled_roots_rows": 1,
         "check_atlas": 1,
         "pattern_labels": 1,
         "route_tolerance": 1,

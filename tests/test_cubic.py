@@ -87,7 +87,9 @@ def test_labeled_roots_mirror_swaps_base_and_minus(rng):
     roots, t = cubic_roots_rows(coeff_a, coeff_b)
     principal = labeled_roots_rows(coeff_a, t)
     mirror = labeled_roots_rows(coeff_a, (2.0 * np.pi - 3.0 * t) / 3.0)
-    assert np.max(np.abs(principal[:, 0] - mirror[:, 0])) < 1e-12
-    assert np.max(np.abs(principal[:, 1] - mirror[:, 2])) < 1e-12
-    assert np.max(np.abs(principal[:, 2] - mirror[:, 1])) < 1e-12
-    np.testing.assert_allclose(np.sort(principal, axis=1), np.sort(roots, axis=1), atol=1e-12)
+    # check_atlas reads both representatives off the descending roots: they
+    # are the principal labels in order (0, 2, 1) to the bit, and the mirror's
+    # labels as they stand to rounding (at most 3.3e-16, 1.5 eps, over grid 40
+    # and 200,000 seeded rows; roots lie in [0, 1])
+    np.testing.assert_array_equal(roots, principal[:, [0, 2, 1]])
+    assert np.max(np.abs(mirror - roots)) <= 2 * np.finfo(float).eps

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qflip import ordering
-from qflip.bloch import FlipParams, complements
+from qflip.bloch import FlipParams
 from qflip.cli import SweepConfig, _run_sweep
 from qflip.constructions import general_flip_experiment
-from qflip.cubic import cubic_coefficients_rows, cubic_roots_rows, labeled_roots_rows
-from qflip.kernels import degeneracy
+from qflip.cubic import cubic_roots_rows, labeled_roots_rows
+from qflip.kernels import degeneracy, grid_eval
 from qflip.ordering import (
+    CHAIN_TIE_TOL,
     PATTERN_ATLAS,
     REGION_BOUNDS,
     OrderingMismatchError,
@@ -28,15 +29,16 @@ ALL_PATTERN_IDS = {f"{ri}{rf}" for ri, rf in PATTERN_ATLAS}
 LABELS = np.array(["a1", "a2", "a3", "b1", "b2", "b3"])
 
 
+def _grid(points) -> dict:
+    """:func:`grid_eval` at the family points."""
+    return grid_eval(*(np.array([getattr(p, key) for p in points]) for key in ("a", "c", "theta")))
+
+
 def _rows(points):
-    """Columns A, B, Bprime, t_initial, t_final of the family points, as
-    :func:`check_atlas` takes them."""
-    a, c, theta = (np.array([getattr(p, key) for p in points]) for key in ("a", "c", "theta"))
-    b, d = complements(a, c)
-    coeff_a, coeff_b, coeff_bp = cubic_coefficients_rows(a, b, c, d, theta)
-    _, t_i = cubic_roots_rows(coeff_a, coeff_b)
-    _, t_f = cubic_roots_rows(coeff_a, coeff_bp)
-    return coeff_a, coeff_b, coeff_bp, t_i, t_f
+    """Columns roots, B, Bprime, theta_i, theta_f of the family points' grid
+    rows, as :func:`check_atlas` takes them."""
+    rows = _grid(points)
+    return rows["roots"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"]
 
 
 def _witnessed(regions) -> set:
@@ -75,12 +77,12 @@ def test_axes_case_boundary_classification():
 
 def test_positive_bprime_point_witnesses_four_cases(rng):
     p = FlipParams(a=0.9, c=0.9, theta=0.3)
-    coeff_a, _, coeff_bp, t_i, t_f = row = _rows([p])
+    _, _, coeff_bp, t_i, t_f = row = _rows([p])
     assert coeff_bp[0] > 0
     regions = check_atlas(*row)
     chain = ("a1", "b1", "b3", "a3", "a2", "b2")
     assert pattern_labels(regions).tolist() == ["Q2Q2:" + ">".join(chain)]
-    assert _sorted_labels(coeff_a[0], t_i[0], t_f[0]) == chain
+    assert _sorted_labels(_grid([p])["A"][0], t_i[0], t_f[0]) == chain
     assert _witnessed(regions[0]) == {"Q2Q2", "Q2Q3", "Q3Q2", "Q3Q3"}
 
 
@@ -106,8 +108,8 @@ def test_primary_chain_matches_sorted_labels(rng):
         for _ in range(300)
     ]
     points = [p for p in points if abs(degeneracy(p.a, p.c, p.theta)) >= 1e-3]
-    coeff_a, _, _, t_i, t_f = row = _rows(points)
-    for label, a_j, ti_j, tf_j in zip(pattern_labels(check_atlas(*row)), coeff_a, t_i, t_f):
+    _, _, _, t_i, t_f = row = _rows(points)
+    for label, a_j, ti_j, tf_j in zip(pattern_labels(check_atlas(*row)), _grid(points)["A"], t_i, t_f):
         pattern_id, chain = label.split(":")
         sorted_labels = _sorted_labels(a_j, ti_j, tf_j)
         assert pattern_id in ALL_PATTERN_IDS
@@ -126,7 +128,8 @@ def test_sorted_interleaving_certifies_incomparability(rng):
         )
         if abs(degeneracy(p.a, p.c, p.theta)) < 1e-3:
             continue
-        coeff_a, coeff_b, coeff_bp = _rows([p])[:3]
+        rows = _grid([p])
+        coeff_a, coeff_b, coeff_bp = rows["A"], rows["B"], rows["Bprime"]
         (alpha, beta), _ = cubic_roots_rows(np.append(coeff_a, coeff_a), np.append(coeff_b, coeff_bp))
         try:
             assert incomparable_3dim(alpha, beta)
@@ -177,10 +180,11 @@ def test_pattern_codes_name_the_principal_region_pair():
 
 
 def test_atlas_check_rejects_a_non_finite_angle_in_a_checked_row():
+    roots = np.full((1, 2, 3), 1.0 / 3.0)
     with pytest.raises(OrderingMismatchError, match="row 0 has a non-finite angle: theta_i=nan"):
-        check_atlas([0.1], [0.3], [0.01], [np.nan], [0.5], live=True)
+        check_atlas(roots, [0.3], [0.01], [np.nan], [0.5], live=True)
     # the same angle in a row that is not checked reads as 0
-    assert check_atlas([0.1], [0.3], [0.3], [np.nan], [0.5]).tolist() == [[[-1, -1], [-1, -1]]]
+    assert check_atlas(roots, [0.3], [0.3], [np.nan], [0.5]).tolist() == [[[-1, -1], [-1, -1]]]
 
 
 @contextmanager
@@ -208,6 +212,24 @@ def test_atlas_check_applies_tie_tolerance_per_row():
         check_atlas(*columns, tie_tol=np.array([1e-12, 1.0]))
         with pytest.raises(OrderingMismatchError):
             check_atlas(*columns, tie_tol=np.array([1.0, 1e-12]))
+
+
+def test_atlas_check_rejects_a_row_with_a2_and_a3_swapped():
+    # the labels are read off the roots handed in, so a row whose a2 and a3
+    # (ranks 2 and 1 of the initial spectrum) trade places must fail, and
+    # fail for that row, unless its tie tolerance covers the swap
+    points = [FlipParams(a=a, c=c, theta=t) for a in (0.2, 0.7) for c in (0.3, 0.8) for t in (0.4, 2.6)]
+    roots, *columns = _rows(points)
+    check_atlas(roots, *columns)
+    j = 5
+    swapped = roots.copy()
+    swapped[j, 0, [1, 2]] = roots[j, 0, [2, 1]]
+    gap = roots[j, 0, 1] - roots[j, 0, 2]
+    assert gap > CHAIN_TIE_TOL
+    with pytest.raises(OrderingMismatchError, match="deviates from the atlas chain") as exc:
+        check_atlas(swapped, *columns)
+    assert f"'a1': {float(roots[j, 0, 0])!r}" in str(exc.value)
+    check_atlas(swapped, *columns, tie_tol=np.where(np.arange(len(points)) == j, 2.0 * gap, CHAIN_TIE_TOL))
 
 
 @settings(max_examples=40, deadline=None)
