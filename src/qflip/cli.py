@@ -15,7 +15,6 @@ errors, when the output cannot be written and when memory runs out.
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import shutil
 import stat
@@ -381,6 +380,8 @@ def _run_sweep(cfg: SweepConfig, out: BinaryIO) -> dict:
     chunks = [flat[start : start + CHUNK_ROWS] for start in range(0, flat.size, CHUNK_ROWS)]
     workers = min(cfg.jobs, len(chunks))  # no idle worker, no pool for one chunk
     if workers > 1:
+        import multiprocessing  # here, not at the top: only a pool pays its import
+
         stage = multiprocessing.get_context("spawn").Pool(workers)
         results = stage.imap(partial(_sweep_chunk, cfg.fmt, ticks, angles, text), chunks)
     else:

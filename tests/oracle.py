@@ -6,17 +6,29 @@ partial trace of its density matrix.  The package builds none of these
 states: it takes the same spectra from Gram matrices of Bob's blocks, and the
 tests hold that route against this one.  The dimension cap of 12 keeps the
 linear algebra small and the eigensolver choice trivial.
+
+It also keeps the atlas check as it read before the package compiled it per
+quadrant combination: every row's four representative pairs looked up and
+checked in one stacked pass (:func:`four_pair_check_atlas`), with quadrants
+by float division (:func:`division_region_index`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, log2, prod, sin, sqrt
+from math import cos, log2, pi, prod, sin, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from qflip.bloch import FlipParams, complements, flip, qubit_to_bloch
+from qflip.ordering import (
+    CHAIN_TIE_TOL,
+    DEGENERACY_GAP_TOL,
+    PATTERN_ATLAS,
+    REGION_BOUNDS,
+    OrderingMismatchError,
+)
 
 DIM_CAP = 12
 HERMITICITY_TOL = 1e-10
@@ -292,3 +304,66 @@ def family_reduced_flipped(p: FlipParams, mu: float = 0.0, nu: float = 0.0) -> n
         dtype=complex,
     )
     return m / 3.0
+
+
+_REGION_NAMES = tuple(REGION_BOUNDS)
+_LABELS = ("a1", "a2", "a3", "b1", "b2", "b3")
+# The four representative pairs as (initial, final) representative indices,
+# and where each pair's labels a1..a3, b1..b3 sit among a row's six
+# descending roots: a principal angle's labels are the ranks 0, 2, 1, a
+# mirror's the ranks as they stand.
+_REP_I = np.array([0, 0, 1, 1])
+_REP_F = np.array([0, 1, 0, 1])
+_RANK_OF_LABEL = np.array([[0, 2, 1], [0, 1, 2]])
+_PAIR_LABELS = np.concatenate([_RANK_OF_LABEL[_REP_I], 3 + _RANK_OF_LABEL[_REP_F]], axis=1)
+
+
+def division_region_index(angle3):
+    """Quadrant index 0..3 of each angle taken mod 2pi, by float division."""
+    return (angle3 % (2.0 * pi)) // (pi / 2.0) % 4
+
+
+def four_pair_check_atlas(
+    roots, b_val, bprime_val, theta_i, theta_f, live=False, tie_tol=CHAIN_TIE_TOL, atlas=PATTERN_ATLAS
+) -> np.ndarray:
+    """:func:`qflip.ordering.check_atlas` against ``atlas``, each row's four
+    representative pairs looked up and checked in one (row, pair, 6) pass.
+    The same arguments, return value and exceptions."""
+    table = np.full((4, 4), -1, dtype=np.intp)
+    chains = np.empty((len(atlas), 6), dtype=np.intp)
+    for k, ((ri, rf), chain) in enumerate(atlas.items()):
+        table[_REGION_NAMES.index(ri), _REGION_NAMES.index(rf)] = k
+        chains[k] = [_LABELS.index(x) for x in chain]
+    gather = _PAIR_LABELS[:, chains]  # (pair, entry, 6)
+
+    roots = np.asarray(roots, dtype=float).reshape(-1, 6)
+    gap = np.abs(np.asarray(b_val, dtype=float) - bprime_val).reshape(-1)
+    checked = (np.asarray(live) | (gap > DEGENERACY_GAP_TOL))[:, None]
+    n = roots.shape[0]
+    reps = np.zeros((n, 2, 2))
+    angle3 = np.array([theta_i, theta_f], dtype=float).reshape(2, -1).T
+    np.multiply(3.0, angle3, out=reps[..., 0], where=checked)
+    if not np.isfinite(reps).all():
+        row = int(np.argmin(np.isfinite(reps).all(axis=(1, 2))))
+        ti, tf = angle3[row].tolist()
+        raise OrderingMismatchError(f"row {row} has a non-finite angle: theta_i={ti!r}, theta_f={tf!r}")
+    reps[..., 1] = (2.0 * pi - reps[..., 0]) % (2.0 * pi)
+    regions = division_region_index(reps).astype(np.intp)
+
+    entry = table[regions[:, 0, _REP_I], regions[:, 1, _REP_F]]  # (row, pair)
+    missing = entry < 0
+    ordered = roots[np.arange(n)[:, None, None], gather[np.arange(4), entry]]
+    tie_tol = np.reshape(tie_tol, (-1, 1, 1))
+    fails = (missing | ~(ordered[..., :-1] >= ordered[..., 1:] - tie_tol).all(axis=-1)) & checked
+    if fails.any():
+        missing &= checked
+        row, k = np.argwhere(missing if missing.any() else fails)[0]
+        ri, rf = _REGION_NAMES[regions[row, 0, _REP_I[k]]], _REGION_NAMES[regions[row, 1, _REP_F[k]]]
+        if missing[row, k]:
+            raise OrderingMismatchError(f"region pair {(ri, rf)} has no atlas entry")
+        observed = dict(zip(_LABELS, roots[row, _PAIR_LABELS[k]].tolist()))
+        raise OrderingMismatchError(
+            f"ordering for region pair {(ri, rf)} deviates from the atlas chain "
+            f"{'>'.join(atlas[ri, rf])}: {observed}"
+        )
+    return np.where(checked[..., None], regions, -1)

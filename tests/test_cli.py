@@ -618,6 +618,18 @@ def test_module_entry_point_subprocess():
     assert json.loads(out.stdout)["verdict"] == "Incomparable"
 
 
+def test_importing_the_cli_leaves_multiprocessing_unimported():
+    # only a --jobs pool uses it, so a process that starts no pool skips its import
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qflip.cli; print(sorted(sys.modules).count('multiprocessing'))"],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "0\n"
+
+
 # sha256 of `qflip sweep --grid 12`, pinned so that a
 # change to any layer of the sweep cannot alter its output bytes unnoticed.
 GOLDEN_SWEEP_GRID12 = {

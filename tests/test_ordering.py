@@ -1,5 +1,6 @@
 import io
 from contextlib import contextmanager
+from functools import partial
 from math import pi
 
 import numpy as np
@@ -23,6 +24,8 @@ from qflip.ordering import (
     pattern_labels,
 )
 from qflip.schmidt import SpectrumTieError, Verdict, incomparable_3dim, verdict
+
+from oracle import division_region_index, four_pair_check_atlas
 
 NAMES = tuple(REGION_BOUNDS)
 ALL_PATTERN_IDS = {f"{ri}{rf}" for ri, rf in PATTERN_ATLAS}
@@ -62,6 +65,104 @@ def test_region_index_half_open_quadrants():
     assert region(3 * np.pi / 2) == "Q4"
     assert region(2 * np.pi) == "Q1"
     assert region(np.pi - 1e-9) == "Q2"
+
+
+def _ulps_around(x: float, k: int = 50) -> np.ndarray:
+    """``x`` and the ``k`` doubles on each side of it, ascending."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(np.nextafter(below[-1], -np.inf))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.array(below[:0:-1] + above)
+
+
+def test_region_index_is_exact_at_every_quadrant_start():
+    # comparison with the quadrant starts must give the float division's
+    # quadrant bit for bit, on both sides of every start and of 2pi, and
+    # for angles beyond [0, 2pi], which take the float modulo first
+    starts = (0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 1.5 * np.pi, 2 * np.pi)
+    near = np.concatenate([_ulps_around(x) for x in starts])
+    assert near.size == 6 * 101
+    rng = np.random.default_rng(19)
+    for angles in (
+        near,
+        near[near >= 0.0],  # within [0, 2pi]: no modulo
+        *near[:, None],  # one angle at a time
+        rng.uniform(0.0, 2.0 * np.pi, 10**6),
+        rng.uniform(-40.0 * np.pi, 40.0 * np.pi, 10**5),
+    ):
+        np.testing.assert_array_equal(_region_index(angles), division_region_index(angles))
+    assert [NAMES[q] for q in _region_index(np.array([-5e-324, 2 * np.pi, np.nextafter(2 * np.pi, 0.0)]))] == [
+        "Q1",  # -5e-324 mod 2pi rounds to 2pi
+        "Q1",
+        "Q4",
+    ]
+
+
+RANKS = ("alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3")
+# alpha1 >= beta1 >= beta2 >= alpha2 >= alpha3 >= beta3, as indices into a
+# row's six descending roots: initial ranks 0..2, final ranks 3..5
+INTERLEAVING = (0, 3, 4, 1, 2, 5)
+# (principal, mirror) quadrants of 3t and of 2pi - 3t where the family takes them
+INITIAL = {"3t in (pi/2, pi)": ("Q2", "Q3"), "3t = pi": ("Q3", "Q3")}
+FINAL = {
+    "3t' in (0, pi/2)": ("Q1", "Q4"),
+    "3t' = pi/2": ("Q2", "Q4"),
+    "3t' in (pi/2, pi)": ("Q2", "Q3"),
+    "3t' = 0": ("Q1", "Q1"),  # the mirror 2pi wraps to Q1
+    "3t' = pi": ("Q3", "Q3"),
+}
+# what the compiled atlas lists at each reached combination: its distinct
+# chains and the ranks they force equal together
+COMPILED = {
+    ("3t in (pi/2, pi)", "3t' in (0, pi/2)"): (1, []),
+    ("3t in (pi/2, pi)", "3t' = pi/2"): (1, []),
+    ("3t in (pi/2, pi)", "3t' in (pi/2, pi)"): (1, []),
+    ("3t = pi", "3t' in (0, pi/2)"): (2, ["alpha2", "alpha3"]),
+    ("3t = pi", "3t' = pi/2"): (2, ["alpha2", "alpha3"]),
+    ("3t = pi", "3t' in (pi/2, pi)"): (2, ["alpha2", "alpha3"]),
+    ("3t in (pi/2, pi)", "3t' = 0"): (2, ["alpha2", "alpha3", "beta2", "beta3"]),
+    ("3t in (pi/2, pi)", "3t' = pi"): (2, ["alpha2", "alpha3", "beta2", "beta3"]),
+    ("3t = pi", "3t' = 0"): (4, ["alpha2", "alpha3", "beta2", "beta3"]),
+    ("3t = pi", "3t' = pi"): (4, ["alpha2", "alpha3", "beta2", "beta3"]),
+}
+
+
+def _combination(initial, final) -> int:
+    """The compiled atlas's index of (initial principal, initial mirror, final principal, final mirror)."""
+    ip, im, fp, fm = (NAMES.index(q) for q in (*initial, *final))
+    return 64 * ip + 16 * im + 4 * fp + fm
+
+
+def _tied(chains) -> list:
+    """The ranks that descending along every one of ``chains`` at once forces equal."""
+    at_least = np.eye(6, dtype=bool)
+    for chain in chains:
+        at_least[chain[:-1], chain[1:]] = True
+    for _ in range(6):  # transitive closure
+        at_least |= (at_least.astype(int) @ at_least.astype(int)) > 0
+    tied = (at_least & at_least.T).sum(axis=1) > 1
+    return [RANKS[j] for j in np.flatnonzero(tied)]
+
+
+def test_compiled_atlas_demands_one_chain_except_at_the_boundaries():
+    tables = ordering._ATLAS_TABLES
+    for (initial, final), (n_chains, tied) in COMPILED.items():
+        c = _combination(INITIAL[initial], FINAL[final])
+        chains = list(dict.fromkeys(map(tuple, tables.chains[c].tolist())))
+        assert (tables.entry[c] >= 0).all(), (initial, final)
+        assert tables.n_chains[c] == len(chains) == n_chains, (initial, final)
+        assert INTERLEAVING in chains, (initial, final)
+        assert tuple(tables.first[:, c]) == chains[0], (initial, final)
+        assert _tied(chains) == tied, (initial, final)
+    # 3t = pi forces its tie: the labels a2 and a3 share the angle pi/3
+    a2, a3 = labeled_roots_rows(np.array([0.2]), np.array([pi / 3]))[0, 1:]
+    assert abs(a2 - a3) <= CHAIN_TIE_TOL
+    # the family reaches no combination but these
+    thetas = np.arange(1, 24) / 24 * pi
+    points = [FlipParams(a=a, c=c, theta=t) for a in (0.1, 0.5, 0.9) for c in (0.2, 0.6) for t in thetas]
+    reached = check_atlas(*_rows(points)).reshape(-1, 4) @ [64, 16, 4, 1]
+    assert set(reached.tolist()) <= {_combination(INITIAL[i], FINAL[f]) for i, f in COMPILED}
 
 
 def test_axes_case_boundary_classification():
@@ -187,14 +288,19 @@ def test_atlas_check_rejects_a_non_finite_angle_in_a_checked_row():
     assert check_atlas(roots, [0.3], [0.3], [np.nan], [0.5]).tolist() == [[[-1, -1], [-1, -1]]]
 
 
-@contextmanager
-def _atlas_with(pair, chain):
-    """The tables of PATTERN_ATLAS with one entry replaced (or removed, for chain None) installed."""
+def _replaced(pair, chain) -> dict:
+    """PATTERN_ATLAS with one entry replaced, or removed for chain None."""
     atlas = {key: value for key, value in PATTERN_ATLAS.items() if key != pair}
     if chain is not None:
         atlas[pair] = chain
+    return atlas
+
+
+@contextmanager
+def _atlas_with(pair, chain):
+    """The tables of PATTERN_ATLAS with one entry replaced (or removed, for chain None) installed."""
     original = ordering._ATLAS_TABLES
-    ordering._ATLAS_TABLES = ordering._atlas_tables(atlas)
+    ordering._ATLAS_TABLES = ordering._atlas_tables(_replaced(pair, chain))
     try:
         yield
     finally:
@@ -245,3 +351,81 @@ def test_corrupted_atlas_entry_makes_the_sweep_fail(pair, chain):
         else:
             with pytest.raises(OrderingMismatchError):
                 _run_sweep(cfg, io.BytesIO())
+
+
+def _same_outcome(*args, atlas=PATTERN_ATLAS, **kwargs):
+    """Call check_atlas and the four-pair reference on the same input: both
+    must return the same regions, or raise the same message.  Returns the
+    reference's regions, or its message."""
+    outcomes = []
+    for check in (check_atlas, partial(four_pair_check_atlas, atlas=atlas)):
+        try:
+            outcomes.append(check(*args, **kwargs))
+        except OrderingMismatchError as exc:
+            outcomes.append(str(exc))
+    compiled, reference = outcomes
+    assert type(compiled) is type(reference), outcomes
+    if isinstance(reference, str):
+        assert compiled == reference
+    else:
+        assert compiled.dtype == reference.dtype
+        np.testing.assert_array_equal(compiled, reference)
+    return reference
+
+
+def _boundary_rows(rng) -> tuple:
+    """Rows built at 3t = pi and at 3t' in {0, pi/2, pi}, each also 1 ulp
+    off, beside interior angles: columns roots, B, Bprime, theta_i, theta_f."""
+    initial = [pi / 3, 0.6, 0.95]
+    final = [0.0, pi / 6, pi / 3, 0.25, 0.8]
+    t_i, t_f = np.array(
+        [(ti, tf) for x in initial for ti in (np.nextafter(x, 0.0), x, np.nextafter(x, 4.0))
+         for y in final for tf in (np.nextafter(y, -1.0), y, np.nextafter(y, 4.0)) if tf >= 0.0]
+    ).T
+    coeff_a = rng.uniform(0.01, 0.3, t_i.size)
+    roots = labeled_roots_rows(np.stack([coeff_a, coeff_a], axis=1), np.stack([t_i, t_f], axis=1))
+    coeff_b, coeff_bp = (-2.0 * coeff_a**1.5 * np.cos(3.0 * t) for t in (t_i, t_f))
+    return -np.sort(-roots, axis=-1), coeff_b, coeff_bp, t_i, t_f
+
+
+def test_check_atlas_matches_the_four_pair_reference():
+    rng = np.random.default_rng(1931)
+    ticks = np.arange(1, 41) / 41
+    grid = np.array([x.reshape(-1) for x in np.meshgrid(ticks, ticks, ticks * pi, indexing="ij")])
+    off_grid = rng.uniform(0.0, 1.0, (3, 2000)) * [[1.0], [1.0], [pi]]
+    # B and Bprime agree within DEGENERACY_GAP_TOL in all rows but the last
+    degenerate = np.array([[1.0, 0.5, 1.0], [0.5, 1.0, 2.0], [0.3, 0.7, pi], [0.4, 0.4, 1.2]]).T
+    batches = []  # (columns, the rows beyond the sweep's margin)
+    for a, c, theta in (grid, off_grid, degenerate):
+        rows = grid_eval(a, c, theta)
+        columns = tuple(rows[key] for key in ("roots", "B", "Bprime", "theta_i", "theta_f"))
+        batches.append((columns, np.abs(degeneracy(a, c, theta)) > 1e-6))
+    boundary = _boundary_rows(rng)
+    batches.append((boundary, np.ones(len(boundary[1]), bool)))
+    non_finite = tuple(col[:10].copy() for col in batches[1][0])
+    non_finite[4][3] = np.nan
+    batches.append((non_finite, np.ones(10, bool)))
+    tols = np.array([0.0, 1e-15, CHAIN_TIE_TOL, 1e-9, 1.0])
+    kinds = set()
+
+    def compare(*columns, **kwargs):
+        outcome = _same_outcome(*columns, **kwargs)
+        if isinstance(outcome, str):
+            kinds.add("missing" if outcome.endswith("has no atlas entry") else outcome.split(" ")[0])
+
+    for columns, beyond in batches:
+        n = beyond.size
+        for live in (False, True, beyond, rng.random(n) < 0.5):
+            for tie_tol in (CHAIN_TIE_TOL, rng.choice(tols, n)):
+                compare(*columns, live=live, tie_tol=tie_tol)
+        # in pieces, so that more than a batch's first failure is compared
+        for rows in np.array_split(rng.permutation(n), max(1, n // 64))[:200]:
+            live, tie_tol = rng.random(rows.size) < 0.5, rng.choice(tols, rows.size)
+            compare(*(col[rows] for col in columns), live=live, tie_tol=tie_tol)
+    # every corrupted atlas test_corrupted_atlas_entry_makes_the_sweep_fail draws
+    for pair in sorted(PATTERN_ATLAS):
+        for chain in [None, *sorted(set(PATTERN_ATLAS.values()))]:
+            with _atlas_with(pair, chain):
+                for columns, beyond in batches[1:]:
+                    compare(*columns, live=beyond, atlas=_replaced(pair, chain))
+    assert kinds == {"missing", "ordering", "row"}  # row: a non-finite angle
