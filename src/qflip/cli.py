@@ -43,7 +43,7 @@ from .constructions import (
     flipper_experiment,
     general_flip_experiment,
 )
-from .ordering import OrderingMismatchError, code_labels, pattern_codes
+from .ordering import CODE_LABELS, OrderingMismatchError, pattern_codes
 from .report import CSV_HEADER, NonFiniteError, ReportRecord, fmt_float, grid_text, json_line, sweep_block
 from .schmidt import EPS_TIE, VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdict
 
@@ -290,7 +290,7 @@ def _certify_chunk(fmt: str, text: tuple, evaluated: tuple):
     rows, (ia, ic, itheta) = evaluated
     # every row lies beyond the margin, so every verdict must be Incomparable
     max_err, codes, regions = certify_rows(rows, live=True)
-    patterns, labels = pattern_codes(regions), code_labels()
+    patterns = pattern_codes(regions)
     tick_text, angle_text, index_text = text
     columns = {
         "a": tick_text[ia], "c": tick_text[ic], "theta": angle_text[itheta],
@@ -298,10 +298,10 @@ def _certify_chunk(fmt: str, text: tuple, evaluated: tuple):
         "alpha1": rows["num_alpha"][:, 0], "alpha2": rows["num_alpha"][:, 1], "alpha3": rows["num_alpha"][:, 2],
         "beta1": rows["num_beta"][:, 0], "beta2": rows["num_beta"][:, 1], "beta3": rows["num_beta"][:, 2],
         "A": rows["A"], "B": rows["B"], "Bprime": rows["Bprime"],
-        "ordering": labels[patterns], "verdict": _VERDICT_TEXT[codes], "max_err": max_err,
+        "ordering": CODE_LABELS[patterns], "verdict": _VERDICT_TEXT[codes], "max_err": max_err,
     }
-    per_code = np.bincount(patterns, minlength=labels.size)
-    counts = {labels[c]: int(per_code[c]) for c in np.flatnonzero(per_code) if labels[c] is not None}
+    per_code = np.bincount(patterns, minlength=CODE_LABELS.size)
+    counts = {CODE_LABELS[c]: int(per_code[c]) for c in np.flatnonzero(per_code)}
     return sweep_block(fmt, columns), float(max_err.max()), counts
 
 

@@ -96,11 +96,10 @@ def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Each row's two routes must agree within the route tolerance built on
     ``SPECTRUM_AGREEMENT_TOL`` (NaN counts as a disagreement), each row that
     ``live`` marks (a mask, or one bool for all rows) must be Incomparable,
-    and the ordering of each live row, and of each other row whose B and
-    Bprime differ by more than ``DEGENERACY_GAP_TOL``, must match the atlas
-    within the route tolerance built on ``CHAIN_TIE_TOL``.  Each step runs
-    once on the stacks of both states (``roots``, ``spectra``, ``B_pair``).
-    A failure raises :class:`VerificationError` (or
+    and every row's roots must interleave along the atlas chain within the
+    route tolerance built on ``CHAIN_TIE_TOL`` (:func:`check_atlas`).  Each
+    step runs once on the stacks of both states (``roots``, ``spectra``,
+    ``B_pair``).  A failure raises :class:`VerificationError` (or
     :class:`OrderingMismatchError`) naming the first failing point.  Returns
     the per-row error, verdict codes and :func:`check_atlas` regions.
     """
@@ -124,9 +123,7 @@ def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"{int(comparable.sum())} non-incomparable verdicts, "
             f"first {VERDICT_BY_CODE[codes[j]]} at {_where(rows, j)}"
         )
-    regions = check_atlas(
-        rows["roots"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"], live=live, tie_tol=tie_tol
-    )
+    regions = check_atlas(rows["roots"], rows["theta_i"], rows["theta_f"], tie_tol)
     return max_err, codes, regions
 
 

@@ -7,10 +7,12 @@ states: it takes the same spectra from Gram matrices of Bob's blocks, and the
 tests hold that route against this one.  The dimension cap of 12 keeps the
 linear algebra small and the eigensolver choice trivial.
 
-It also keeps the atlas check as it read before the package compiled it per
-quadrant combination: every row's four representative pairs looked up and
-checked in one stacked pass (:func:`four_pair_check_atlas`), with quadrants
-by float division (:func:`division_region_index`).
+It also keeps the reading of the atlas the package proves once: where each
+representative pair's printed labels a1..a3, b1..b3 sit among a row's six
+descending roots (:data:`PAIR_LABELS`, :func:`rank_chain`), and the atlas
+check that read it at every row, each row's four representative pairs
+looked up and checked in one stacked pass (:func:`four_pair_check_atlas`),
+with quadrants by float division (:func:`division_region_index`).
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from qflip.bloch import FlipParams, complements, flip, qubit_to_bloch
-from qflip.ordering import (
-    CHAIN_TIE_TOL,
-    DEGENERACY_GAP_TOL,
-    PATTERN_ATLAS,
-    REGION_BOUNDS,
-    OrderingMismatchError,
-)
+from qflip.ordering import CHAIN_TIE_TOL, PATTERN_ATLAS, REGION_BOUNDS, OrderingMismatchError
 
 DIM_CAP = 12
 HERMITICITY_TOL = 1e-10
@@ -307,15 +303,22 @@ def family_reduced_flipped(p: FlipParams, mu: float = 0.0, nu: float = 0.0) -> n
 
 
 _REGION_NAMES = tuple(REGION_BOUNDS)
-_LABELS = ("a1", "a2", "a3", "b1", "b2", "b3")
+LABELS = ("a1", "a2", "a3", "b1", "b2", "b3")
 # The four representative pairs as (initial, final) representative indices,
-# and where each pair's labels a1..a3, b1..b3 sit among a row's six
-# descending roots: a principal angle's labels are the ranks 0, 2, 1, a
-# mirror's the ranks as they stand.
-_REP_I = np.array([0, 0, 1, 1])
-_REP_F = np.array([0, 1, 0, 1])
-_RANK_OF_LABEL = np.array([[0, 2, 1], [0, 1, 2]])
-_PAIR_LABELS = np.concatenate([_RANK_OF_LABEL[_REP_I], 3 + _RANK_OF_LABEL[_REP_F]], axis=1)
+# 0 the principal angle 3t and 1 the mirror 2pi - 3t, and where each pair's
+# labels a1..a3, b1..b3 sit among a row's six descending roots, laid out
+# [spectrum][rank]: a principal angle's labels are the ranks 0, 2, 1, a
+# mirror's the ranks as they stand (see qflip.cubic.labeled_roots_rows).
+REP_I = np.array([0, 0, 1, 1])
+REP_F = np.array([0, 1, 0, 1])
+RANK_OF_LABEL = np.array([[0, 2, 1], [0, 1, 2]])
+PAIR_LABELS = np.concatenate([RANK_OF_LABEL[REP_I], 3 + RANK_OF_LABEL[REP_F]], axis=1)
+
+
+def rank_chain(pair: int, chain) -> tuple:
+    """A descending label ``chain`` as representative pair ``pair`` reads it:
+    indices into a row's six descending roots."""
+    return tuple(PAIR_LABELS[pair, [LABELS.index(x) for x in chain]].tolist())
 
 
 def division_region_index(angle3):
@@ -323,26 +326,25 @@ def division_region_index(angle3):
     return (angle3 % (2.0 * pi)) // (pi / 2.0) % 4
 
 
-def four_pair_check_atlas(
-    roots, b_val, bprime_val, theta_i, theta_f, live=False, tie_tol=CHAIN_TIE_TOL, atlas=PATTERN_ATLAS
-) -> np.ndarray:
-    """:func:`qflip.ordering.check_atlas` against ``atlas``, each row's four
-    representative pairs looked up and checked in one (row, pair, 6) pass.
-    The same arguments, return value and exceptions."""
+def four_pair_check_atlas(roots, theta_i, theta_f, tie_tol=CHAIN_TIE_TOL) -> np.ndarray:
+    """The per-row atlas check the package proves once: every row's four
+    representative pairs looked up in the atlas and each checked along its
+    entry's chain within ``tie_tol`` in one (row, pair, 6) pass.  Returns
+    the (n, 2, 2) quadrant index of [spectrum][representative]; raises
+    :class:`OrderingMismatchError` for a non-finite angle, else the first
+    pair without an entry, else the first failing pair, in row order."""
     table = np.full((4, 4), -1, dtype=np.intp)
-    chains = np.empty((len(atlas), 6), dtype=np.intp)
-    for k, ((ri, rf), chain) in enumerate(atlas.items()):
+    chains = np.empty((len(PATTERN_ATLAS), 6), dtype=np.intp)
+    for k, ((ri, rf), chain) in enumerate(PATTERN_ATLAS.items()):
         table[_REGION_NAMES.index(ri), _REGION_NAMES.index(rf)] = k
-        chains[k] = [_LABELS.index(x) for x in chain]
-    gather = _PAIR_LABELS[:, chains]  # (pair, entry, 6)
+        chains[k] = [LABELS.index(x) for x in chain]
+    gather = PAIR_LABELS[:, chains]  # (pair, entry, 6)
 
     roots = np.asarray(roots, dtype=float).reshape(-1, 6)
-    gap = np.abs(np.asarray(b_val, dtype=float) - bprime_val).reshape(-1)
-    checked = (np.asarray(live) | (gap > DEGENERACY_GAP_TOL))[:, None]
     n = roots.shape[0]
     reps = np.zeros((n, 2, 2))
     angle3 = np.array([theta_i, theta_f], dtype=float).reshape(2, -1).T
-    np.multiply(3.0, angle3, out=reps[..., 0], where=checked)
+    reps[..., 0] = 3.0 * angle3
     if not np.isfinite(reps).all():
         row = int(np.argmin(np.isfinite(reps).all(axis=(1, 2))))
         ti, tf = angle3[row].tolist()
@@ -350,20 +352,19 @@ def four_pair_check_atlas(
     reps[..., 1] = (2.0 * pi - reps[..., 0]) % (2.0 * pi)
     regions = division_region_index(reps).astype(np.intp)
 
-    entry = table[regions[:, 0, _REP_I], regions[:, 1, _REP_F]]  # (row, pair)
+    entry = table[regions[:, 0, REP_I], regions[:, 1, REP_F]]  # (row, pair)
     missing = entry < 0
     ordered = roots[np.arange(n)[:, None, None], gather[np.arange(4), entry]]
     tie_tol = np.reshape(tie_tol, (-1, 1, 1))
-    fails = (missing | ~(ordered[..., :-1] >= ordered[..., 1:] - tie_tol).all(axis=-1)) & checked
+    fails = missing | ~(ordered[..., :-1] >= ordered[..., 1:] - tie_tol).all(axis=-1)
     if fails.any():
-        missing &= checked
         row, k = np.argwhere(missing if missing.any() else fails)[0]
-        ri, rf = _REGION_NAMES[regions[row, 0, _REP_I[k]]], _REGION_NAMES[regions[row, 1, _REP_F[k]]]
+        ri, rf = _REGION_NAMES[regions[row, 0, REP_I[k]]], _REGION_NAMES[regions[row, 1, REP_F[k]]]
         if missing[row, k]:
             raise OrderingMismatchError(f"region pair {(ri, rf)} has no atlas entry")
-        observed = dict(zip(_LABELS, roots[row, _PAIR_LABELS[k]].tolist()))
+        observed = dict(zip(LABELS, roots[row, PAIR_LABELS[k]].tolist()))
         raise OrderingMismatchError(
             f"ordering for region pair {(ri, rf)} deviates from the atlas chain "
-            f"{'>'.join(atlas[ri, rf])}: {observed}"
+            f"{'>'.join(PATTERN_ATLAS[ri, rf])}: {observed}"
         )
-    return np.where(checked[..., None], regions, -1)
+    return regions

