@@ -80,6 +80,8 @@ CODE_LABELS = np.array(
     ],
     dtype=object,
 )
+# True at each code whose CODE_LABELS entry is None.
+_NO_ENTRY = np.equal(CODE_LABELS, None)
 
 
 # Where Q2, Q3, Q4 and the next turn's Q1 start.
@@ -91,13 +93,14 @@ def _region_index(angle3) -> np.ndarray:
 
     By exact comparison with the quadrant starts, which are doubles: the
     significand of the double pi ends in three zero bits, so 1.5 * pi is
-    exactly 3pi/2.  Angles in [0, 2pi] skip the float modulo; 2pi itself
-    counts past Q4 and wraps to Q1, as 2pi mod 2pi = 0 does.
+    exactly 3pi/2.  The starts ascend, so a right-sided binary search counts
+    the starts at or below each angle.  Angles in [0, 2pi] skip the float
+    modulo; 2pi itself counts past Q4 and wraps to Q1, as 2pi mod 2pi = 0 does.
     """
     angle3 = np.asarray(angle3, dtype=float)
     if not (angle3.min(initial=0.0) >= 0.0 and angle3.max(initial=0.0) <= 2.0 * pi):
         angle3 = angle3 % (2.0 * pi)  # may round up to 2pi, which wraps below
-    return np.less_equal.outer(_QUADRANT_STARTS, angle3).sum(axis=0) & 3
+    return np.searchsorted(_QUADRANT_STARTS, angle3, side="right") & 3
 
 
 def check_atlas(roots, theta_i, theta_f, tie_tol: float | np.ndarray = CHAIN_TIE_TOL) -> np.ndarray:
@@ -128,7 +131,7 @@ def check_atlas(roots, theta_i, theta_f, tie_tol: float | np.ndarray = CHAIN_TIE
         ti, tf = theta[row].tolist()
         raise OrderingMismatchError(f"row {row} has a non-finite angle: theta_i={ti!r}, theta_f={tf!r}")
     regions = _region_index(angle3)
-    missing = np.equal(CODE_LABELS[pattern_codes(regions)], None)
+    missing = _NO_ENTRY[pattern_codes(regions)]
     ordered = roots[:, _INTERLEAVING]
     broken = ~(ordered[:, :-1] >= ordered[:, 1:] - np.reshape(tie_tol, (-1, 1))).all(axis=1)
     if missing.any() or broken.any():

@@ -2,10 +2,14 @@
 
 A deterministic local conversion |Psi> -> |Phi> exists exactly when the
 descending Schmidt probability vector of |Psi> is majorized by that of |Phi>
-(every leading partial sum bounded).  :func:`verdict_codes` decides both
-directions for a stack of pairs in one pass over the two sides stacked
-together (:func:`stacked_verdict_codes`).  Pairs where neither direction
-holds are *incomparable*; for two-dimensional spectra that never happens, and
+(every leading partial sum bounded).  :func:`stacked_verdict_codes` holds
+that comparison once and decides both directions for a stack of pairs in one
+pass over the two sides stacked together.  :func:`verdict_codes` builds that
+stack from two stacks of spectra and zero-pads unequal widths;
+:func:`verdict` is its one-row form, which builds the (1, 2, k) stack of two
+equal-width spectra with one concatenation and hands any other pair to
+:func:`verdict_codes`.  Pairs where neither direction holds are
+*incomparable*; for two-dimensional spectra that never happens, and
 for three-dimensional strictly ordered spectra with equal totals
 incomparability reduces to a pair of partial-sum crossing conditions, tested
 in Python scalars by :func:`incomparable_3dim`.
@@ -49,9 +53,10 @@ VERDICT_BY_CODE = (
 def stacked_verdict_codes(sides) -> np.ndarray:
     """:func:`verdict_codes` of an (n, 2, w) stack of lhs (``[:, 0]``) and rhs
     (``[:, 1]``) spectra, every row descending and zero-padded to width w."""
-    sums = sides.cumsum(axis=2)
+    sums = np.add.accumulate(sides, axis=2)
     # bounded[:, 0] is sums_l <= sums_r + EPS_TIE (forward), bounded[:, 1] the reverse
-    return (sums <= sums[:, ::-1] + EPS_TIE).all(axis=2).dot(_CODE_WEIGHTS)
+    bounded = np.logical_and.reduce(sums <= sums[:, ::-1] + EPS_TIE, axis=2)
+    return bounded.dot(_CODE_WEIGHTS)
 
 
 def verdict_codes(lhs, rhs) -> np.ndarray:
@@ -63,8 +68,10 @@ def verdict_codes(lhs, rhs) -> np.ndarray:
     up to the tie tolerance ``EPS_TIE``; forward is lhs majorized by rhs.
 
     Both sides go into one (n, 2, w) stack, each row sorted (when k != m,
-    each side is sorted first and the shorter one then zero-padded), and one
-    reversed cumulative sum gives the descending partial sums of both.  The
+    each side is sorted first and the shorter one then zero-padded: this is
+    the one padding rule, which :func:`verdict` uses for unequal widths), and
+    one cumulative sum along the reversed rows gives the descending partial
+    sums of both (:func:`stacked_verdict_codes`).  The
     two directions are the bounded comparisons ``sums_l <= sums_r + EPS_TIE``
     and ``sums_r <= sums_l + EPS_TIE``, so a difference of exactly ``EPS_TIE``
     counts as bounded.
@@ -91,11 +98,19 @@ def verdict(lhs, rhs) -> Verdict:
 
     One-row form of :func:`verdict_codes`, whose forward direction is lhs
     majorized by rhs: a state with spectrum lhs converts deterministically to
-    one with spectrum rhs.
+    one with spectrum rhs.  Each side is read flattened.  When both have the
+    same number k > 0 of entries, one concatenation builds the (1, 2, k)
+    stack, sorted in place and handed straight to
+    :func:`stacked_verdict_codes`; unequal or empty widths go through
+    :func:`verdict_codes` as one-row stacks, which pads them or raises its
+    :class:`ValueError`.
     """
-    lhs = np.asarray(lhs, dtype=float).reshape(1, -1)
-    rhs = np.asarray(rhs, dtype=float).reshape(1, -1)
-    return VERDICT_BY_CODE[verdict_codes(lhs, rhs)[0]]
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    if lhs.size == rhs.size != 0:
+        sides = np.concatenate((lhs, rhs), axis=None).reshape(1, 2, -1)
+        sides.sort(axis=2)
+        return VERDICT_BY_CODE[stacked_verdict_codes(sides[:, :, ::-1])[0]]
+    return VERDICT_BY_CODE[verdict_codes(lhs.reshape(1, -1), rhs.reshape(1, -1))[0]]
 
 
 def incomparable_3dim(avec, bvec) -> bool:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qflip import schmidt
 from qflip.constructions import AXES_LAMBDA_FINAL, AXES_PARAMS
 from qflip.schmidt import (
     EPS_TIE,
@@ -10,6 +11,7 @@ from qflip.schmidt import (
     SpectrumTieError,
     Verdict,
     incomparable_3dim,
+    stacked_verdict_codes,
     verdict,
     verdict_codes,
 )
@@ -94,6 +96,43 @@ def test_majorizes_rows_rejects_mismatched_stacks():
         verdict_codes(np.ones((2, 3)), np.ones((3, 3)))
     with pytest.raises(ValueError):
         verdict([], [1.0])
+    with pytest.raises(ValueError):
+        verdict([], [])
+
+
+# (lhs, rhs) in every form verdict reads as one row: lists, tuples, (k, 1)
+# and (1, k) arrays, mixed shapes, unequal widths, unsorted and NaN entries
+_ONE_ROW_INPUTS = [
+    ([0.51, 0.30, 0.19], [0.49, 0.36, 0.15]),
+    ((0.6, 0.4), (0.7, 0.3)),
+    (np.array([[0.5], [0.3], [0.2]]), np.array([[0.6], [0.3], [0.1]])),
+    (np.array([[0.5, 0.3, 0.2]]), np.array([[0.6, 0.3, 0.1]])),
+    (np.array([[0.5], [0.3], [0.2]]), np.array([[0.5, 0.3, 0.2]])),
+    ([0.2, 0.5, 0.3], [0.3, 0.3, 0.4]),
+    ([0.5, 0.5], [0.4, 0.3, 0.3]),
+    ((1.0,), np.array([[0.5], [0.5]])),
+    ([np.nan, 0.5, 0.5], [0.4, 0.3, 0.3]),
+    ([0.5, 0.5], [np.nan, 0.7, 0.3]),
+]
+
+
+@pytest.mark.parametrize("lhs, rhs", _ONE_ROW_INPUTS)
+def test_verdict_is_one_row_of_verdict_codes(lhs, rhs):
+    row_l, row_r = np.ravel(lhs)[None], np.ravel(rhs)[None]
+    assert verdict(lhs, rhs) is VERDICT_BY_CODE[verdict_codes(row_l, row_r)[0]]
+
+
+@pytest.mark.parametrize("lhs, rhs", _ONE_ROW_INPUTS)
+def test_verdict_reaches_the_stacked_comparison_once(monkeypatch, lhs, rhs):
+    calls = []
+
+    def counting(sides):
+        calls.append(sides.shape)
+        return stacked_verdict_codes(sides)
+
+    monkeypatch.setattr(schmidt, "stacked_verdict_codes", counting)
+    verdict(lhs, rhs)
+    assert calls == [(1, 2, max(np.size(lhs), np.size(rhs)))]
 
 
 def test_pure_state_validation():
