@@ -28,8 +28,6 @@ SPECTRUM_AGREEMENT_TOL = 1e-9
 DEFAULT_DEGENERACY_MARGIN = 1e-6
 DEFAULT_FLIPPER_SEED = 7
 
-_INCOMPARABLE_CODE = VERDICT_BY_CODE.index(Verdict.INCOMPARABLE)
-
 # Probability weights of the flipper experiment's two states.
 FLIPPER_WEIGHTS_INITIAL = (0.51, 0.30, 0.19)
 FLIPPER_WEIGHTS_FINAL = (0.49, 0.36, 0.15)
@@ -118,7 +116,7 @@ def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"{int(disagree.sum())} points, first at {_where(rows, j)} (error {max_err[j]:.3e})"
         )
     codes = stacked_verdict_codes(rows["spectra"])
-    comparable = live & (codes != _INCOMPARABLE_CODE)
+    comparable = live & (codes != VERDICT_BY_CODE.index(Verdict.INCOMPARABLE))
     if comparable.any():
         j = int(np.argmax(comparable))
         raise VerificationError(

@@ -80,8 +80,6 @@ CODE_LABELS = np.array(
     ],
     dtype=object,
 )
-# True at each code whose CODE_LABELS entry is None.
-_NO_ENTRY = np.equal(CODE_LABELS, None)
 
 
 # Where Q2, Q3, Q4 and the next turn's Q1 start.
@@ -131,7 +129,7 @@ def check_atlas(roots, theta_i, theta_f, tie_tol: float | np.ndarray = CHAIN_TIE
         ti, tf = theta[row].tolist()
         raise OrderingMismatchError(f"row {row} has a non-finite angle: theta_i={ti!r}, theta_f={tf!r}")
     regions = _region_index(angle3)
-    missing = _NO_ENTRY[pattern_codes(regions)]
+    missing = np.equal(CODE_LABELS[pattern_codes(regions)], None)
     ordered = roots[:, _INTERLEAVING]
     broken = ~(ordered[:, :-1] >= ordered[:, 1:] - np.reshape(tie_tol, (-1, 1))).all(axis=1)
     if missing.any() or broken.any():

@@ -5,7 +5,7 @@ descending Schmidt probability vector of |Psi> is majorized by that of |Phi>
 (every leading partial sum bounded).  :func:`stacked_verdict_codes` holds
 that comparison once and decides both directions for a stack of pairs in one
 pass over the two sides stacked together.  :func:`verdict_codes` builds that
-stack from two stacks of spectra and zero-pads unequal widths;
+stack from two stacks of spectra, zero-padding the narrower side;
 :func:`verdict` is its one-row form, which builds the (1, 2, k) stack of two
 equal-width spectra with one concatenation and hands any other pair to
 :func:`verdict_codes`.  Pairs where neither direction holds are
@@ -67,11 +67,11 @@ def verdict_codes(lhs, rhs) -> np.ndarray:
     leading partial sum is bounded by the matching partial sum of the other
     up to the tie tolerance ``EPS_TIE``; forward is lhs majorized by rhs.
 
-    Both sides go into one (n, 2, w) stack, each row sorted (when k != m,
-    each side is sorted first and the shorter one then zero-padded: this is
-    the one padding rule, which :func:`verdict` uses for unequal widths), and
-    one cumulative sum along the reversed rows gives the descending partial
-    sums of both (:func:`stacked_verdict_codes`).  The
+    Both sides go into one (n, 2, w) stack, w = max(k, m): each side is
+    sorted and the narrower one zero-padded (this is the one padding rule,
+    which :func:`verdict` uses for unequal widths; equal widths get no
+    zeros), and one cumulative sum along the reversed rows gives the
+    descending partial sums of both (:func:`stacked_verdict_codes`).  The
     two directions are the bounded comparisons ``sums_l <= sums_r + EPS_TIE``
     and ``sums_r <= sums_l + EPS_TIE``, so a difference of exactly ``EPS_TIE``
     counts as bounded.
@@ -80,16 +80,12 @@ def verdict_codes(lhs, rhs) -> np.ndarray:
     if lhs.ndim != 2 or rhs.ndim != 2 or lhs.shape[0] != rhs.shape[0] or 0 in lhs.shape[1:] + rhs.shape[1:]:
         raise ValueError(f"expected (n, k) and (n, m) stacks of spectra, got {lhs.shape} and {rhs.shape}")
     (n, k), m = lhs.shape, rhs.shape[1]
-    if k == m:
-        sides = np.concatenate((lhs, rhs), axis=1).reshape(n, 2, k)
-        sides.sort(axis=2)
-    else:
-        # ascending rows with the padding zeros in front, so that the reversed
-        # row is the descending spectrum followed by its zeros
-        width = max(k, m)
-        sides = np.zeros((n, 2, width))
-        sides[:, 0, width - k :] = np.sort(lhs, axis=1)
-        sides[:, 1, width - m :] = np.sort(rhs, axis=1)
+    # ascending rows with the padding zeros in front, so that the reversed
+    # row is the descending spectrum followed by its zeros
+    width = max(k, m)
+    sides = np.zeros((n, 2, width))
+    sides[:, 0, width - k :] = np.sort(lhs, axis=1)
+    sides[:, 1, width - m :] = np.sort(rhs, axis=1)
     return stacked_verdict_codes(sides[:, :, ::-1])
 
 
