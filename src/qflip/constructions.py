@@ -16,15 +16,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi, sqrt
+from typing import Callable
 
 import numpy as np
 
 from . import kernels
 from .bloch import FlipParams, density_to_bloch, flip, qubit_to_bloch, random_qubit
-from .ordering import CHAIN_TIE_TOL, check_atlas, pattern_labels
-from .schmidt import VERDICT_BY_CODE, Verdict, stacked_verdict_codes, verdict
+from .cubic import root_gaps_rows
+from .ordering import check_atlas, pattern_labels
+from .schmidt import VERDICT_BY_CODE, Verdict, verdict
 
 SPECTRUM_AGREEMENT_TOL = 1e-9
+# Bound on a numeric eigenvalue gap's error: eigvalsh is backward stable, so an
+# eigenvalue of a density matrix (norm <= 1) is off by a few ulps; 1e-14 is 45.
+EIGENSOLVER_TOL = 1e-14
 DEFAULT_DEGENERACY_MARGIN = 1e-6
 DEFAULT_FLIPPER_SEED = 7
 
@@ -53,20 +58,19 @@ def check_margin(margin: float) -> None:
         raise ValueError(f"margin must lie in (0, 1), got {margin}")
 
 
-def route_tolerance(coeff_a, b_vals, base: float | np.ndarray):
+def route_tolerance(coeff_a, b_vals):
     """Cross-route agreement tolerance, widened near repeated-root boundaries.
 
-    ``base`` applies away from the boundaries.  Where some |B| lies within a
-    relative 1e-9 of the repeated-root boundary 2 A^{3/2}, the closed-form
-    roots split a near-double pair only to O(sqrt(eps)) while the eigensolver
-    stays fully accurate, so the two routes legitimately differ by up to
-    ~4 sqrt(A * eps) there.  Works elementwise on arrays of A, each with the B values on the
-    last axis of ``b_vals``.
+    ``SPECTRUM_AGREEMENT_TOL`` applies away from the boundaries.  Where some
+    |B| lies within a relative 1e-9 of the repeated-root boundary 2 A^{3/2},
+    the closed-form roots split a near-double pair only to O(sqrt(eps)), so
+    the routes may differ by up to ~4 sqrt(A * eps) there.  Elementwise on
+    arrays of A, each with its B values on the last axis of ``b_vals``.
     """
     edge = (2.0 * coeff_a * np.sqrt(coeff_a))[..., None]
     widened = 4.0 * np.sqrt(coeff_a * 1e-15)
     near = (np.abs(edge - np.abs(b_vals)) < 1e-9 * edge).any(axis=-1)
-    return np.where(near & (widened > base), widened, base)
+    return np.where(near & (widened > SPECTRUM_AGREEMENT_TOL), widened, SPECTRUM_AGREEMENT_TOL)
 
 
 @dataclass(frozen=True)
@@ -86,45 +90,49 @@ class FlipExperimentResult:
     degenerate: bool
 
 
-def _where(rows: dict, j: int) -> str:
-    return ", ".join(f"{key}={float(rows[key][j])!r}" for key in ("a", "c", "theta"))
+def _first_failure(rows: dict, failed, what: str, detail: Callable[[int], str]) -> None:
+    """Raise :class:`VerificationError` if any row ``failed``, naming the count and the first."""
+    if failed.any():
+        j = int(np.argmax(failed))
+        where = ", ".join(f"{key}={float(rows[key][j])!r}" for key in ("a", "c", "theta"))
+        raise VerificationError(f"{what} at {int(failed.sum())} points, first at {where}{detail(j)}")
+
+
+_GAP_SIGNS = np.array([1.0, -1.0, 1.0])  # of lam_k - lam_k' along the chain, k = 1, 2, 3
+_INCOMPARABLE, _INTERCONVERTIBLE = (VERDICT_BY_CODE.index(v) for v in (Verdict.INCOMPARABLE, Verdict.INTERCONVERTIBLE))
 
 
 def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Certify rows of :func:`qflip.kernels.grid_eval` output, the family's one certificate.
 
-    Each row's two routes must agree within the route tolerance built on
-    ``SPECTRUM_AGREEMENT_TOL`` (NaN counts as a disagreement), each row that
-    ``live`` marks (a mask, or one bool for all rows) must be Incomparable,
-    and every row's roots must interleave along the atlas chain within the
-    route tolerance built on ``CHAIN_TIE_TOL`` (:func:`check_atlas`).  Each
-    step runs once on the stacks of both states (``roots``, ``spectra``,
-    ``B_pair``).  A failure raises :class:`VerificationError` (or
-    :class:`OrderingMismatchError`) naming the first failing point.  Returns
-    the per-row error, verdict codes and :func:`check_atlas` regions.
+    Each row's two routes must agree within :func:`route_tolerance` (NaN
+    counts as a disagreement) and its closed-form roots must descend, with
+    no tolerance.  A row that ``live`` marks (a mask, or one bool for all
+    rows) must be Incomparable by signs: its gaps lam_k - lam_k' must read
+    (+, -, +) in closed form (:func:`qflip.cubic.root_gaps_rows`) and in the
+    numeric spectra beyond ``EIGENSOLVER_TOL``.  With equal totals the outer
+    signs are the whole chain alpha1 > beta1 >= beta2 > alpha2 >= alpha3 >
+    beta3.  A failure raises :class:`VerificationError` (or, from
+    :func:`check_atlas`, :class:`OrderingMismatchError`) naming the first
+    failing point.  Returns the per-row error, the verdict codes (the closed
+    form's: Interconvertible where the float m is 0, else Incomparable,
+    unconfirmed on a row that is not live) and the atlas regions.
     """
     max_err = np.abs(rows["roots"] - rows["spectra"]).max(axis=(1, 2))
-    # the route gate's tolerance and the atlas check's tie tolerance, in one call
-    route_tol, tie_tol = route_tolerance(
-        rows["A"][:, None], rows["B_pair"][:, None, :], base=np.array([SPECTRUM_AGREEMENT_TOL, CHAIN_TIE_TOL])
-    ).T
-    disagree = ~(max_err <= route_tol)
-    if disagree.any():
-        j = int(np.argmax(disagree))
-        raise VerificationError(
-            f"analytic and numeric spectra disagree beyond {SPECTRUM_AGREEMENT_TOL:g} at "
-            f"{int(disagree.sum())} points, first at {_where(rows, j)} (error {max_err[j]:.3e})"
-        )
-    codes = stacked_verdict_codes(rows["spectra"])
-    comparable = live & (codes != VERDICT_BY_CODE.index(Verdict.INCOMPARABLE))
-    if comparable.any():
-        j = int(np.argmax(comparable))
-        raise VerificationError(
-            f"{int(comparable.sum())} non-incomparable verdicts, "
-            f"first {VERDICT_BY_CODE[codes[j]]} at {_where(rows, j)}"
-        )
-    regions = check_atlas(rows["roots"], rows["theta_i"], rows["theta_f"], tie_tol)
-    return max_err, codes, regions
+    disagree = ~(max_err <= route_tolerance(rows["A"], rows["B_pair"]))
+    _first_failure(rows, disagree, f"analytic and numeric spectra disagree beyond {SPECTRUM_AGREEMENT_TOL:g}",
+                   lambda j: f" (error {max_err[j]:.3e})")
+    roots = rows["roots"]
+    ascending = (roots[..., 1:] > roots[..., :-1]).any(axis=(1, 2))
+    _first_failure(rows, ascending, "closed-form roots do not descend", lambda j: f": {roots[j].tolist()}")
+    gaps = root_gaps_rows(rows["A"], rows["m"], roots)
+    numeric = rows["spectra"][:, 0] - rows["spectra"][:, 1]
+    signed = ((gaps * _GAP_SIGNS > 0.0) & (numeric * _GAP_SIGNS > EIGENSOLVER_TOL)).all(axis=1)
+    _first_failure(rows, live & ~signed, "Incomparable not certified",
+                   lambda j: f": gaps lam - lam' {gaps[j].tolist()} closed-form, {numeric[j].tolist()} numeric, "
+                   f"not (+, -, +) beyond {EIGENSOLVER_TOL:g}")
+    codes = np.where(rows["m"] == 0.0, _INTERCONVERTIBLE, _INCOMPARABLE)
+    return max_err, codes, check_atlas(rows["theta_i"], rows["theta_f"])
 
 
 def general_flip_experiment(
@@ -137,17 +145,15 @@ def general_flip_experiment(
 
     A one-row :func:`qflip.kernels.grid_eval` and :func:`certify_rows`, the
     sweep's own route, so a sweep row and a single point carry the same
-    values to the bit: the analytic route solves the two characteristic
-    cubics in closed form, the numeric route eigensolves the 3x3 Gram
-    matrices of Bob's blocks.  Points with |a b c d sin theta| <= ``margin``
-    are reported as degenerate (no ordering, no incomparability assertion);
-    everywhere else the verdict must come out Incomparable, anything less
-    raises :class:`VerificationError`.  A margin outside (0, 1) raises
-    :class:`ValueError`.
+    values to the bit.  A point whose measure m has |m| <= ``margin`` is
+    degenerate: no ordering, no incomparability assertion, and the closed
+    form's verdict (Incomparable unless m = 0).  Elsewhere Incomparable must
+    be certified, or :class:`VerificationError` is raised.  A margin outside
+    (0, 1) raises :class:`ValueError`.
     """
     check_margin(margin)
-    degenerate = bool(abs(kernels.degeneracy(p.a, p.c, p.theta)) <= margin)
     rows = kernels.grid_eval([p.a], [p.c], [p.theta], mu, nu)
+    degenerate = bool(abs(rows["m"][0]) <= margin)
     max_err, codes, regions = certify_rows(rows, live=not degenerate)
 
     return FlipExperimentResult(

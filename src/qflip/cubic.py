@@ -14,7 +14,19 @@ The angle t is only determined up to the mirror 2pi - 3t at the level of its
 cosine; :func:`labeled_roots_rows` evaluates the printed root labels for any
 representative.  For the principal t the descending roots are those labels in
 order (0, 2, 1), and the mirror's labels are the descending roots as they
-stand, so the atlas check reads both representatives off the sorted roots.
+stand, so the atlas proof reads both representatives off the sorted roots.
+
+With u = 1 - 3*lam and m = a b c d sin(theta), the two cubics differ by a
+constant, p = p' + 4m^2, which moves both outer roots of p left of those of p':
+p(u'_min) = 4m^2 > 0 while p -> -inf on the left, and p >= 4m^2 > 0 wherever
+p' >= 0, right of u'_max.  So alpha1 > beta1 and alpha3 > beta3 for every
+m != 0, and equal totals give beta2 > alpha2: Nielsen's incomparability.
+Subtracting the cubics at two roots of equal rank gives each gap,
+
+    lam_k - lam_k' = 4m^2 / (3 (u_k^2 + u_k u_k' + u_k'^2 - 3A)),
+
+without cancellation (:func:`root_gaps_rows`); as |u| <= 2 sqrt(A), each
+outer gap is at least 4m^2 / (27A).
 
 The ``_rows`` functions are the only copy of the closed form and work
 elementwise on arrays; a single family point is a one-row call, so a sweep row
@@ -81,3 +93,15 @@ def cubic_roots_rows(a_coeff, b_val) -> tuple[np.ndarray, np.ndarray]:
     roots = labeled_roots_rows(np.where(pos, a_coeff, 0.0), t)
     roots.sort(axis=-1)
     return roots[..., ::-1], t
+
+
+def root_gaps_rows(a_coeff, m, roots) -> np.ndarray:
+    """Gaps lam_k - lam_k' (..., 3) of the descending ``roots`` (..., 2, 3) of
+    the initial and flipped cubic, by the identity above from the measure
+    ``m``, so B - Bprime = 4 m^2 is never formed by subtraction.  Where m = 0
+    the cubics coincide and every gap is 0, set before any division (at A = 0
+    the identity reads 0/0)."""
+    u = 1.0 - 3.0 * roots
+    u_i, u_f, m = u[..., 0, :], u[..., 1, :], m[..., None]
+    denom = u_i * (u_i + u_f) + u_f * u_f - 3.0 * a_coeff[..., None]
+    return np.divide((4.0 / 3.0) * m * m, denom, out=np.zeros(denom.shape), where=m != 0.0)

@@ -8,6 +8,8 @@ backs grid sweeps: the closed-form cubic of
 
 from __future__ import annotations
 
+from math import pi
+
 import numpy as np
 
 from .bloch import complements
@@ -16,19 +18,15 @@ from .cubic import cubic_coefficients_rows, cubic_roots_rows
 BACKEND = "numpy"
 
 
-def row_scale(a, c) -> np.ndarray:
-    """The factor a b c d of the great-circle measure, fixed along theta."""
-    b, d = complements(a, c)
-    return a * b * c * d
+def degeneracy(a, b, c, d, theta) -> np.ndarray:
+    """Signed great-circle measure m = a b c d sin(theta), b and d the complements of a and c.
 
-
-def degeneracy(a, c, theta) -> np.ndarray:
-    """Signed great-circle measure a b c d sin(theta) of each family point.
-
-    The three states are coplanar on the Bloch sphere exactly where it
-    vanishes; the sweep certifies only points where it exceeds the margin.
+    The states are coplanar exactly where m = 0: a, b, c or d is 0, or theta
+    is 0 or pi, and the float pi stands for pi (see
+    :class:`qflip.bloch.FlipParams`).  Elsewhere m is to the bit the product
+    by which :func:`beyond_margin` selects a sweep's points.
     """
-    return row_scale(a, c) * np.sin(theta)
+    return a * b * c * d * np.where(theta == pi, 0.0, np.sin(theta))
 
 
 def beyond_margin(ticks: np.ndarray, angles: np.ndarray, margin: float, block: int) -> np.ndarray:
@@ -37,13 +35,14 @@ def beyond_margin(ticks: np.ndarray, angles: np.ndarray, margin: float, block: i
     The grid is ``ticks`` x ``ticks`` x ``angles`` (angles in (0, pi)), and
     the result equals ``np.flatnonzero(np.abs(degeneracy(...)) > margin)``
     over it, bit for bit, without an array of the grid's size.  Row (a, c)
-    is kept only if |row_scale * s_max| > margin for the largest grid sine
+    is kept only if |a b c d * s_max| > margin for the largest grid sine
     s_max: rounded products are monotone, so no other row holds a point
     beyond the margin.  Each run of consecutive kept rows is evaluated in
     pieces of at most ``block`` points.
     """
     n_theta = len(angles)
-    scale = row_scale(ticks[:, None], ticks[None, :]).ravel()
+    b, d = complements(ticks[:, None], ticks[None, :])
+    scale = (ticks[:, None] * b * ticks[None, :] * d).ravel()  # a b c d, fixed along theta
     sines = np.sin(angles)
     rows = np.flatnonzero(np.abs(scale * sines.max()) > margin)
     if rows.size == 0:
@@ -101,8 +100,9 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray, mu=0.0, nu=0.0) -
     the closed-form cubic spectra (coefficients A, B, B' then trig roots)
     and a numeric route that eigensolves the reduced 3x3 matrices of
     :func:`family_reduced_rows`, device phases ``mu`` and ``nu`` included.
-    Both share one ``complements(a, c)``.  Returns a dict of per-point arrays,
-    the points' own coordinates included, with the stacks ``B_pair`` (n, 2)
+    Both share one ``complements(a, c)``, and so does the measure ``m`` of
+    :func:`degeneracy`, B - B' = 4 m^2 without a subtraction.  Returns a dict
+    of per-point arrays, the points' coordinates included, with ``B_pair`` (n, 2)
     and ``roots``, ``spectra`` (n, 2, 3: initial, flipped; descending) beside
     their per-state views ``B``, ``Bprime``, ``num_alpha``, ``num_beta``.
     """
@@ -122,6 +122,7 @@ def grid_eval(a: np.ndarray, c: np.ndarray, theta: np.ndarray, mu=0.0, nu=0.0) -
         "a": a,
         "c": c,
         "theta": theta,
+        "m": degeneracy(a, b, c, d, theta),
         "A": coeff_a,
         "B": b_pair[:, 0],
         "Bprime": b_pair[:, 1],

@@ -9,10 +9,9 @@ linear algebra small and the eigensolver choice trivial.
 
 It also keeps the reading of the atlas the package proves once: where each
 representative pair's printed labels a1..a3, b1..b3 sit among a row's six
-descending roots (:data:`PAIR_LABELS`, :func:`rank_chain`), and the atlas
-check that read it at every row, each row's four representative pairs
-looked up and checked in one stacked pass (:func:`four_pair_check_atlas`),
-with quadrants by float division (:func:`division_region_index`).
+descending roots (:data:`PAIR_LABELS`, :func:`rank_chain`), and quadrants by
+float division (:func:`division_region_index`), against which the package's
+exact quadrant placement is held.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from qflip.bloch import FlipParams, complements, flip, qubit_to_bloch
-from qflip.ordering import CHAIN_TIE_TOL, PATTERN_ATLAS, REGION_BOUNDS, OrderingMismatchError
 
 DIM_CAP = 12
 HERMITICITY_TOL = 1e-10
@@ -302,7 +300,6 @@ def family_reduced_flipped(p: FlipParams, mu: float = 0.0, nu: float = 0.0) -> n
     return m / 3.0
 
 
-_REGION_NAMES = tuple(REGION_BOUNDS)
 LABELS = ("a1", "a2", "a3", "b1", "b2", "b3")
 # The four representative pairs as (initial, final) representative indices,
 # 0 the principal angle 3t and 1 the mirror 2pi - 3t, and where each pair's
@@ -324,47 +321,3 @@ def rank_chain(pair: int, chain) -> tuple:
 def division_region_index(angle3):
     """Quadrant index 0..3 of each angle taken mod 2pi, by float division."""
     return (angle3 % (2.0 * pi)) // (pi / 2.0) % 4
-
-
-def four_pair_check_atlas(roots, theta_i, theta_f, tie_tol=CHAIN_TIE_TOL) -> np.ndarray:
-    """The per-row atlas check the package proves once: every row's four
-    representative pairs looked up in the atlas and each checked along its
-    entry's chain within ``tie_tol`` in one (row, pair, 6) pass.  Returns
-    the (n, 2, 2) quadrant index of [spectrum][representative]; raises
-    :class:`OrderingMismatchError` for a non-finite angle, else the first
-    pair without an entry, else the first failing pair, in row order."""
-    table = np.full((4, 4), -1, dtype=np.intp)
-    chains = np.empty((len(PATTERN_ATLAS), 6), dtype=np.intp)
-    for k, ((ri, rf), chain) in enumerate(PATTERN_ATLAS.items()):
-        table[_REGION_NAMES.index(ri), _REGION_NAMES.index(rf)] = k
-        chains[k] = [LABELS.index(x) for x in chain]
-    gather = PAIR_LABELS[:, chains]  # (pair, entry, 6)
-
-    roots = np.asarray(roots, dtype=float).reshape(-1, 6)
-    n = roots.shape[0]
-    reps = np.zeros((n, 2, 2))
-    angle3 = np.array([theta_i, theta_f], dtype=float).reshape(2, -1).T
-    reps[..., 0] = 3.0 * angle3
-    if not np.isfinite(reps).all():
-        row = int(np.argmin(np.isfinite(reps).all(axis=(1, 2))))
-        ti, tf = angle3[row].tolist()
-        raise OrderingMismatchError(f"row {row} has a non-finite angle: theta_i={ti!r}, theta_f={tf!r}")
-    reps[..., 1] = (2.0 * pi - reps[..., 0]) % (2.0 * pi)
-    regions = division_region_index(reps).astype(np.intp)
-
-    entry = table[regions[:, 0, REP_I], regions[:, 1, REP_F]]  # (row, pair)
-    missing = entry < 0
-    ordered = roots[np.arange(n)[:, None, None], gather[np.arange(4), entry]]
-    tie_tol = np.reshape(tie_tol, (-1, 1, 1))
-    fails = missing | ~(ordered[..., :-1] >= ordered[..., 1:] - tie_tol).all(axis=-1)
-    if fails.any():
-        row, k = np.argwhere(missing if missing.any() else fails)[0]
-        ri, rf = _REGION_NAMES[regions[row, 0, REP_I[k]]], _REGION_NAMES[regions[row, 1, REP_F[k]]]
-        if missing[row, k]:
-            raise OrderingMismatchError(f"region pair {(ri, rf)} has no atlas entry")
-        observed = dict(zip(LABELS, roots[row, PAIR_LABELS[k]].tolist()))
-        raise OrderingMismatchError(
-            f"ordering for region pair {(ri, rf)} deviates from the atlas chain "
-            f"{'>'.join(PATTERN_ATLAS[ri, rf])}: {observed}"
-        )
-    return regions

@@ -64,7 +64,7 @@ def grid():
     elapsed = time.perf_counter() - start
     data["a"], data["c"], data["theta"] = flat
     data["eval_seconds"] = elapsed
-    data["mask"] = np.abs(kernels.degeneracy(*flat)) > GRID_MARGIN
+    data["mask"] = np.abs(data["m"]) > GRID_MARGIN
     data["max_err"] = np.abs(data["roots"] - data["spectra"]).max(axis=(1, 2))
     return data
 
@@ -138,11 +138,10 @@ def test_criterion_3_general_family_grid(grid):
 
 def test_criterion_4_ordering_atlas_coverage(grid):
     mask = grid["mask"]
-    # every point's roots are checked against the atlas chain in one batched
-    # pass, at check_atlas's default tie tolerance; the mirrors 2pi - 3t of
-    # the principal angles witness the other representative pairs
+    # every point is placed in the atlas in one batched pass; the mirrors
+    # 2pi - 3t of the principal angles witness the other representative pairs
     theta = np.stack([grid["theta_i"][mask], grid["theta_f"][mask]], axis=1)
-    regions = check_atlas(grid["roots"][mask], theta[:, 0], theta[:, 1])
+    regions = check_atlas(theta[:, 0], theta[:, 1])
     mirrors = _region_index(2.0 * pi - 3.0 * theta)
     names = tuple(REGION_BOUNDS)
     reps = np.stack([regions, mirrors], axis=2)  # (point, spectrum, representative)

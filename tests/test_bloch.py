@@ -82,7 +82,10 @@ def test_flip_params_validation():
     with pytest.raises(ValueError):
         FlipParams(a=0.5, c=0.5, theta=0.0)
     p = FlipParams(a=0.5, c=0.5, theta=0.0, allow_boundary_theta=True)
-    assert degeneracy(p.a, p.c, p.theta) == 0.0
+    b, d = complements(p.a, p.c)
+    assert degeneracy(p.a, b, p.c, d, p.theta) == 0.0
+    # the float pi stands for the boundary pi, where the measure vanishes too
+    assert np.sin(np.pi) > 0.0 and degeneracy(p.a, b, p.c, d, np.pi) == 0.0
     p = FlipParams(a=0.6, c=0.8, theta=1.0)
     b, d = complements(p.a, p.c)
     assert abs(p.a**2 + b**2 - 1.0) < 1e-15
@@ -150,5 +153,6 @@ def test_great_circle_matches_degeneracy_measure(rng):
         p = FlipParams(
             a=rng.uniform(), c=rng.uniform(), theta=rng.uniform(1e-6, np.pi - 1e-6)
         )
-        expected = abs(4.0 * degeneracy(p.a, p.c, p.theta)) <= 1e-10
+        b, d = complements(p.a, p.c)
+        expected = abs(4.0 * degeneracy(p.a, b, p.c, d, p.theta)) <= 1e-10
         assert great_circle_test(*canonical_triple(p)) == expected

@@ -18,9 +18,9 @@ import pytest
 
 import qflip.cli as cli
 from qflip import constructions, cubic, kernels, ordering, report
-from qflip.bloch import FlipParams
-from qflip.constructions import AXES_PARAMS, VerificationError, general_flip_experiment, route_tolerance
-from qflip.ordering import CHAIN_TIE_TOL, OrderingMismatchError
+from qflip.bloch import FlipParams, complements
+from qflip.constructions import AXES_PARAMS, VerificationError, general_flip_experiment
+from qflip.ordering import OrderingMismatchError
 from qflip.report import CSV_HEADER, NonFiniteError, fmt_float
 from qflip.schmidt import SpectrumTieError
 
@@ -130,8 +130,9 @@ def test_verify_general_degenerate_flag(capsys):
 
 def _break_the_chain(monkeypatch):
     """Make grid_eval hand out every row with alpha2 and alpha3 swapped in
-    both routes: they still agree and the verdict is still Incomparable, but
-    the roots break the interleaving chain by alpha2 - alpha3."""
+    both routes: they still agree and the outer gaps keep their signs, but
+    the roots break the interleaving chain by alpha2 - alpha3, as the initial
+    roots no longer descend."""
     real = kernels.grid_eval
 
     def swapped(*args, **kwargs):
@@ -158,7 +159,7 @@ def test_live_point_within_the_gap_tolerance_is_checked_against_the_atlas(monkey
     assert record["ordering"] == "Q2Q2:a1>b1>b3>a3>a2>b2"
     _break_the_chain(monkeypatch)
     a, c, theta = (float(x) for x in GAP_POINT[1::2])
-    with pytest.raises(OrderingMismatchError, match="deviates from the atlas chain"):
+    with pytest.raises(VerificationError, match="closed-form roots do not descend at 1 points, first at a=0.0099"):
         general_flip_experiment(FlipParams(a=a, c=c, theta=theta))
 
 
@@ -172,18 +173,32 @@ def test_degenerate_point_keeps_the_gap_exemption(capsys):
     assert record["ordering"] is None
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the fixed EPS_TIE tie constant exceeds this Incomparable pair's "
-    "margin of 9e-13, so the verdict comes out Interconvertible",
-)
 def test_point_with_a_margin_below_the_tie_constant_is_certified(capsys):
-    code, _, _ = run_cli(
+    # grid-200 point (0, 0, 1): m = 1.16e-6, so its outer gaps are 9.0e-13,
+    # below the check-pair tie constant 1e-12 but certified by their signs
+    code, out, _ = run_cli(
         capsys,
         "verify", "general",
         "--a", "0.004975124378109453", "--c", "0.004975124378109453", "--theta", "0.046889442590892436",
     )
     assert code == 0
+    record = json.loads(out)
+    assert record["verdict"] == "Incomparable" and record["degeneracyFlag"] is False
+    gaps = np.subtract(record["lambda_initial"], record["lambda_final"])
+    assert 0 < gaps[0] < 1e-12 and 0 < gaps[2] < 1e-12
+
+
+def test_degenerate_point_off_the_great_circle_prints_the_closed_form_verdict(capsys):
+    # m = 1.37e-8 lies within the margin, so the point is degenerate and its
+    # numeric gaps (~1e-16) are roundoff; the verdict is the closed form's,
+    # Incomparable since m != 0, and the flag says the numeric route did not
+    # confirm it
+    code, out, _ = run_cli(capsys, "verify", "general", "--a", "0.6", "--c", "0.3", "--theta", "1e-7")
+    assert code == 0
+    record = json.loads(out)
+    assert record["verdict"] == "Incomparable"
+    assert record["degeneracyFlag"] is True
+    assert record["ordering"] is None
 
 
 def test_verify_general_boundary_theta_requires_flag(capsys):
@@ -448,7 +463,8 @@ def test_sweep_non_incomparable_verdict_fails_before_writing(monkeypatch, tmp_pa
     target = tmp_path / "sweep.ndjson"
     code, _, err = run_cli(capsys, "sweep", "--grid", "3", "--out", str(target))
     assert code == 1
-    assert "1 non-incomparable verdicts, first Interconvertible" in err
+    assert "Incomparable not certified at 1 points, first at a=0.25, c=0.75, theta=1.5707963267948966: " in err
+    assert "[0.0, 0.0, 0.0] numeric, not (+, -, +) beyond 1e-14" in err
     assert not target.exists()
 
 
@@ -457,7 +473,7 @@ def test_sweep_broken_chain_fails_before_writing(monkeypatch, tmp_path, capsys):
     target = tmp_path / "sweep.ndjson"
     code, _, err = run_cli(capsys, "sweep", "--grid", "4", "--out", str(target))
     assert code == 1
-    assert "region pair ('Q2'" in err and "deviates from the atlas chain" in err
+    assert "closed-form roots do not descend at 64 points, first at a=0.2, c=0.2, theta=0.6283185307179586" in err
     assert not target.exists()
 
 
@@ -503,12 +519,12 @@ def test_sweep_evaluates_only_certified_points(monkeypatch, capsys):
     assert sizes == [summary["points_emitted"]]
 
 
-def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsys):
+def test_sweep_and_single_point_share_one_certificate_pass(monkeypatch, capsys):
     # both paths certify through certify_rows: per certification both cubics are
-    # solved in one call, the atlas is checked once, on grid_eval's own roots,
-    # and route_tolerance runs once, and the chain is checked within
-    # route_tolerance(A, (B, B'), base=CHAIN_TIE_TOL)
-    calls = {"certify_rows": [], "check_atlas": [], "cubic_roots_rows": [], "route_tolerance": []}
+    # solved in one call, route_tolerance and the gap identity run once, the
+    # gaps from grid_eval's own roots and measure, and the atlas places
+    # grid_eval's own angles once
+    calls = {"certify_rows": [], "check_atlas": [], "cubic_roots_rows": [], "route_tolerance": [], "root_gaps_rows": []}
 
     def recording(name, real):
         def wrapper(*args, **kwargs):
@@ -524,6 +540,7 @@ def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsy
         "check_atlas": ordering.check_atlas,
         "cubic_roots_rows": cubic.cubic_roots_rows,
         "route_tolerance": constructions.route_tolerance,
+        "root_gaps_rows": cubic.root_gaps_rows,
     }
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "qflip"]:
         for name, real in targets.items():
@@ -532,19 +549,18 @@ def test_sweep_and_single_point_share_the_atlas_tie_tolerance(monkeypatch, capsy
     code, out, _ = run_cli(capsys, "sweep", "--grid", "3")
     assert code == 0
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"certify_rows": 1, "check_atlas": 1, "cubic_roots_rows": 1, "route_tolerance": 1}
+    assert counts == dict.fromkeys(targets, 1)
     for line in out.strip().splitlines()[:-1]:
         params = json.loads(line)["params"]
         general_flip_experiment(FlipParams(a=params["a"], c=params["c"], theta=params["theta"]))
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == {"certify_rows": 28, "check_atlas": 28, "cubic_roots_rows": 28, "route_tolerance": 28}
-    sweep, *single = calls["check_atlas"]
-    for certified, call in zip(calls["certify_rows"], calls["check_atlas"]):
+    assert counts == dict.fromkeys(targets, 28)
+    for certified, gaps, atlas in zip(calls["certify_rows"], calls["root_gaps_rows"], calls["check_atlas"]):
         rows = certified["rows"]
-        assert call["roots"] is rows["roots"]
-        expected = route_tolerance(rows["A"], rows["B_pair"], base=CHAIN_TIE_TOL)
-        np.testing.assert_array_equal(call["tie_tol"], expected)
-    np.testing.assert_array_equal(np.concatenate([call["tie_tol"] for call in single]), sweep["tie_tol"])
+        assert gaps["roots"] is rows["roots"] and gaps["m"] is rows["m"] and gaps["a_coeff"] is rows["A"]
+        assert atlas["theta_i"] is rows["theta_i"] and atlas["theta_f"] is rows["theta_f"]
+    sweep, *single = calls["root_gaps_rows"]
+    np.testing.assert_array_equal(np.concatenate([call["m"] for call in single]), sweep["m"])
 
 
 def test_sweep_and_verify_general_print_the_same_coefficients(capsys):
@@ -566,7 +582,9 @@ def test_sweep_and_verify_general_print_the_same_coefficients(capsys):
 def _dense_measure(n):
     """|a b c d sin theta| over the whole N^3 grid of a sweep: the selection's oracle."""
     ticks = np.arange(1, n + 1) / (n + 1)
-    return np.abs(kernels.degeneracy(ticks[:, None, None], ticks[None, :, None], ticks * np.pi))
+    a, c = ticks[:, None, None], ticks[None, :, None]
+    b, d = complements(a, c)
+    return np.abs(kernels.degeneracy(a, b, c, d, ticks * np.pi))
 
 
 def _attained_margins(n):

@@ -21,7 +21,7 @@ from qflip.constructions import (
     general_flip_experiment,
 )
 from qflip.ordering import pattern_labels
-from qflip.schmidt import Verdict, verdict
+from qflip.schmidt import VERDICT_BY_CODE, Verdict, verdict
 
 from oracle import (
     DimensionError,
@@ -270,16 +270,17 @@ def _count_calls(monkeypatch, targets: dict) -> Counter:
 
 
 def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
-    # both cubics are solved in one call (the one labeled-root pass) and the
-    # atlas is checked once, on those roots, and labeled once; the route gate
-    # and the atlas tie tolerance share one route_tolerance call; b and d are
-    # computed once for the degeneracy test and once for both routes of grid_eval
+    # both cubics are solved in one call (the one labeled-root pass), their
+    # gaps taken once from those roots, and the atlas is checked and labeled
+    # once; the route gate calls route_tolerance once; b and d are computed
+    # once, for both routes of grid_eval and the degeneracy measure it returns
     counts = _count_calls(
         monkeypatch,
         {
             "complements": bloch.complements,
             "cubic_roots_rows": cubic.cubic_roots_rows,
             "labeled_roots_rows": cubic.labeled_roots_rows,
+            "root_gaps_rows": cubic.root_gaps_rows,
             "check_atlas": constructions.check_atlas,
             "pattern_labels": constructions.pattern_labels,
             "route_tolerance": constructions.route_tolerance,
@@ -288,9 +289,10 @@ def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
     result = general_flip_experiment(FlipParams(a=0.3, c=0.7, theta=1.2), mu=0.4, nu=2.0)
     assert result.ordering is not None
     assert counts == {
-        "complements": 2,
+        "complements": 1,
         "cubic_roots_rows": 1,
         "labeled_roots_rows": 1,
+        "root_gaps_rows": 1,
         "check_atlas": 1,
         "pattern_labels": 1,
         "route_tolerance": 1,
@@ -320,7 +322,7 @@ def test_axes_experiment_is_one_certified_family_row(monkeypatch):
 def _certified_batch(a, c, theta, mu, nu):
     """grid_eval and certify_rows on one batch of points, every result as an array."""
     rows = kernels.grid_eval(a, c, theta, mu, nu)
-    live = np.abs(kernels.degeneracy(a, c, theta)) > DEFAULT_DEGENERACY_MARGIN
+    live = np.abs(rows["m"]) > DEFAULT_DEGENERACY_MARGIN
     max_err, codes, regions = certify_rows(rows, live)
     return {**rows, "max_err": max_err, "codes": codes, "regions": regions, "ordering": pattern_labels(regions)}
 
@@ -355,6 +357,46 @@ def test_certify_route_is_bit_identical_across_batch_sizes():
                         assert got == want, (size, j, key)
                     else:
                         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (size, j, key)
+
+
+def test_certificate_holds_at_seeded_points_near_the_edges():
+    # 300,000 seeded points, each with one of a, c, theta within 1e-7..1e-3
+    # of an edge, put many live points just beyond the margin, where the
+    # outer gaps fall to 4 m^2 / (27 A) ~ 1.5e-13: below a tie constant of
+    # 1e-12, above the eigensolver bound.  Every live one must be certified
+    # Incomparable, chunk by chunk as a sweep certifies.
+    rng = np.random.default_rng(22)
+    n, chunk = 300_000, 4096
+    near = 10.0 ** rng.uniform(-7.0, -3.0, n)
+    a, c = rng.uniform(0.0, 1.0, (2, n))
+    theta = rng.uniform(0.0, np.pi, n)
+    edge, low = rng.integers(0, 3, n), rng.random(n) < 0.5
+    a = np.where(edge == 0, np.where(low, near, 1.0 - near), a)
+    c = np.where(edge == 1, np.where(low, near, 1.0 - near), c)
+    theta = np.where(edge == 2, np.where(low, near, np.pi - near), theta)
+    b, d = bloch.complements(a, c)
+    live = np.abs(a * b * c * d * np.sin(theta)) > DEFAULT_DEGENERACY_MARGIN
+    points = np.stack([a, c, theta])[:, live]
+    below_the_tie_constant = 0
+    for start in range(0, points.shape[1], chunk):
+        rows = kernels.grid_eval(*points[:, start : start + chunk])
+        _, codes, _ = certify_rows(rows, live=True)
+        assert (codes == VERDICT_BY_CODE.index(Verdict.INCOMPARABLE)).all()
+        outer = (rows["spectra"][:, 0] - rows["spectra"][:, 1])[:, ::2]
+        below_the_tie_constant += int((outer.min(axis=1) < 1e-12).sum())
+    assert live.sum() > 150_000 and below_the_tie_constant > 1_000
+
+
+def test_certificate_needs_the_closed_form_signs():
+    # numeric signs alone certify nothing: with its measure set to 0 the
+    # closed-form gaps of a row vanish, so it fails as a live row, and as a
+    # row that is not live it prints the closed form's Interconvertible
+    rows = kernels.grid_eval(np.array([0.3]), np.array([0.7]), np.array([1.2]))
+    certify_rows(rows, live=True)
+    rows["m"][0] = 0.0
+    with pytest.raises(VerificationError, match=r"Incomparable not certified at 1 points.*\[0.0, 0.0, 0.0\] closed-form"):
+        certify_rows(rows, live=True)
+    assert VERDICT_BY_CODE[certify_rows(rows, live=False)[1][0]] is Verdict.INTERCONVERTIBLE
 
 
 # Weights whose Bob qubit is reversed exactly (w1 + w1' = 1) although the

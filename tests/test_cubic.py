@@ -1,7 +1,11 @@
+import mpmath
 import numpy as np
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qflip.bloch import FlipParams, complements
-from qflip.cubic import cubic_coefficients_rows, cubic_roots_rows, labeled_roots_rows
+from qflip.cubic import cubic_coefficients_rows, cubic_roots_rows, labeled_roots_rows, root_gaps_rows
+from qflip.kernels import grid_eval
 
 SQRT2_INV = 1 / np.sqrt(2)
 AXES = FlipParams(a=SQRT2_INV, c=SQRT2_INV, theta=np.pi / 2)
@@ -89,8 +93,60 @@ def test_labeled_roots_mirror_swaps_base_and_minus(rng):
     mirror = labeled_roots_rows(coeff_a, (2.0 * np.pi - 3.0 * t) / 3.0)
     # the atlas proof reads both representatives off the descending roots
     # (oracle.RANK_OF_LABEL): they are the principal labels in order (0, 2, 1)
-    # to the bit, which check_atlas uses to name a failing row's labels, and
-    # the mirror's labels as they stand to rounding (at most 3.3e-16, 1.5 eps,
+    # to the bit, and the mirror's labels as they stand to rounding (at most 3.3e-16, 1.5 eps,
     # over grid 40 and 200,000 seeded rows; roots lie in [0, 1])
     np.testing.assert_array_equal(roots, principal[:, [0, 2, 1]])
     assert np.max(np.abs(mirror - roots)) <= 2 * np.finfo(float).eps
+
+
+def _reference_gaps(a, b, c, d, theta) -> list:
+    """lam_k - lam_k' of the two cubics at the float point (a, b, c, d, theta),
+    each cubic solved in 50-digit arithmetic by the trigonometric formula."""
+    with mpmath.workdps(50):
+        a, b, c, d, theta = (mpmath.mpf(float(x)) for x in (a, b, c, d, theta))
+        w_re, w_im = a * c + b * d * mpmath.cos(theta), b * d * mpmath.sin(theta)
+        coeff_a = (2 * (a * c) ** 2 + (w_re**2 + w_im**2) ** 2) / 3
+        spectra = []
+        for b_val in (2 * (a * c) ** 2 * (w_re**2 + w_im**2), 2 * (a * c) ** 2 * (w_re**2 - w_im**2)):
+            t = mpmath.acos(-b_val / (2 * coeff_a**1.5)) / 3
+            phis = (2 * mpmath.pi / 3 + t, t, 2 * mpmath.pi / 3 - t)
+            spectra.append(sorted(((1 - 2 * mpmath.sqrt(coeff_a) * mpmath.cos(phi)) / 3 for phi in phis), reverse=True))
+        return [float(x - y) for x, y in zip(*spectra)]
+
+
+_open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+# theta near either edge as often as inside, so that m reaches down to 1e-7
+_angle = st.one_of(
+    st.floats(0.0, np.pi, exclude_min=True, exclude_max=True),
+    st.floats(1e-7, 1e-3),
+    st.floats(1e-7, 1e-3).map(lambda e: np.pi - e),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_open_unit, c=_open_unit, theta=_angle)
+@example(a=0.004975124378109453, c=0.004975124378109453, theta=0.046889442590892436)  # m = 1.16e-6
+@example(a=0.6, c=0.3, theta=1e-6)  # m = 1.37e-7
+def test_root_gaps_match_a_50_digit_solve(a, c, theta):
+    # The identity's relative error, to first order: 4 m^2 carries a few ulps,
+    # and the denominator D = 3 (u^2 + u u' + u'^2 - 3A) carries (i) the
+    # closed-form roots' errors, each a few ulps times the arccos condition
+    # k = 1 / sqrt(1 - x^2), x = -B / (2 A^{3/2}), weighted by
+    # |dD/du| = 3 |2u + u'|, and (ii) its own rounding, a few ulps of
+    # 3 (u^2 + |u u'| + u'^2 + 3A).  The tolerance is 16 eps times that sum
+    # over |D|; on 11,000 seeded edge points the error reached 6.5 eps times it.
+    rows = grid_eval([a], [c], [theta])
+    m, coeff_a, roots = rows["m"], rows["A"], rows["roots"]
+    assume(abs(m[0]) >= 1e-7)
+    x = -rows["B_pair"][0] / (2.0 * coeff_a[0] ** 1.5)
+    assume(np.all(np.abs(x) < 1.0))
+    u_i, u_f = 1.0 - 3.0 * roots[0]
+    denom = np.abs(3.0 * (u_i * u_i + u_i * u_f + u_f * u_f - 3.0 * coeff_a[0]))
+    roots_err = 3.0 * (np.abs(2.0 * u_i + u_f) + np.abs(u_i + 2.0 * u_f)) / np.sqrt(1.0 - x * x).min()
+    rounding = 3.0 * (u_i * u_i + np.abs(u_i * u_f) + u_f * u_f + 3.0 * coeff_a[0])
+    tol = 16.0 * np.finfo(float).eps * (roots_err + rounding) / denom
+    gaps = root_gaps_rows(coeff_a, m, roots)[0]
+    b, d = complements(a, c)
+    reference = np.array(_reference_gaps(a, b, c, d, theta))
+    assert reference[0] > 0.0 > reference[1] and reference[2] > 0.0
+    np.testing.assert_array_less(np.abs(gaps - reference), tol * np.abs(reference))

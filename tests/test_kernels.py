@@ -53,3 +53,19 @@ def test_family_reduced_rows_carry_the_device_phases(rng):
         p = FlipParams(a=a[i], c=c[i], theta=t[i])
         np.testing.assert_allclose(reduced[i, 0], family_reduced_initial(p), rtol=0, atol=1e-15)
         np.testing.assert_allclose(reduced[i, 1], family_reduced_flipped(p, mu[i], nu[i]), rtol=0, atol=1e-15)
+
+
+def test_grid_eval_measure_is_the_sweeps_selection_measure(rng):
+    # m comes from grid_eval's own complements, and equals the measure by
+    # which a sweep selects its points to the bit, except at the boundary
+    # theta = pi, where it is 0 rather than the sine of pi's rounding
+    n = 10_000
+    a, c = rng.uniform(0.0, 1.0, (2, n))
+    theta = np.concatenate([rng.uniform(0.0, np.pi, n - 4), [0.0, 5e-324, np.nextafter(np.pi, 0.0), np.pi]])
+    a[:3], c[3:6] = [0.0, 1.0, 1.0 - 2.0**-53], [0.0, 1.0, 1e-300]
+    m = kernels.grid_eval(a, c, theta)["m"]
+    b, d = complements(a, c)
+    selection = a * b * c * d * np.sin(theta)
+    assert m[:-1].tobytes() == selection[:-1].tobytes()
+    assert m[-1] == 0.0 < selection[-1]
+    assert m[[0, 1, 3, 4]].tolist() == [0.0] * 4 and m[-2] > 0.0

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from qflip import ordering
 from qflip.bloch import FlipParams
-from qflip.constructions import general_flip_experiment, route_tolerance
+from qflip.constructions import VerificationError, certify_rows, general_flip_experiment
 from qflip.cubic import cubic_roots_rows, labeled_roots_rows
-from qflip.kernels import degeneracy, grid_eval
+from qflip.kernels import grid_eval
 from qflip.ordering import (
-    CHAIN_TIE_TOL,
     PATTERN_ATLAS,
     REGION_BOUNDS,
     OrderingMismatchError,
@@ -21,7 +20,7 @@ from qflip.ordering import (
 )
 from qflip.schmidt import SpectrumTieError, Verdict, incomparable_3dim, verdict
 
-from oracle import REP_F, REP_I, RANK_OF_LABEL, division_region_index, four_pair_check_atlas, rank_chain
+from oracle import REP_F, REP_I, RANK_OF_LABEL, division_region_index, rank_chain
 
 NAMES = tuple(REGION_BOUNDS)
 ALL_PATTERN_IDS = {f"{ri}{rf}" for ri, rf in PATTERN_ATLAS}
@@ -34,10 +33,10 @@ def _grid(points) -> dict:
 
 
 def _rows(points):
-    """Columns roots, theta_i, theta_f of the family points' grid rows, as
+    """Columns theta_i, theta_f of the family points' grid rows, as
     :func:`check_atlas` takes them."""
     rows = _grid(points)
-    return rows["roots"], rows["theta_i"], rows["theta_f"]
+    return rows["theta_i"], rows["theta_f"]
 
 
 def _witnessed(t_i, t_f) -> set:
@@ -84,7 +83,7 @@ def test_region_index_is_exact_at_every_quadrant_start():
     rng = np.random.default_rng(19)
     for angles in (
         near,
-        near[near >= 0.0],  # within [0, 2pi]: no modulo
+        near[near >= 0.0],  # within [0, 2pi], where the modulo is exact
         *near[:, None],  # one angle at a time
         rng.uniform(0.0, 2.0 * np.pi, 10**6),
         rng.uniform(-40.0 * np.pi, 40.0 * np.pi, 10**5),
@@ -170,7 +169,7 @@ def test_corrupted_atlas_entry_fails_the_proof(pair, chain):
 
 def test_axes_case_boundary_classification():
     p = FlipParams(a=1 / np.sqrt(2), c=1 / np.sqrt(2), theta=np.pi / 2)
-    _, t_i, t_f = row = _rows([p])
+    t_i, t_f = row = _rows([p])
     regions = check_atlas(*row)[0]
     # 3*theta_i sits exactly at pi, so the half-open rule files it under Q3
     assert NAMES[regions[0]] == "Q3"
@@ -181,7 +180,7 @@ def test_axes_case_boundary_classification():
 
 def test_positive_bprime_point_witnesses_four_cases(rng):
     p = FlipParams(a=0.9, c=0.9, theta=0.3)
-    _, t_i, t_f = row = _rows([p])
+    t_i, t_f = row = _rows([p])
     assert _grid([p])["Bprime"][0] > 0
     regions = check_atlas(*row)
     chain = ("a1", "b1", "b3", "a3", "a2", "b2")
@@ -192,7 +191,7 @@ def test_positive_bprime_point_witnesses_four_cases(rng):
 
 def test_negative_bprime_point_witnesses_four_cases():
     p = FlipParams(a=0.8, c=0.6, theta=2 * np.pi / 3)
-    _, t_i, t_f = row = _rows([p])
+    t_i, t_f = row = _rows([p])
     assert _grid([p])["Bprime"][0] < 0
     regions = check_atlas(*row)
     assert pattern_labels(regions)[0].split(":")[0] == "Q2Q1"
@@ -212,8 +211,8 @@ def test_primary_chain_matches_sorted_labels(rng):
         FlipParams(a=rng.uniform(0.05, 0.95), c=rng.uniform(0.05, 0.95), theta=rng.uniform(0.05, np.pi - 0.05))
         for _ in range(300)
     ]
-    points = [p for p in points if abs(degeneracy(p.a, p.c, p.theta)) >= 1e-3]
-    _, t_i, t_f = row = _rows(points)
+    points = [p for p, m in zip(points, _grid(points)["m"]) if abs(m) >= 1e-3]
+    t_i, t_f = row = _rows(points)
     for label, a_j, ti_j, tf_j in zip(pattern_labels(check_atlas(*row)), _grid(points)["A"], t_i, t_f):
         pattern_id, chain = label.split(":")
         sorted_labels = _sorted_labels(a_j, ti_j, tf_j)
@@ -231,9 +230,9 @@ def test_sorted_interleaving_certifies_incomparability(rng):
             c=rng.uniform(0.05, 0.95),
             theta=rng.uniform(0.05, np.pi - 0.05),
         )
-        if abs(degeneracy(p.a, p.c, p.theta)) < 1e-3:
-            continue
         rows = _grid([p])
+        if abs(rows["m"][0]) < 1e-3:
+            continue
         coeff_a, coeff_b, coeff_bp = rows["A"], rows["B"], rows["Bprime"]
         (alpha, beta), _ = cubic_roots_rows(np.append(coeff_a, coeff_a), np.append(coeff_b, coeff_bp))
         try:
@@ -245,7 +244,7 @@ def test_sorted_interleaving_certifies_incomparability(rng):
 def test_atlas_fully_witnessed_on_coarse_grid():
     ticks = np.arange(1, 10) / 10.0
     points = [FlipParams(a=a, c=c, theta=theta) for a in ticks for c in ticks for theta in ticks * np.pi]
-    _, t_i, t_f = row = _rows([p for p in points if abs(degeneracy(p.a, p.c, p.theta)) >= 1e-3])
+    t_i, t_f = row = _rows([p for p, m in zip(points, _grid(points)["m"]) if abs(m) >= 1e-3])
     check_atlas(*row)
     witnessed = set().union(*(_witnessed(ti, tf) for ti, tf in zip(t_i, t_f)))
     assert witnessed == ALL_PATTERN_IDS
@@ -266,19 +265,19 @@ def test_batched_atlas_check_matches_one_row_calls(points):
     assert pattern_labels(regions).tolist() == [pattern_labels(r)[0] for r in row_by_row]
 
 
-def _checked_at_route_tolerance(rows) -> np.ndarray:
-    """:func:`check_atlas` of ``grid_eval`` rows within their route tolerance, as certify_rows calls it."""
-    tie_tol = route_tolerance(rows["A"], rows["B_pair"], base=CHAIN_TIE_TOL)
-    return check_atlas(rows["roots"], rows["theta_i"], rows["theta_f"], tie_tol)
+def _certified_regions(rows) -> np.ndarray:
+    """The :func:`check_atlas` regions of ``grid_eval`` rows that
+    :func:`certify_rows` returns for rows that need not be Incomparable."""
+    return certify_rows(rows, live=False)[2]
 
 
 def test_atlas_check_checks_degenerate_rows():
-    # every row is checked, however close its B and Bprime lie: the exact
-    # boundary parameters of the family ...
+    # every row passes the route gate, descends and is placed, however close
+    # its B and Bprime lie: the exact boundary parameters of the family ...
     edges = np.array([0.0, 5e-324, 1e-8, 1 / np.sqrt(2), 1 - 2.0**-53, 1.0])
     angles = np.array([0.0, 5e-324, pi / 2, np.nextafter(pi, 0.0), pi])
     rows = grid_eval(*(x.reshape(-1) for x in np.meshgrid(edges, edges, angles, indexing="ij")))
-    labels = set(pattern_labels(_checked_at_route_tolerance(rows)).tolist())
+    labels = set(pattern_labels(_certified_regions(rows)).tolist())
     assert None not in labels and len(labels) > 1
     # ... and seeded rows near a great circle: theta near 0 or pi, or a or c
     # near 0 or 1
@@ -294,18 +293,14 @@ def test_atlas_check_checks_degenerate_rows():
     rows = grid_eval(a, c, theta)
     # most of them lie within the 1e-10 gap the check once exempted
     assert (np.abs(rows["B"] - rows["Bprime"]) <= 1e-10).mean() > 0.5
-    assert None not in pattern_labels(_checked_at_route_tolerance(rows)).tolist()
+    assert None not in pattern_labels(_certified_regions(rows)).tolist()
 
 
 def test_atlas_check_passes_a_final_angle_at_zero():
     # 3t' = 0 is the repeated-root boundary Bprime = -2 A^{3/2}, where the
-    # arccos clamp can land; there beta1 = beta2 and the interleaving holds
+    # arccos clamp can land; it lies in Q1, which has an entry beside Q2
     t_i, t_f = np.full(2, 2.7 / 3.0), np.array([0.0, 5e-324])
-    coeff_a = np.full((2, 2), 0.1)
-    roots = -np.sort(-labeled_roots_rows(coeff_a, np.stack([t_i, t_f], axis=1)), axis=-1)
-    for tie_tol in (0.0, CHAIN_TIE_TOL):
-        regions = check_atlas(roots, t_i, t_f, tie_tol)
-        assert pattern_labels(regions).tolist() == ["Q2Q1:a1>b1>b3>a3>a2>b2"] * 2
+    assert pattern_labels(check_atlas(t_i, t_f)).tolist() == ["Q2Q1:a1>b1>b3>a3>a2>b2"] * 2
 
 
 def test_pattern_codes_name_the_principal_region_pair():
@@ -322,143 +317,53 @@ def test_pattern_codes_name_the_principal_region_pair():
 
 
 def test_atlas_check_rejects_a_non_finite_angle_in_a_checked_row():
-    roots = np.full((2, 2, 3), 1.0 / 3.0)
     with pytest.raises(OrderingMismatchError, match="row 1 has a non-finite angle: theta_i=nan"):
-        check_atlas(roots, [0.6, np.nan], [0.5, 0.5])
+        check_atlas([0.6, np.nan], [0.5, 0.5])
     with pytest.raises(OrderingMismatchError, match="row 0 has a non-finite angle: theta_i=0.6, theta_f=inf"):
-        check_atlas(roots, [0.6, 0.6], [np.inf, 0.5])
+        check_atlas([0.6, 0.6], [np.inf, 0.5])
 
 
 def test_atlas_check_rejects_a_region_pair_without_an_entry():
     # 3t = 0.6 lies in Q1, which no family point's initial angle reaches
-    roots = np.full((1, 2, 3), 1.0 / 3.0)
     with pytest.raises(OrderingMismatchError, match=r"region pair \('Q1', 'Q2'\) has no atlas entry"):
-        check_atlas(roots, [0.2], [0.6])
+        check_atlas([0.2], [0.6])
 
 
-def test_atlas_check_applies_tie_tolerance_per_row():
-    # the second row's a2 and a3 trade places, which breaks its chain alone
-    roots, *angles = _rows([FlipParams(a=0.9, c=0.9, theta=0.3), FlipParams(a=0.8, c=0.6, theta=2 * np.pi / 3)])
-    broken = roots.copy()
-    broken[1, 0, [1, 2]] = roots[1, 0, [2, 1]]
-    check_atlas(roots, *angles)
-    with pytest.raises(OrderingMismatchError, match=r"region pair \('Q2', 'Q1'\) deviates"):
-        check_atlas(broken, *angles)
-    # roots lie in [0, 1], so a tie tolerance of 1 forgives any chain
-    check_atlas(broken, *angles, np.array([1e-12, 1.0]))
-    with pytest.raises(OrderingMismatchError):
-        check_atlas(broken, *angles, np.array([1.0, 1e-12]))
+def _swapped(rows: dict, j: int, upper: int, lower: int) -> dict:
+    """``rows`` with row ``j``'s roots at flat places ``upper`` and ``lower``
+    of [spectrum][rank] traded in both routes, which keeps them in agreement."""
+    rows = {**rows, "roots": rows["roots"].copy(), "spectra": rows["spectra"].copy()}
+    for key in ("roots", "spectra"):
+        flat = rows[key].reshape(-1, 6)
+        flat[j, [upper, lower]] = flat[j, [lower, upper]]
+    return rows
 
 
 def test_atlas_check_rejects_a_row_with_a2_and_a3_swapped():
-    # the labels are read off the roots handed in, so a row whose a2 and a3
-    # (ranks 2 and 1 of the initial spectrum) trade places must fail, and
-    # fail for that row, unless its tie tolerance covers the swap
+    # the atlas names a row by its angles alone, so the certificate must see
+    # a row whose a2 and a3 trade places in both routes, and name that row:
+    # its initial roots no longer descend
     points = [FlipParams(a=a, c=c, theta=t) for a in (0.2, 0.7) for c in (0.3, 0.8) for t in (0.4, 2.6)]
-    roots, *columns = _rows(points)
-    check_atlas(roots, *columns)
+    rows = _grid(points)
+    certify_rows(rows, live=True)
     j = 5
-    swapped = roots.copy()
-    swapped[j, 0, [1, 2]] = roots[j, 0, [2, 1]]
-    gap = roots[j, 0, 1] - roots[j, 0, 2]
-    assert gap > CHAIN_TIE_TOL
-    with pytest.raises(OrderingMismatchError, match="deviates from the atlas chain") as exc:
-        check_atlas(swapped, *columns)
-    assert f"'a1': {float(roots[j, 0, 0])!r}" in str(exc.value)
-    check_atlas(swapped, *columns, np.where(np.arange(len(points)) == j, 2.0 * gap, CHAIN_TIE_TOL))
+    assert rows["roots"][j, 0, 1] > rows["roots"][j, 0, 2]
+    where = f"a={points[j].a!r}, c={points[j].c!r}, theta={points[j].theta!r}"
+    for live in (True, False):
+        with pytest.raises(VerificationError, match=f"roots do not descend at 1 points, first at {where}"):
+            certify_rows(_swapped(rows, j, 1, 2), live)
 
 
 def test_atlas_check_rejects_each_broken_link_of_the_chain():
-    # trading the two roots of any one link of the chain breaks that link
-    roots, *columns = _rows([FlipParams(a=0.8, c=0.6, theta=2 * np.pi / 3)])
-    flat = roots.reshape(1, 6)
+    # trading the two roots of any one link of the chain, in both routes,
+    # fails the certificate: within a spectrum the roots stop descending,
+    # across the spectra a gap takes the wrong sign
+    rows = _grid([FlipParams(a=0.8, c=0.6, theta=2 * np.pi / 3)])
+    certify_rows(rows, live=True)
+    flat = rows["roots"].reshape(1, 6)
     for upper, lower in zip(INTERLEAVING, INTERLEAVING[1:]):
-        assert flat[0, upper] - flat[0, lower] > CHAIN_TIE_TOL
-        broken = flat.copy()
-        broken[0, [upper, lower]] = flat[0, [lower, upper]]
-        with pytest.raises(OrderingMismatchError, match="deviates from the atlas chain"):
-            check_atlas(broken.reshape(1, 2, 3), *columns)
-
-
-def _outcome(check, *args):
-    """The regions ``check`` returns, or the message it raises."""
-    try:
-        return check(*args)
-    except OrderingMismatchError as exc:
-        return str(exc)
-
-
-def _same_outcome(*args):
-    """check_atlas and the four-pair reference on the same input: both must
-    return the same principal regions, or raise the same message."""
-    compiled, reference = _outcome(check_atlas, *args), _outcome(four_pair_check_atlas, *args)
-    assert type(compiled) is type(reference), (compiled, reference)
-    if isinstance(reference, str):
-        assert compiled == reference
-    else:
-        assert compiled.dtype == reference.dtype
-        np.testing.assert_array_equal(compiled, reference[:, :, 0])
-
-
-def _boundary_rows(rng) -> tuple:
-    """Rows built at 3t = pi and at 3t' in {0, pi/2, pi}, each also 1 ulp
-    off, beside interior angles: columns roots, theta_i, theta_f."""
-    initial = [pi / 3, 0.6, 0.95]
-    final = [0.0, pi / 6, pi / 3, 0.25, 0.8]
-    t_i, t_f = np.array(
-        [(ti, tf) for x in initial for ti in (np.nextafter(x, 0.0), x, np.nextafter(x, 4.0))
-         for y in final for tf in (np.nextafter(y, -1.0), y, np.nextafter(y, 4.0)) if tf >= 0.0]
-    ).T
-    coeff_a = rng.uniform(0.01, 0.3, t_i.size)
-    roots = labeled_roots_rows(np.stack([coeff_a, coeff_a], axis=1), np.stack([t_i, t_f], axis=1))
-    return -np.sort(-roots, axis=-1), t_i, t_f
-
-
-TOLS = np.array([0.0, 1e-15, CHAIN_TIE_TOL, 1e-9, 1.0])
-
-
-def test_check_atlas_matches_the_four_pair_reference():
-    rng = np.random.default_rng(1931)
-    ticks = np.arange(1, 41) / 41
-    grid = np.array([x.reshape(-1) for x in np.meshgrid(ticks, ticks, ticks * pi, indexing="ij")])
-    off_grid = rng.uniform(0.0, 1.0, (3, 20_000)) * [[1.0], [1.0], [pi]]
-    degenerate = np.array([[1.0, 0.5, 1.0], [0.5, 1.0, 2.0], [0.3, 0.7, pi], [0.4, 0.4, 1.2]]).T
-    batches = [tuple(grid_eval(*x)[key] for key in ("roots", "theta_i", "theta_f")) for x in (grid, off_grid, degenerate)]
-    non_finite = tuple(col[:10].copy() for col in batches[1])
-    non_finite[2][3] = np.nan
-    batches.append(non_finite)
-    missing = tuple(col[:10].copy() for col in batches[1])
-    missing[1][4] = 0.2  # 3t in Q1: no entry
-    batches.append(missing)
-    # on the family's rows both checks agree, row by row
-    for columns in batches:
-        n = columns[1].size
-        for tie_tol in (CHAIN_TIE_TOL, rng.choice(TOLS, n)):
-            _same_outcome(*columns, tie_tol)
-        # in pieces, so that more than a batch's first failure is compared
-        for rows in np.array_split(rng.permutation(n), max(1, n // 64))[:200]:
-            _same_outcome(*(col[rows] for col in columns), rng.choice(TOLS, rows.size))
-    # on rows built at the boundaries the new check raises only where the
-    # reference does, with its message; the reference alone raises where it
-    # demands ties the floats do not hold
-    roots, t_i, t_f = _boundary_rows(rng)
-    only_reference = {}
-    for tie_tol in TOLS:
-        only_reference[tie_tol] = []
-        for j in range(t_i.size):
-            compiled, reference = (_outcome(check, roots[j : j + 1], t_i[j : j + 1], t_f[j : j + 1], tie_tol)
-                                   for check in (check_atlas, four_pair_check_atlas))
-            if isinstance(compiled, str):
-                assert compiled == reference
-            elif isinstance(reference, str):
-                only_reference[tie_tol].append(j)
-    # 3t' in {0, subnormal}: beta2 = beta3 demanded, beta1 = beta2 forced
-    at_zero = np.flatnonzero(3.0 * t_f <= 5e-323).tolist()
-    assert len(at_zero) == 18
-    for tie_tol in (1e-15, CHAIN_TIE_TOL, 1e-9):
-        assert only_reference[tie_tol] == at_zero
-    # and at tie_tol 0, also 3t within an ulp or two of pi: alpha2 = alpha3 demanded
-    near_pi = sorted(set(only_reference[0.0]) - set(at_zero))
-    assert len(only_reference[0.0]) == 30
-    assert (np.abs(3.0 * t_i[near_pi] - pi) <= 1e-15).all()
-    assert only_reference[1.0] == []
+        assert flat[0, upper] - flat[0, lower] > 1e-3
+        across = upper // 3 != lower // 3
+        message = "Incomparable not certified at 1 points" if across else "roots do not descend at 1 points"
+        with pytest.raises(VerificationError, match=message):
+            certify_rows(_swapped(rows, 0, upper, lower), live=True)
