@@ -5,8 +5,9 @@ Subcommands::
     qflip verify axes [--chi R --eta R] [--format json|csv] [--out PATH]
     qflip verify flipper [--seed N] [--format json|csv] [--out PATH]
     qflip verify general --a R --c R --theta R [--mu R --nu R] [--margin R]
-    qflip sweep --grid N [--margin R] [--out PATH] [--format json|csv] [--jobs N]
-    qflip check-pair --lhs p1,p2,... --rhs q1,q2,...
+        [--degenerate-mode] [--format json|csv] [--out PATH]
+    qflip sweep --grid N [--margin R] [--format json|csv] [--out PATH]
+    qflip check-pair --lhs p1,p2,... --rhs q1,q2,... [--format json|csv] [--out PATH]
 
 Exit codes: 0 on success, 1 when a certification check fails, 2 on usage
 errors, when the output cannot be written and when memory runs out.
@@ -71,14 +72,11 @@ class SweepConfig:
     grid_n: int
     margin: float = DEFAULT_DEGENERACY_MARGIN
     fmt: str = "json"
-    jobs: int = 1
 
     def __post_init__(self):
         if self.grid_n < 2:
             raise ValueError("grid must be at least 2")
         check_margin(self.margin)
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
 
 @contextmanager
@@ -256,14 +254,14 @@ def _cmd_check_pair(args) -> int:
     return 0
 
 
-# Points per chunk.  With --jobs 1 a worker thread runs the kernel on the
-# next chunk while this thread certifies, formats and writes the current one,
-# so two chunks are in flight at a time.  A larger chunk leaves the first
-# chunk's kernel unoverlapped for longer, a smaller one pays more per-call
-# overhead: a grid-40 sweep took a median 0.48 s in process with 2,048 or
-# 8,192 rows and 0.44 s with 4,096 (2-vCPU VM, numpy 2.4).  Besides the
-# chunks, a sweep holds O(N^2) for the point selection and 8 bytes per
-# certified point for their flat indices.
+# Points per chunk.  A worker thread runs the kernel on the next chunk while
+# this thread certifies, formats and writes the current one, so two chunks
+# are in flight at a time.  A larger chunk leaves the first chunk's kernel
+# unoverlapped for longer, a smaller one pays more per-call overhead: a
+# grid-40 sweep took a median 0.48 s in process with 2,048 or 8,192 rows and
+# 0.44 s with 4,096 (2-vCPU VM, numpy 2.4).  Besides the chunks, a sweep
+# holds O(N^2) for the point selection and 8 bytes per certified point for
+# their flat indices.
 CHUNK_ROWS = 4096
 
 _VERDICT_TEXT = np.array([str(v) for v in VERDICT_BY_CODE], dtype=object)
@@ -303,11 +301,6 @@ def _certify_chunk(fmt: str, text: tuple, evaluated: tuple):
     per_code = np.bincount(patterns, minlength=CODE_LABELS.size)
     counts = {CODE_LABELS[c]: int(per_code[c]) for c in np.flatnonzero(per_code)}
     return sweep_block(fmt, columns), float(max_err.max()), counts
-
-
-def _sweep_chunk(fmt: str, ticks: np.ndarray, angles: np.ndarray, text: tuple, flat: np.ndarray):
-    """One whole chunk, as a pool worker runs it: :func:`_evaluate_chunk` then :func:`_certify_chunk`."""
-    return _certify_chunk(fmt, text, _evaluate_chunk(ticks, angles, flat))
 
 
 def _capture(evaluate: Callable, item, outcome: list) -> None:
@@ -354,15 +347,13 @@ def _run_sweep(cfg: SweepConfig, out: BinaryIO) -> dict:
 
     The margin test depends only on (a, c, theta), so the kernel runs on the
     certified points alone, ``CHUNK_ROWS`` at a time, and the chunks' records
-    are written to ``out`` (the CSV header first) in grid order.  With
-    ``cfg.jobs`` above 1 a process pool evaluates, certifies and formats
-    whole chunks; otherwise a worker thread runs the kernel on chunk k + 1
-    while this thread certifies, formats and writes chunk k, so every record
-    is certified on the thread that writes it, just before it is written.
-    No record is written before :func:`certify_rows` has checked it; a
-    failure raises :class:`VerificationError` (or
-    :class:`OrderingMismatchError`), and the caller discards ``out``.
-    Returns the summary.
+    are written to ``out`` (the CSV header first) in grid order.  A worker
+    thread runs the kernel on chunk k + 1 while this thread certifies,
+    formats and writes chunk k, so every record is certified on the thread
+    that writes it, just before it is written.  No record is written before
+    :func:`certify_rows` has checked it; a failure raises
+    :class:`VerificationError` (or :class:`OrderingMismatchError`), and the
+    caller discards ``out``.  Returns the summary.
     """
     n = cfg.grid_n
     ticks = np.arange(1, n + 1) / (n + 1)
@@ -378,19 +369,10 @@ def _run_sweep(cfg: SweepConfig, out: BinaryIO) -> dict:
         out.write(f"{CSV_HEADER}\n".encode())
     text = grid_text(ticks, angles)
     chunks = [flat[start : start + CHUNK_ROWS] for start in range(0, flat.size, CHUNK_ROWS)]
-    workers = min(cfg.jobs, len(chunks))  # no idle worker, no pool for one chunk
-    if workers > 1:
-        import multiprocessing  # here, not at the top: only a pool pays its import
-
-        stage = multiprocessing.get_context("spawn").Pool(workers)
-        results = stage.imap(partial(_sweep_chunk, cfg.fmt, ticks, angles, text), chunks)
-    else:
-        evaluated = _evaluated_ahead(partial(_evaluate_chunk, ticks, angles), chunks)
-        stage = closing(evaluated)  # joins the worker thread on every path
-        results = map(partial(_certify_chunk, cfg.fmt, text), evaluated)
+    evaluated = _evaluated_ahead(partial(_evaluate_chunk, ticks, angles), chunks)
     max_err, pattern_counts = 0.0, Counter()
-    with stage:
-        for block, chunk_err, counts in results:
+    with closing(evaluated):  # joins the worker thread on every path
+        for block, chunk_err, counts in map(partial(_certify_chunk, cfg.fmt, text), evaluated):
             out.write(block)
             out.write(b"\n")
             max_err = max(max_err, chunk_err)
@@ -409,7 +391,7 @@ def _run_sweep(cfg: SweepConfig, out: BinaryIO) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig(grid_n=args.grid, margin=args.margin, fmt=args.format, jobs=args.jobs)
+    cfg = SweepConfig(grid_n=args.grid, margin=args.margin, fmt=args.format)
     with _spool(args.out) as out:
         summary = _run_sweep(cfg, out)
         if cfg.fmt == "csv":
@@ -452,13 +434,6 @@ def grid_size(text: str) -> int:
     """Type of ``--grid``: at least two points per axis, anything else a usage error."""
     if (value := int(text)) < 2:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 2, got {text!r}")
-    return value
-
-
-def positive_int(text: str) -> int:
-    """Type of ``--jobs``: at least one worker, anything else a usage error."""
-    if (value := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
@@ -507,7 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="evaluate the family over a full grid")
     p_sweep.add_argument("--grid", type=grid_size, required=True, help="points per axis")
     p_sweep.add_argument("--margin", type=finite_float, default=DEFAULT_DEGENERACY_MARGIN)
-    p_sweep.add_argument("--jobs", type=positive_int, default=1, help="worker processes, each evaluating, certifying and formatting whole chunks")
+    # Hidden and read by nothing: the benchmark runner still passes --jobs 1,
+    # the one value taken.  The benchmark upkeep of ROADMAP item 7 drops that
+    # flag from perfbench/run.py, and then this argument goes too.
+    p_sweep.add_argument("--jobs", type=int, choices=[1], default=1, help=argparse.SUPPRESS)
     _add_output_flags(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -30,6 +30,10 @@ SPECTRUM_AGREEMENT_TOL = 1e-9
 # Bound on a numeric eigenvalue gap's error: eigvalsh is backward stable, so an
 # eigenvalue of a density matrix (norm <= 1) is off by a few ulps; 1e-14 is 45.
 EIGENSOLVER_TOL = 1e-14
+# Smallest margin whose live points the numeric route can confirm: an outer
+# gap is at least 4 m^2 / (27 A) with A <= 1, and at 2 tau it still clears
+# tau after a numeric error of up to tau.
+MIN_MARGIN = sqrt(27.0 * EIGENSOLVER_TOL / 2.0)
 DEFAULT_DEGENERACY_MARGIN = 1e-6
 DEFAULT_FLIPPER_SEED = 7
 
@@ -53,9 +57,9 @@ class VerificationError(RuntimeError):
 
 
 def check_margin(margin: float) -> None:
-    """Reject a degeneracy margin outside (0, 1), NaN included."""
-    if not 0.0 < margin < 1.0:
-        raise ValueError(f"margin must lie in (0, 1), got {margin}")
+    """Reject a degeneracy margin outside [MIN_MARGIN, 1), NaN included."""
+    if not MIN_MARGIN <= margin < 1.0:
+        raise ValueError(f"margin must lie in [{MIN_MARGIN:.2g}, 1), got {margin}")
 
 
 def route_tolerance(coeff_a, b_vals):
@@ -149,7 +153,7 @@ def general_flip_experiment(
     degenerate: no ordering, no incomparability assertion, and the closed
     form's verdict (Incomparable unless m = 0).  Elsewhere Incomparable must
     be certified, or :class:`VerificationError` is raised.  A margin outside
-    (0, 1) raises :class:`ValueError`.
+    [``MIN_MARGIN``, 1) raises :class:`ValueError`.
     """
     check_margin(margin)
     rows = kernels.grid_eval([p.a], [p.c], [p.theta], mu, nu)

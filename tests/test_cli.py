@@ -2,7 +2,6 @@ import dataclasses
 import hashlib
 import inspect
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -11,7 +10,6 @@ import threading
 import time
 import tracemalloc
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -321,7 +319,9 @@ def test_negative_seed_is_a_usage_error_naming_the_flag(monkeypatch, capsys):
     "argv, config, message",
     [
         (["--grid", "1"], {"grid_n": 1}, "argument --grid: expected an integer of at least 2, got '1'"),
-        (["--grid", "3", "--jobs", "0"], {"grid_n": 3, "jobs": 0}, "argument --jobs: expected a positive integer, got '0'"),
+        # --jobs is kept only for the benchmark runner's --jobs 1
+        (["--grid", "3", "--jobs", "0"], None, "argument --jobs: invalid choice: 0 (choose from 1)"),
+        (["--grid", "3", "--jobs", "2"], None, "argument --jobs: invalid choice: 2 (choose from 1)"),
     ],
 )
 def test_sweep_size_errors_name_the_flag(argv, config, message, monkeypatch, capsys):
@@ -332,9 +332,10 @@ def test_sweep_size_errors_name_the_flag(argv, config, message, monkeypatch, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1] == f"qflip sweep: error: {message}"
-    # a config built directly, without the parser, is checked as well
-    with pytest.raises(ValueError, match="must be at least"):
-        cli.SweepConfig(**config)
+    if config is not None:
+        # a config built directly, without the parser, is checked as well
+        with pytest.raises(ValueError, match="must be at least"):
+            cli.SweepConfig(**config)
 
 
 def test_usage_error_exit_code():
@@ -423,6 +424,8 @@ def test_non_finite_value_at_the_writer_exits_one(fmt, monkeypatch, capsys):
         ["verify", "general", "--a", "2", "--c", "0.5", "--theta", "1.0"],
         ["verify", "general", "--a", "0.5", "--c", "0.5", "--theta", "1.0", "--margin", "1.5"],
         ["sweep", "--grid", "1"],
+        # below MIN_MARGIN: the point's numeric gaps are roundoff and could not be confirmed
+        ["verify", "general", "--a", "0.6", "--c", "0.3", "--theta", "1e-7", "--margin", "1e-9"],
     ],
 )
 def test_argument_validation_errors_exit_two(argv, capsys):
@@ -627,13 +630,6 @@ def test_sweep_csv_format(tmp_path, capsys):
     assert len(lines) == 2 + 8  # header, 8 records, summary
 
 
-def test_sweep_jobs_parallel_matches_serial(tmp_path, capsys):
-    f1, f2 = tmp_path / "serial.ndjson", tmp_path / "par.ndjson"
-    run_cli(capsys, "sweep", "--grid", "3", "--out", str(f1), "--jobs", "1")
-    run_cli(capsys, "sweep", "--grid", "3", "--out", str(f2), "--jobs", "2")
-    assert f1.read_bytes() == f2.read_bytes()
-
-
 def test_module_entry_point_subprocess():
     out = subprocess.run(
         [sys.executable, "-m", "qflip", "verify", "axes"],
@@ -643,18 +639,6 @@ def test_module_entry_point_subprocess():
     )
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["verdict"] == "Incomparable"
-
-
-def test_importing_the_cli_leaves_multiprocessing_unimported():
-    # only a --jobs pool uses it, so a process that starts no pool skips its import
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, qflip.cli; print(sorted(sys.modules).count('multiprocessing'))"],
-        capture_output=True,
-        text=True,
-        env={"PYTHONPATH": SRC_DIR, "PATH": "/usr/bin:/bin"},
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "0\n"
 
 
 # sha256 of `qflip sweep --grid 12`, pinned so that a
@@ -694,15 +678,14 @@ def test_benchmark_sweeps_golden_sha256(argv, tmp_path, capsys):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == GOLDEN_BENCHMARK_SWEEPS[argv]
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
 @pytest.mark.parametrize("fmt", sorted(GOLDEN_SWEEP_GRID12))
-def test_sweep_chunk_boundaries_keep_the_golden_bytes(fmt, jobs, monkeypatch, capsys):
-    # 7 does not divide grid 12's 1728 rows, so the last chunk is a short one
+def test_sweep_chunk_boundaries_keep_the_golden_bytes(fmt, monkeypatch, capsys):
+    # 7 does not divide grid 12's 1728 rows, so the last chunk is a short one;
+    # --jobs 1 is the one value the parser still takes, as the benchmark passes it
     monkeypatch.setattr(cli, "CHUNK_ROWS", 7)
-    code, out, _ = run_cli(capsys, "sweep", "--grid", "12", "--format", fmt, "--jobs", jobs)
+    code, out, _ = run_cli(capsys, "sweep", "--grid", "12", "--format", fmt, "--jobs", "1")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SWEEP_GRID12[fmt]
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("fmt", sorted(GOLDEN_SWEEP_GRID12))
@@ -719,37 +702,6 @@ def test_sweep_formats_every_record_float_in_numpy(fmt, monkeypatch, capsys):
     summary = json.loads(out.splitlines()[-1]) if fmt == "json" else {}
     summary_floats = [summary[k] for k in ("margin", "max_analytic_numeric_error") if k in summary]
     assert calls == [*ticks.tolist(), *(ticks * np.pi).tolist(), *summary_floats]
-
-
-@pytest.mark.parametrize("chunk_rows, pools", [(8192, []), (1000, [2])])
-def test_sweep_starts_at_most_one_worker_per_chunk(chunk_rows, pools, monkeypatch, capsys):
-    # grid 12 certifies 1728 points: one chunk of 8192, or two of 1000
-    started = []
-
-    class InlinePool:
-        """Records its worker count and runs the chunks in this process."""
-
-        def __init__(self, processes):
-            started.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        imap = staticmethod(map)
-
-    def context(method):
-        assert chunk_rows < 1728, "a one-chunk sweep started a pool"
-        return SimpleNamespace(Pool=InlinePool)
-
-    monkeypatch.setattr(multiprocessing, "get_context", context)
-    monkeypatch.setattr(cli, "CHUNK_ROWS", chunk_rows)
-    code, out, _ = run_cli(capsys, "sweep", "--grid", "12", "--jobs", "4")
-    assert code == 0
-    assert started == pools
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SWEEP_GRID12["json"]
 
 
 @pytest.mark.parametrize("argv", [["verify", "axes"], ["sweep", "--grid", "8"]], ids=lambda argv: argv[0])

@@ -13,6 +13,7 @@ from qflip.constructions import (
     DEFAULT_DEGENERACY_MARGIN,
     FLIPPER_WEIGHTS_FINAL,
     FLIPPER_WEIGHTS_INITIAL,
+    MIN_MARGIN,
     VerificationError,
     axes_experiment,
     certify_rows,
@@ -225,10 +226,11 @@ def test_general_experiment_degenerate_point():
     assert result.ordering is None
 
 
-@pytest.mark.parametrize("margin", [0.0, -1.0, 1.0, float("nan")])
+@pytest.mark.parametrize("margin", [0.0, -1.0, 1.0, float("nan"), 1e-9])
 def test_general_experiment_rejects_margin_outside_unit_interval(margin):
-    # a margin <= 0 would silently turn off the degeneracy exemption
-    with pytest.raises(ValueError, match="margin"):
+    # a margin <= 0 would silently turn off the degeneracy exemption, and one
+    # below MIN_MARGIN would let live points whose gaps are roundoff through
+    with pytest.raises(ValueError, match=r"margin must lie in \[3\.7e-07, 1\)"):
         general_flip_experiment(FlipParams(a=0.8, c=0.6, theta=1.0), margin=margin)
 
 
@@ -359,12 +361,14 @@ def test_certify_route_is_bit_identical_across_batch_sizes():
                         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (size, j, key)
 
 
-def test_certificate_holds_at_seeded_points_near_the_edges():
+@pytest.mark.parametrize("margin", [DEFAULT_DEGENERACY_MARGIN, MIN_MARGIN], ids=["default", "MIN_MARGIN"])
+def test_certificate_holds_at_seeded_points_near_the_edges(margin):
     # 300,000 seeded points, each with one of a, c, theta within 1e-7..1e-3
     # of an edge, put many live points just beyond the margin, where the
-    # outer gaps fall to 4 m^2 / (27 A) ~ 1.5e-13: below a tie constant of
-    # 1e-12, above the eigensolver bound.  Every live one must be certified
-    # Incomparable, chunk by chunk as a sweep certifies.
+    # outer gaps fall to 4 m^2 / (27 A): ~1.5e-13 at the default margin,
+    # below a tie constant of 1e-12, and 2e-14 at MIN_MARGIN, twice the
+    # eigensolver bound.  Every live one must be certified Incomparable,
+    # chunk by chunk as a sweep certifies.
     rng = np.random.default_rng(22)
     n, chunk = 300_000, 4096
     near = 10.0 ** rng.uniform(-7.0, -3.0, n)
@@ -375,7 +379,7 @@ def test_certificate_holds_at_seeded_points_near_the_edges():
     c = np.where(edge == 1, np.where(low, near, 1.0 - near), c)
     theta = np.where(edge == 2, np.where(low, near, np.pi - near), theta)
     b, d = bloch.complements(a, c)
-    live = np.abs(a * b * c * d * np.sin(theta)) > DEFAULT_DEGENERACY_MARGIN
+    live = np.abs(a * b * c * d * np.sin(theta)) > margin
     points = np.stack([a, c, theta])[:, live]
     below_the_tie_constant = 0
     for start in range(0, points.shape[1], chunk):
