@@ -46,7 +46,7 @@ from .constructions import (
 )
 from .ordering import CODE_LABELS, OrderingMismatchError, pattern_codes
 from .report import CSV_HEADER, NonFiniteError, ReportRecord, fmt_float, grid_text, json_line, sweep_block
-from .schmidt import EPS_TIE, VERDICT_BY_CODE, SpectrumTieError, incomparable_3dim, verdict
+from .schmidt import EPS_TIE, SpectrumTieError, incomparable_3dim, verdict
 
 # Failures raised while certifying, after the arguments were accepted; they
 # exit 1.  Every other ValueError comes from validating the arguments and
@@ -214,7 +214,7 @@ def _cmd_verify_general(args) -> int:
 
 def _parse_probs(text: str, name: str) -> np.ndarray:
     try:
-        values = np.array([float(x) for x in text.split(",") if x.strip() != ""])
+        values = np.array([float(x) for x in text.split(",")])
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from exc
     if values.size < 2:
@@ -264,9 +264,6 @@ def _cmd_check_pair(args) -> int:
 # their flat indices.
 CHUNK_ROWS = 4096
 
-_VERDICT_TEXT = np.array([str(v) for v in VERDICT_BY_CODE], dtype=object)
-
-
 def _evaluate_chunk(ticks: np.ndarray, angles: np.ndarray, flat: np.ndarray):
     """Run the kernel on one chunk of grid points.
 
@@ -281,13 +278,14 @@ def _evaluate_chunk(ticks: np.ndarray, angles: np.ndarray, flat: np.ndarray):
 def _certify_chunk(fmt: str, text: tuple, evaluated: tuple):
     """Certify one chunk :func:`_evaluate_chunk` returned and format its records.
 
-    ``text`` is :func:`grid_text` of the grid's ticks and angles.  Returns
-    the chunk's record block, its largest analytic/numeric error and its
-    ordering pattern counts.  A failed check raises from :func:`certify_rows`.
+    ``text`` is :func:`grid_text` of the grid's ticks and angles.  Every row
+    lies beyond the margin, so :func:`certify_rows` certifies it Incomparable
+    or raises, and the verdict is a constant of :func:`sweep_block`'s row
+    template.  Returns the chunk's record block, its largest analytic/numeric
+    error and its ordering pattern counts.
     """
     rows, (ia, ic, itheta) = evaluated
-    # every row lies beyond the margin, so every verdict must be Incomparable
-    max_err, codes, regions = certify_rows(rows, live=True)
+    max_err, regions = certify_rows(rows, live=True)
     patterns = pattern_codes(regions)
     tick_text, angle_text, index_text = text
     columns = {
@@ -296,7 +294,7 @@ def _certify_chunk(fmt: str, text: tuple, evaluated: tuple):
         "alpha1": rows["num_alpha"][:, 0], "alpha2": rows["num_alpha"][:, 1], "alpha3": rows["num_alpha"][:, 2],
         "beta1": rows["num_beta"][:, 0], "beta2": rows["num_beta"][:, 1], "beta3": rows["num_beta"][:, 2],
         "A": rows["A"], "B": rows["B"], "Bprime": rows["Bprime"],
-        "ordering": CODE_LABELS[patterns], "verdict": _VERDICT_TEXT[codes], "max_err": max_err,
+        "ordering": CODE_LABELS[patterns], "max_err": max_err,
     }
     per_code = np.bincount(patterns, minlength=CODE_LABELS.size)
     counts = {CODE_LABELS[c]: int(per_code[c]) for c in np.flatnonzero(per_code)}

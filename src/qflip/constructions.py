@@ -24,7 +24,7 @@ from . import kernels
 from .bloch import FlipParams, density_to_bloch, flip, qubit_to_bloch, random_qubit
 from .cubic import root_gaps_rows
 from .ordering import check_atlas, pattern_labels
-from .schmidt import VERDICT_BY_CODE, Verdict, verdict
+from .schmidt import Verdict, verdict
 
 SPECTRUM_AGREEMENT_TOL = 1e-9
 # Bound on a numeric eigenvalue gap's error: eigvalsh is backward stable, so an
@@ -103,10 +103,9 @@ def _first_failure(rows: dict, failed, what: str, detail: Callable[[int], str]) 
 
 
 _GAP_SIGNS = np.array([1.0, -1.0, 1.0])  # of lam_k - lam_k' along the chain, k = 1, 2, 3
-_INCOMPARABLE, _INTERCONVERTIBLE = (VERDICT_BY_CODE.index(v) for v in (Verdict.INCOMPARABLE, Verdict.INTERCONVERTIBLE))
 
 
-def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray]:
     """Certify rows of :func:`qflip.kernels.grid_eval` output, the family's one certificate.
 
     Each row's two routes must agree within :func:`route_tolerance` (NaN
@@ -118,9 +117,7 @@ def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     signs are the whole chain alpha1 > beta1 >= beta2 > alpha2 >= alpha3 >
     beta3.  A failure raises :class:`VerificationError` (or, from
     :func:`check_atlas`, :class:`OrderingMismatchError`) naming the first
-    failing point.  Returns the per-row error, the verdict codes (the closed
-    form's: Interconvertible where the float m is 0, else Incomparable,
-    unconfirmed on a row that is not live) and the atlas regions.
+    failing point.  Returns the per-row error and the atlas regions.
     """
     max_err = np.abs(rows["roots"] - rows["spectra"]).max(axis=(1, 2))
     disagree = ~(max_err <= route_tolerance(rows["A"], rows["B_pair"]))
@@ -135,8 +132,7 @@ def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     _first_failure(rows, live & ~signed, "Incomparable not certified",
                    lambda j: f": gaps lam - lam' {gaps[j].tolist()} closed-form, {numeric[j].tolist()} numeric, "
                    f"not (+, -, +) beyond {EIGENSOLVER_TOL:g}")
-    codes = np.where(rows["m"] == 0.0, _INTERCONVERTIBLE, _INCOMPARABLE)
-    return max_err, codes, check_atlas(rows["theta_i"], rows["theta_f"])
+    return max_err, check_atlas(rows["theta_i"], rows["theta_f"])
 
 
 def general_flip_experiment(
@@ -158,7 +154,7 @@ def general_flip_experiment(
     check_margin(margin)
     rows = kernels.grid_eval([p.a], [p.c], [p.theta], mu, nu)
     degenerate = bool(abs(rows["m"][0]) <= margin)
-    max_err, codes, regions = certify_rows(rows, live=not degenerate)
+    max_err, regions = certify_rows(rows, live=not degenerate)
 
     return FlipExperimentResult(
         params=p,
@@ -168,7 +164,7 @@ def general_flip_experiment(
         numeric_initial=rows["num_alpha"][0],
         numeric_final=rows["num_beta"][0],
         max_err=float(max_err[0]),
-        verdict=VERDICT_BY_CODE[codes[0]],
+        verdict=Verdict.INTERCONVERTIBLE if rows["m"][0] == 0.0 else Verdict.INCOMPARABLE,
         ordering=None if degenerate else pattern_labels(regions)[0],
         degenerate=degenerate,
     )

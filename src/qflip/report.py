@@ -254,26 +254,28 @@ class ReportRecord:
 
 # Row templates of sweep records: the exact output of ReportRecord.to_json_line
 # and .to_csv_row for experiment_id "sweep", params {a, c, theta, ia, ic,
-# itheta} and degeneracy_flag False, as bytes with every value a %s slot.  Each
-# takes its values in the order of the field tuple beside it.  The params take
-# only N distinct values per grid axis, so they arrive as text (see grid_text);
-# the floats are written by float_text, a column at a time.
+# itheta}, verdict "Incomparable" and degeneracy_flag False, as bytes with every
+# other value a %s slot.  Each takes its values in the order of the field tuple
+# beside it.  The params take only N distinct values per grid axis, so they
+# arrive as text (see grid_text); the floats are written by float_text, a
+# column at a time.
 _SWEEP_JSON_FIELDS = (
     "a", "c", "theta", "ia", "ic", "itheta",
     "alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3",
-    "A", "B", "Bprime", "ordering", "verdict", "max_err",
+    "A", "B", "Bprime", "ordering", "max_err",
 )
 _SWEEP_JSON_ROW = (
     b'{"experiment_id": "sweep", "params": {"a": %s, "c": %s, "theta": %s, '
     b'"ia": %s, "ic": %s, "itheta": %s}, '
     b'"lambda_initial": [%s, %s, %s], "lambda_final": [%s, %s, %s], '
-    b'"A": %s, "B": %s, "Bprime": %s, "ordering": %s, "verdict": %s, '
+    b'"A": %s, "B": %s, "Bprime": %s, "ordering": %s, "verdict": "Incomparable", '
     b'"maxAnalyticNumericError": %s, "degeneracyFlag": false}'
 )
-_SWEEP_CSV_FIELDS = CSV_COLUMNS[:-1]  # degenerate is the template's constant false
-_SWEEP_CSV_ROW = b",".join([b"%s"] * 15 + [b"false"])
+_SWEEP_CSV_CONSTANTS = {"verdict": b"Incomparable", "degenerate": b"false"}
+_SWEEP_CSV_FIELDS = tuple(name for name in CSV_COLUMNS if name not in _SWEEP_CSV_CONSTANTS)
+_SWEEP_CSV_ROW = b",".join(_SWEEP_CSV_CONSTANTS.get(name, b"%s") for name in CSV_COLUMNS)
 _PARAM_FIELDS = ("a", "c", "theta", "ia", "ic", "itheta")
-_TEXT_FIELDS = ("ordering", "verdict")
+_TEXT_FIELDS = ("ordering",)
 
 
 def _csv_text(value: str | None) -> str:
@@ -298,14 +300,15 @@ def sweep_block(fmt: str, columns: dict[str, np.ndarray]) -> bytes:
     """Format sweep records from columns, one row per record, as one block.
 
     ``columns`` maps every field of the sweep row (a, c, theta, ia, ic,
-    itheta, alpha1..3, beta1..3, A, B, Bprime, ordering, verdict, max_err) to
-    an array with one entry per record.  The six params are object arrays of
-    their text as bytes, as :func:`grid_text` gives it; ``ordering`` and
-    ``verdict`` are object arrays of strings, ``ordering`` None where a record
-    has none; every other field is a float array.  The block is its rows
-    joined by newlines, without a trailing newline, as ASCII bytes, and reads
-    exactly as the records' ``to_json_line`` / ``to_csv_row``.  A NaN or an
-    infinity raises :class:`NonFiniteError`.
+    itheta, alpha1..3, beta1..3, A, B, Bprime, ordering, max_err) to an array
+    with one entry per record.  The six params are object arrays of their
+    text as bytes, as :func:`grid_text` gives it; ``ordering`` is an object
+    array of strings, None where a record has none; every other field is a
+    float array.  Every record is certified, so its verdict, Incomparable, is
+    a constant of the row template, as its false degeneracy flag is.  The
+    block is its rows joined by newlines, without a trailing newline, as
+    ASCII bytes, and reads exactly as the records' ``to_json_line`` /
+    ``to_csv_row``.  A NaN or an infinity raises :class:`NonFiniteError`.
     """
     if fmt == "csv":
         template, fields, render = _SWEEP_CSV_ROW, _SWEEP_CSV_FIELDS, _csv_text

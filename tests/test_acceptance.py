@@ -24,14 +24,7 @@ from qflip.constructions import (
 )
 from qflip.cubic import cubic_coefficients_rows
 from qflip.ordering import PATTERN_ATLAS, REGION_BOUNDS, _region_index, check_atlas, pattern_labels
-from qflip.schmidt import (
-    VERDICT_BY_CODE,
-    SpectrumTieError,
-    Verdict,
-    incomparable_3dim,
-    verdict,
-    verdict_codes,
-)
+from qflip.schmidt import SpectrumTieError, Verdict, incomparable_3dim, verdict
 
 from conftest import prob_vectors, random_prob_vector, random_strict_triple, strict_triples
 from oracle import (
@@ -217,8 +210,8 @@ def test_criterion_6_degenerate_family():
 
 
 def _incomparable_rows(pairs) -> np.ndarray:
-    """Majorization verdict of every pair of an (n, 2, k) stack, decided in one batched call."""
-    return verdict_codes(pairs[:, 0], pairs[:, 1]) == VERDICT_BY_CODE.index(Verdict.INCOMPARABLE)
+    """Whether :func:`verdict` finds each pair of an (n, 2, k) stack incomparable."""
+    return np.array([verdict(a, b) is Verdict.INCOMPARABLE for a, b in pairs])
 
 
 def test_criterion_7_criterion_equivalence():

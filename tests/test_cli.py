@@ -246,10 +246,14 @@ def test_check_pair_csv_refuses_more_than_three_entries(monkeypatch, capsys):
     )
 
 
-def test_check_pair_rejects_bad_vector():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["check-pair", "--lhs", ".9,.3", "--rhs", ".5,.5"])
-    assert exc.value.code == 2
+def test_check_pair_rejects_bad_vector(capsys):
+    # an empty entry is a bad number, not one to drop
+    for lhs in (".9,.3", "0.5,,0.5", "0.5,0.5,"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["check-pair", "--lhs", lhs, "--rhs", ".5,.5"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--lhs" in err.splitlines()[-1], lhs
 
 
 @pytest.mark.parametrize("lhs", ["nan,0.5,0.5", "inf,0.5,0.5", "0.5,0.5,-inf"])

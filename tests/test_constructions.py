@@ -22,7 +22,7 @@ from qflip.constructions import (
     general_flip_experiment,
 )
 from qflip.ordering import pattern_labels
-from qflip.schmidt import VERDICT_BY_CODE, Verdict, verdict
+from qflip.schmidt import Verdict, verdict
 
 from oracle import (
     DimensionError,
@@ -325,8 +325,8 @@ def _certified_batch(a, c, theta, mu, nu):
     """grid_eval and certify_rows on one batch of points, every result as an array."""
     rows = kernels.grid_eval(a, c, theta, mu, nu)
     live = np.abs(rows["m"]) > DEFAULT_DEGENERACY_MARGIN
-    max_err, codes, regions = certify_rows(rows, live)
-    return {**rows, "max_err": max_err, "codes": codes, "regions": regions, "ordering": pattern_labels(regions)}
+    max_err, regions = certify_rows(rows, live)
+    return {**rows, "max_err": max_err, "regions": regions, "ordering": pattern_labels(regions)}
 
 
 def test_certify_route_is_bit_identical_across_batch_sizes():
@@ -384,23 +384,24 @@ def test_certificate_holds_at_seeded_points_near_the_edges(margin):
     below_the_tie_constant = 0
     for start in range(0, points.shape[1], chunk):
         rows = kernels.grid_eval(*points[:, start : start + chunk])
-        _, codes, _ = certify_rows(rows, live=True)
-        assert (codes == VERDICT_BY_CODE.index(Verdict.INCOMPARABLE)).all()
+        certify_rows(rows, live=True)
         outer = (rows["spectra"][:, 0] - rows["spectra"][:, 1])[:, ::2]
         below_the_tie_constant += int((outer.min(axis=1) < 1e-12).sum())
     assert live.sum() > 150_000 and below_the_tie_constant > 1_000
 
 
-def test_certificate_needs_the_closed_form_signs():
+def test_certificate_needs_the_closed_form_signs(monkeypatch):
     # numeric signs alone certify nothing: with its measure set to 0 the
     # closed-form gaps of a row vanish, so it fails as a live row, and as a
-    # row that is not live it prints the closed form's Interconvertible
+    # degenerate point it gets the closed form's Interconvertible
     rows = kernels.grid_eval(np.array([0.3]), np.array([0.7]), np.array([1.2]))
     certify_rows(rows, live=True)
     rows["m"][0] = 0.0
     with pytest.raises(VerificationError, match=r"Incomparable not certified at 1 points.*\[0.0, 0.0, 0.0\] closed-form"):
         certify_rows(rows, live=True)
-    assert VERDICT_BY_CODE[certify_rows(rows, live=False)[1][0]] is Verdict.INTERCONVERTIBLE
+    monkeypatch.setattr(constructions.kernels, "grid_eval", lambda *args: rows)
+    result = general_flip_experiment(FlipParams(a=0.3, c=0.7, theta=1.2))
+    assert result.degenerate and result.verdict is Verdict.INTERCONVERTIBLE
 
 
 # Weights whose Bob qubit is reversed exactly (w1 + w1' = 1) although the

@@ -268,7 +268,7 @@ def test_batched_atlas_check_matches_one_row_calls(points):
 def _certified_regions(rows) -> np.ndarray:
     """The :func:`check_atlas` regions of ``grid_eval`` rows that
     :func:`certify_rows` returns for rows that need not be Incomparable."""
-    return certify_rows(rows, live=False)[2]
+    return certify_rows(rows, live=False)[1]
 
 
 def test_atlas_check_checks_degenerate_rows():

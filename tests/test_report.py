@@ -9,7 +9,6 @@ from qflip.report import NonFiniteError, ReportRecord, float_text, fmt_float, sw
 finite = st.floats(allow_nan=False, allow_infinity=False)
 index = st.integers(min_value=0, max_value=10**6)
 label = st.sampled_from([None, "Q2Q1:a1>b1>b3>a3>a2>b2", "Q3Q3:a1>b1>b2>a2>a3>b3"])
-verdict = st.sampled_from(["Incomparable", "ForwardCertain"])
 
 sweep_row = st.fixed_dictionaries(
     {
@@ -18,7 +17,7 @@ sweep_row = st.fixed_dictionaries(
         "alpha1": finite, "alpha2": finite, "alpha3": finite,
         "beta1": finite, "beta2": finite, "beta3": finite,
         "A": finite, "B": finite, "Bprime": finite,
-        "ordering": label, "verdict": verdict, "max_err": finite,
+        "ordering": label, "max_err": finite,
     }
 )
 
@@ -33,7 +32,7 @@ def _record(row) -> ReportRecord:
         B=row["B"],
         Bprime=row["Bprime"],
         ordering=row["ordering"],
-        verdict=row["verdict"],
+        verdict="Incomparable",
         max_analytic_numeric_error=row["max_err"],
         degeneracy_flag=False,
     )
@@ -46,7 +45,7 @@ def _columns(rows) -> dict:
     columns = {}
     for name in rows[0]:
         values = [text[name](row[name]) if name in text else row[name] for row in rows]
-        is_text = name in text or name in ("ordering", "verdict")
+        is_text = name in text or name == "ordering"
         columns[name] = np.array(values, dtype=object if is_text else None)
     return columns
 
@@ -78,7 +77,7 @@ _SWEEP_FLOATS = ("alpha1", "alpha2", "alpha3", "beta1", "beta2", "beta3", "A", "
 def test_sweep_block_refuses_a_non_finite_float(fmt, field, value):
     # NaN and infinity have no JSON form; the writer names the column it met them in
     row = {name: 0.25 for name in _SWEEP_FLOATS}
-    row.update(a=0.5, c=0.5, theta=1.0, ia=0, ic=0, itheta=0, ordering=None, verdict="Incomparable")
+    row.update(a=0.5, c=0.5, theta=1.0, ia=0, ic=0, itheta=0, ordering=None)
     row[field] = value
     with pytest.raises(NonFiniteError, match=f"non-finite float {value!r} in column {field}"):
         sweep_block(fmt, _columns([row]))

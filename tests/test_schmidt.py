@@ -3,17 +3,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qflip import schmidt
 from qflip.constructions import AXES_LAMBDA_FINAL, AXES_PARAMS
 from qflip.schmidt import (
     EPS_TIE,
-    VERDICT_BY_CODE,
     SpectrumTieError,
     Verdict,
     incomparable_3dim,
-    stacked_verdict_codes,
     verdict,
-    verdict_codes,
 )
 
 from conftest import random_prob_vector, random_strict_triple, random_unitary
@@ -68,11 +64,9 @@ def _spectrum_stacks(draw):
 @given(_spectrum_stacks())
 def test_batched_scalar_and_brute_force_majorization_agree(stacks):
     lo, hi = stacks
-    codes = verdict_codes(np.array(lo), np.array(hi)).tolist()
-    for row, (x, y) in enumerate(zip(lo, hi)):
+    for x, y in zip(lo, hi):
         forward, backward = _brute_majorizes(x, y), _brute_majorizes(y, x)
         assert _majorizes(y, x) == backward
-        assert VERDICT_BY_CODE[codes[row]] is verdict(x, y)
         assert verdict(x, y) is {
             (True, True): Verdict.INTERCONVERTIBLE,
             (True, False): Verdict.FORWARD_CERTAIN,
@@ -87,13 +81,10 @@ def test_majorization_tie_at_eps_is_inclusive():
     hi = [0.5 - EPS_TIE, 0.25 + EPS_TIE, 0.25]
     assert _majorizes(lo, hi) and _brute_majorizes(lo, hi)
     assert not _brute_majorizes(lo, hi, eps=0.0)  # the pair sits on the tie
-    interconvertible = VERDICT_BY_CODE.index(Verdict.INTERCONVERTIBLE)
-    assert verdict_codes([lo, hi], [hi, lo]).tolist() == [interconvertible, interconvertible]
+    assert verdict(lo, hi) is verdict(hi, lo) is Verdict.INTERCONVERTIBLE
 
 
 def test_majorizes_rows_rejects_mismatched_stacks():
-    with pytest.raises(ValueError):
-        verdict_codes(np.ones((2, 3)), np.ones((3, 3)))
     with pytest.raises(ValueError):
         verdict([], [1.0])
     with pytest.raises(ValueError):
@@ -101,38 +92,27 @@ def test_majorizes_rows_rejects_mismatched_stacks():
 
 
 # (lhs, rhs) in every form verdict reads as one row: lists, tuples, (k, 1)
-# and (1, k) arrays, mixed shapes, unequal widths, unsorted and NaN entries
+# and (1, k) arrays, mixed shapes, unequal widths, unsorted and NaN entries,
+# each with its verdict (a NaN entry bounds no partial sum it enters)
 _ONE_ROW_INPUTS = [
-    ([0.51, 0.30, 0.19], [0.49, 0.36, 0.15]),
-    ((0.6, 0.4), (0.7, 0.3)),
-    (np.array([[0.5], [0.3], [0.2]]), np.array([[0.6], [0.3], [0.1]])),
-    (np.array([[0.5, 0.3, 0.2]]), np.array([[0.6, 0.3, 0.1]])),
-    (np.array([[0.5], [0.3], [0.2]]), np.array([[0.5, 0.3, 0.2]])),
-    ([0.2, 0.5, 0.3], [0.3, 0.3, 0.4]),
-    ([0.5, 0.5], [0.4, 0.3, 0.3]),
-    ((1.0,), np.array([[0.5], [0.5]])),
-    ([np.nan, 0.5, 0.5], [0.4, 0.3, 0.3]),
-    ([0.5, 0.5], [np.nan, 0.7, 0.3]),
+    ([0.51, 0.30, 0.19], [0.49, 0.36, 0.15], Verdict.INCOMPARABLE),
+    ((0.6, 0.4), (0.7, 0.3), Verdict.FORWARD_CERTAIN),
+    (np.array([[0.5], [0.3], [0.2]]), np.array([[0.6], [0.3], [0.1]]), Verdict.FORWARD_CERTAIN),
+    (np.array([[0.5, 0.3, 0.2]]), np.array([[0.6, 0.3, 0.1]]), Verdict.FORWARD_CERTAIN),
+    (np.array([[0.5], [0.3], [0.2]]), np.array([[0.5, 0.3, 0.2]]), Verdict.INTERCONVERTIBLE),
+    ([0.2, 0.5, 0.3], [0.3, 0.3, 0.4], Verdict.BACKWARD_CERTAIN),
+    ([0.5, 0.5], [0.4, 0.3, 0.3], Verdict.BACKWARD_CERTAIN),
+    ((1.0,), np.array([[0.5], [0.5]]), Verdict.BACKWARD_CERTAIN),
+    ([np.nan, 0.5, 0.5], [0.4, 0.3, 0.3], Verdict.INCOMPARABLE),
+    ([0.5, 0.5], [np.nan, 0.7, 0.3], Verdict.INCOMPARABLE),
 ]
 
 
-@pytest.mark.parametrize("lhs, rhs", _ONE_ROW_INPUTS)
-def test_verdict_is_one_row_of_verdict_codes(lhs, rhs):
-    row_l, row_r = np.ravel(lhs)[None], np.ravel(rhs)[None]
-    assert verdict(lhs, rhs) is VERDICT_BY_CODE[verdict_codes(row_l, row_r)[0]]
-
-
-@pytest.mark.parametrize("lhs, rhs", _ONE_ROW_INPUTS)
-def test_verdict_reaches_the_stacked_comparison_once(monkeypatch, lhs, rhs):
-    calls = []
-
-    def counting(sides):
-        calls.append(sides.shape)
-        return stacked_verdict_codes(sides)
-
-    monkeypatch.setattr(schmidt, "stacked_verdict_codes", counting)
-    verdict(lhs, rhs)
-    assert calls == [(1, 2, max(np.size(lhs), np.size(rhs)))]
+@pytest.mark.parametrize(
+    "lhs, rhs, expected", _ONE_ROW_INPUTS, ids=[f"lhs{j}-rhs{j}" for j in range(len(_ONE_ROW_INPUTS))]
+)
+def test_verdict_is_one_row_of_verdict_codes(lhs, rhs, expected):
+    assert verdict(lhs, rhs) is expected
 
 
 def test_pure_state_validation():
