@@ -3,8 +3,8 @@
 A deterministic local conversion |Psi> -> |Phi> exists exactly when the
 descending Schmidt probability vector of |Psi> is majorized by that of |Phi>
 (every leading partial sum bounded).  :func:`verdict` is the one majorization
-routine: it decides both directions for a pair of spectra in one pass over the
-two sides stacked together.  Pairs where neither direction holds are
+routine: it decides both directions for a pair of spectra in one pass over
+their partial sums, in Python floats.  Pairs where neither direction holds are
 *incomparable*; for two-dimensional spectra that never happens, and for
 three-dimensional strictly ordered spectra with equal totals incomparability
 reduces to a pair of partial-sum crossing conditions, tested in Python scalars
@@ -14,6 +14,7 @@ by :func:`incomparable_3dim`.
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -52,27 +53,23 @@ def verdict(lhs, rhs) -> Verdict:
     deterministically to one with spectrum rhs): every leading partial sum of
     the descending lhs is at most the matching one of rhs plus ``EPS_TIE``,
     so a difference of exactly ``EPS_TIE`` counts as bounded.  Backward is
-    the reverse.  Both sides go into one (2, w) stack, sorted; when their
-    widths differ, the narrower side is zero-padded at the tail of its
-    descending order.  One cumulative sum along the reversed rows gives both
-    sides' partial sums.  An empty side raises :class:`ValueError`.
+    the reverse.  Each side is sorted descending and the shorter one is
+    zero-padded at its tail; one pass over the two sides' partial sums, each
+    added left to right, tests both directions.  A NaN entry makes the last
+    partial sums NaN, so neither direction holds.  An empty side raises
+    :class:`ValueError`.
     """
-    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
-    if lhs.size == 0 or rhs.size == 0:
-        raise ValueError(f"expected two non-empty spectra, got shapes {lhs.shape} and {rhs.shape}")
-    if lhs.size == rhs.size:
-        sides = np.concatenate((lhs, rhs), axis=None).reshape(2, -1)
-        sides.sort(axis=1)
-    else:
-        # ascending rows with the padding zeros in front, so that the reversed
-        # row is the descending spectrum followed by its zeros
-        width = max(lhs.size, rhs.size)
-        sides = np.zeros((2, width))
-        sides[0, width - lhs.size :] = np.sort(lhs, axis=None)
-        sides[1, width - rhs.size :] = np.sort(rhs, axis=None)
-    sums = np.add.accumulate(sides[:, ::-1], axis=1)
-    # row 0 is sums_l <= sums_r + EPS_TIE (forward), row 1 the reverse
-    forward, backward = np.logical_and.reduce(sums <= sums[::-1] + EPS_TIE, axis=1).tolist()
+    a, b = (sorted(np.asarray(side, dtype=float).ravel().tolist(), reverse=True) for side in (lhs, rhs))
+    if not a or not b:
+        raise ValueError(f"expected two non-empty spectra, got {len(a)} and {len(b)} entries")
+    pad = len(a) - len(b)
+    a += [0.0] * -pad
+    b += [0.0] * pad
+    forward = backward = True
+    # accumulate adds left to right, never compensated as sum() is on 3.12+
+    for x, y in zip(accumulate(a), accumulate(b)):
+        forward = forward and x <= y + EPS_TIE
+        backward = backward and y <= x + EPS_TIE
     return VERDICT_BY_CODE[2 * forward + backward]
 
 

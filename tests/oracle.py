@@ -12,6 +12,10 @@ representative pair's printed labels a1..a3, b1..b3 sit among a row's six
 descending roots (:data:`PAIR_LABELS`, :func:`rank_chain`), and quadrants by
 float division (:func:`division_region_index`), against which the package's
 exact quadrant placement is held.
+
+And it keeps the stacked numpy form of the majorization verdict
+(:func:`stacked_verdict`), against which the package's one pass over Python
+floats is held.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from qflip.bloch import FlipParams, complements, flip, qubit_to_bloch
+from qflip.schmidt import EPS_TIE, VERDICT_BY_CODE, Verdict
 
 DIM_CAP = 12
 HERMITICITY_TOL = 1e-10
@@ -189,6 +194,33 @@ def entanglement_entropy(probs) -> float:
     if np.any(p < -1e-10) or abs(p.sum() - 1.0) > 1e-10:
         raise ValueError("spectrum is not a probability vector")
     return float(-sum(x * log2(x) for x in p if x > 0.0))
+
+
+def stacked_verdict(lhs, rhs) -> Verdict:
+    """The four-way verdict in numpy: both sides in one sorted (2, w) stack.
+
+    Equal widths are concatenated and sorted in place; unequal widths are
+    sorted apart, the narrower side zero-padded at the tail of its descending
+    order.  One ``np.add.accumulate`` along the reversed rows gives both
+    sides' partial sums and one ``np.logical_and.reduce`` both directions.
+    """
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    if lhs.size == 0 or rhs.size == 0:
+        raise ValueError(f"expected two non-empty spectra, got shapes {lhs.shape} and {rhs.shape}")
+    if lhs.size == rhs.size:
+        sides = np.concatenate((lhs, rhs), axis=None).reshape(2, -1)
+        sides.sort(axis=1)
+    else:
+        # ascending rows with the padding zeros in front, so that the reversed
+        # row is the descending spectrum followed by its zeros
+        width = max(lhs.size, rhs.size)
+        sides = np.zeros((2, width))
+        sides[0, width - lhs.size :] = np.sort(lhs, axis=None)
+        sides[1, width - rhs.size :] = np.sort(rhs, axis=None)
+    sums = np.add.accumulate(sides[:, ::-1], axis=1)
+    # row 0 is sums_l <= sums_r + EPS_TIE (forward), row 1 the reverse
+    forward, backward = np.logical_and.reduce(sums <= sums[::-1] + EPS_TIE, axis=1).tolist()
+    return VERDICT_BY_CODE[2 * forward + backward]
 
 
 def canonical_triple(p: FlipParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

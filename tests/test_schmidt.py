@@ -13,7 +13,15 @@ from qflip.schmidt import (
 )
 
 from conftest import random_prob_vector, random_strict_triple, random_unitary
-from oracle import DimensionError, PureState, build_family_state, entanglement_entropy, kron, schmidt_decompose
+from oracle import (
+    DimensionError,
+    PureState,
+    build_family_state,
+    entanglement_entropy,
+    kron,
+    schmidt_decompose,
+    stacked_verdict,
+)
 
 
 def _brute_incomparable(a, b, eps=EPS_TIE):
@@ -49,24 +57,27 @@ def _brute_majorizes(lo, hi, eps=EPS_TIE):
 # leading partial sums often coincide or differ by exactly one tolerance.
 _QUANTUM = 1.0 / 64.0
 _entry = st.tuples(st.integers(0, 16), st.integers(-1, 1)).map(lambda t: t[0] * _QUANTUM + t[1] * EPS_TIE)
+_entry_or_nan = st.one_of(_entry, st.just(float("nan")))
 
 
 @st.composite
 def _spectrum_stacks(draw):
     rows = draw(st.integers(1, 6))
-    k, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    lo = draw(st.lists(st.lists(_entry, min_size=k, max_size=k), min_size=rows, max_size=rows))
-    hi = draw(st.lists(st.lists(_entry, min_size=m, max_size=m), min_size=rows, max_size=rows))
+    k, m = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    entry = draw(st.sampled_from((_entry, _entry_or_nan)))
+    lo = draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=rows, max_size=rows))
+    hi = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=rows, max_size=rows))
     return lo, hi
 
 
 @settings(max_examples=300, deadline=None)
 @given(_spectrum_stacks())
-def test_batched_scalar_and_brute_force_majorization_agree(stacks):
+def test_verdict_agrees_with_brute_force_and_stacked_verdict(stacks):
     lo, hi = stacks
     for x, y in zip(lo, hi):
         forward, backward = _brute_majorizes(x, y), _brute_majorizes(y, x)
         assert _majorizes(y, x) == backward
+        assert verdict(x, y) is stacked_verdict(x, y)
         assert verdict(x, y) is {
             (True, True): Verdict.INTERCONVERTIBLE,
             (True, False): Verdict.FORWARD_CERTAIN,
@@ -84,16 +95,17 @@ def test_majorization_tie_at_eps_is_inclusive():
     assert verdict(lo, hi) is verdict(hi, lo) is Verdict.INTERCONVERTIBLE
 
 
-def test_majorizes_rows_rejects_mismatched_stacks():
+def test_verdict_rejects_an_empty_side():
     with pytest.raises(ValueError):
         verdict([], [1.0])
     with pytest.raises(ValueError):
         verdict([], [])
 
 
-# (lhs, rhs) in every form verdict reads as one row: lists, tuples, (k, 1)
-# and (1, k) arrays, mixed shapes, unequal widths, unsorted and NaN entries,
-# each with its verdict (a NaN entry bounds no partial sum it enters)
+# (lhs, rhs) in every form verdict reads as one row: lists, tuples, ranges,
+# (k, 1) and (1, k) arrays, mixed shapes, unequal widths, unsorted, signed
+# zero, infinite and NaN entries, each with its verdict (a NaN entry bounds
+# no partial sum it enters)
 _ONE_ROW_INPUTS = [
     ([0.51, 0.30, 0.19], [0.49, 0.36, 0.15], Verdict.INCOMPARABLE),
     ((0.6, 0.4), (0.7, 0.3), Verdict.FORWARD_CERTAIN),
@@ -105,6 +117,12 @@ _ONE_ROW_INPUTS = [
     ((1.0,), np.array([[0.5], [0.5]]), Verdict.BACKWARD_CERTAIN),
     ([np.nan, 0.5, 0.5], [0.4, 0.3, 0.3], Verdict.INCOMPARABLE),
     ([0.5, 0.5], [np.nan, 0.7, 0.3], Verdict.INCOMPARABLE),
+    ([0.5, 0.5, -0.0], [0.5, 0.5, 0.0], Verdict.INTERCONVERTIBLE),
+    ([np.inf, 0], [1, 0], Verdict.BACKWARD_CERTAIN),
+    (range(9, 0, -1), [20, 10, 10, 5], Verdict.FORWARD_CERTAIN),
+    # partial sums added left to right: 1e5 + 5e-12 rounds to 1e5, so the
+    # totals tie at 0; compensated sums would make the lhs total 5e-12
+    ([1e5, 5e-12, -1e5], [1e5, 0, -1e5], Verdict.INTERCONVERTIBLE),
 ]
 
 
