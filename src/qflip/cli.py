@@ -44,7 +44,7 @@ from .constructions import (
     flipper_experiment,
     general_flip_experiment,
 )
-from .ordering import CODE_LABELS, OrderingMismatchError, pattern_codes
+from .ordering import CODE_LABELS, OrderingMismatchError
 from .report import CSV_HEADER, NonFiniteError, ReportRecord, fmt_float, grid_text, json_line, sweep_block
 from .schmidt import EPS_TIE, SpectrumTieError, incomparable_3dim, verdict
 
@@ -285,8 +285,7 @@ def _certify_chunk(fmt: str, text: tuple, evaluated: tuple):
     error and its ordering pattern counts.
     """
     rows, (ia, ic, itheta) = evaluated
-    max_err, regions = certify_rows(rows, live=True)
-    patterns = pattern_codes(regions)
+    max_err, patterns = certify_rows(rows, live=True)
     tick_text, angle_text, index_text = text
     columns = {
         "a": tick_text[ia], "c": tick_text[ic], "theta": angle_text[itheta],

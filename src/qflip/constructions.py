@@ -117,21 +117,30 @@ def certify_rows(rows: dict, live) -> tuple[np.ndarray, np.ndarray]:
     signs are the whole chain alpha1 > beta1 >= beta2 > alpha2 >= alpha3 >
     beta3.  A failure raises :class:`VerificationError` (or, from
     :func:`check_atlas`, :class:`OrderingMismatchError`) naming the first
-    failing point.  Returns the per-row error and the atlas regions.
+    failing point.  Returns the per-row error and the region codes.
+
+    One test of the three checks' masks passes a batch; only a set mask builds
+    the messages, route, descent and signs in turn.  The route mask compares
+    with ``SPECTRUM_AGREEMENT_TOL``, which no widened tolerance is below, so
+    :func:`route_tolerance` is consulted only for the rows beyond it.
     """
-    max_err = np.abs(rows["roots"] - rows["spectra"]).max(axis=(1, 2))
-    disagree = ~(max_err <= route_tolerance(rows["A"], rows["B_pair"]))
-    _first_failure(rows, disagree, f"analytic and numeric spectra disagree beyond {SPECTRUM_AGREEMENT_TOL:g}",
-                   lambda j: f" (error {max_err[j]:.3e})")
-    roots = rows["roots"]
-    ascending = (roots[..., 1:] > roots[..., :-1]).any(axis=(1, 2))
-    _first_failure(rows, ascending, "closed-form roots do not descend", lambda j: f": {roots[j].tolist()}")
+    roots, spectra = rows["roots"], rows["spectra"]
+    max_err = np.abs(roots - spectra).max(axis=(1, 2))
+    beyond = ~(max_err <= SPECTRUM_AGREEMENT_TOL)
+    ascending = roots[..., 1:] > roots[..., :-1]
     gaps = root_gaps_rows(rows["A"], rows["m"], roots)
-    numeric = rows["spectra"][:, 0] - rows["spectra"][:, 1]
-    signed = ((gaps * _GAP_SIGNS > 0.0) & (numeric * _GAP_SIGNS > EIGENSOLVER_TOL)).all(axis=1)
-    _first_failure(rows, live & ~signed, "Incomparable not certified",
-                   lambda j: f": gaps lam - lam' {gaps[j].tolist()} closed-form, {numeric[j].tolist()} numeric, "
-                   f"not (+, -, +) beyond {EIGENSOLVER_TOL:g}")
+    numeric = spectra[:, 0] - spectra[:, 1]
+    unsigned = ~((gaps * _GAP_SIGNS > 0.0) & (numeric * _GAP_SIGNS > EIGENSOLVER_TOL))
+    if np.count_nonzero(beyond) or np.count_nonzero(ascending) or np.count_nonzero(live & unsigned.T):
+        disagree = beyond.copy()
+        disagree[beyond] = ~(max_err[beyond] <= route_tolerance(rows["A"][beyond], rows["B_pair"][beyond]))
+        _first_failure(rows, disagree, f"analytic and numeric spectra disagree beyond {SPECTRUM_AGREEMENT_TOL:g}",
+                       lambda j: f" (error {max_err[j]:.3e})")
+        _first_failure(rows, ascending.any(axis=(1, 2)), "closed-form roots do not descend",
+                       lambda j: f": {roots[j].tolist()}")
+        _first_failure(rows, live & unsigned.any(axis=1), "Incomparable not certified",
+                       lambda j: f": gaps lam - lam' {gaps[j].tolist()} closed-form, {numeric[j].tolist()} numeric, "
+                       f"not (+, -, +) beyond {EIGENSOLVER_TOL:g}")
     return max_err, check_atlas(rows["theta_i"], rows["theta_f"])
 
 
@@ -152,9 +161,9 @@ def general_flip_experiment(
     [``MIN_MARGIN``, 1) raises :class:`ValueError`.
     """
     check_margin(margin)
-    rows = kernels.grid_eval([p.a], [p.c], [p.theta], mu, nu)
+    rows = kernels.grid_eval(*np.array([[p.a], [p.c], [p.theta]]), mu, nu)
     degenerate = bool(abs(rows["m"][0]) <= margin)
-    max_err, regions = certify_rows(rows, live=not degenerate)
+    max_err, codes = certify_rows(rows, live=not degenerate)
 
     return FlipExperimentResult(
         params=p,
@@ -165,7 +174,7 @@ def general_flip_experiment(
         numeric_final=rows["num_beta"][0],
         max_err=float(max_err[0]),
         verdict=Verdict.INTERCONVERTIBLE if rows["m"][0] == 0.0 else Verdict.INCOMPARABLE,
-        ordering=None if degenerate else pattern_labels(regions)[0],
+        ordering=None if degenerate else pattern_labels(codes)[0],
         degenerate=degenerate,
     )
 

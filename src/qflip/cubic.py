@@ -28,6 +28,12 @@ Subtracting the cubics at two roots of equal rank gives each gap,
 without cancellation (:func:`root_gaps_rows`); as |u| <= 2 sqrt(A), each
 outer gap is at least 4m^2 / (27A).
 
+The same two signs exclude catalytic (ELOCC) and multiple-copy (MLOCC)
+conversions.  If x (x) c is majorized by y (x) c, for descending x, y and a
+catalyst c > 0, the largest entries give x_1 <= y_1, and the equal totals and
+the smallest entries x_n >= y_n; so does x^(x)k majorized by y^(x)k.  So
+alpha1 > beta1 bars alpha -> beta and alpha3 > beta3 bars beta -> alpha.
+
 The ``_rows`` functions are the only copy of the closed form and work
 elementwise on arrays; a single family point is a one-row call, so a sweep row
 and a single point get the same coefficients and roots to the bit.
@@ -52,15 +58,13 @@ def cubic_coefficients_rows(a, b, c, d, theta) -> tuple[np.ndarray, np.ndarray, 
     equality exactly on great-circle parameters.  ``b`` and ``d`` are the
     complements of ``a`` and ``c``, as :func:`qflip.bloch.complements` gives them.
     """
-    a, b, c, d = (np.asarray(x, dtype=float) for x in (a, b, c, d))
-    w_re = a * c + b * d * np.cos(theta)
-    w_im = b * d * np.sin(theta)
-    w2 = w_re * w_re + w_im * w_im
-    a2c2 = (a * c) ** 2
-    coeff_a = (2.0 * a2c2 + w2 * w2) / 3.0
-    coeff_b = 2.0 * a2c2 * w2
-    coeff_bp = 2.0 * a2c2 * (w_re * w_re - w_im * w_im)
-    return coeff_a, coeff_b, coeff_bp
+    ac, bd = np.multiply(a, c), np.multiply(b, d)
+    w_re = ac + bd * np.cos(theta)
+    w_im = bd * np.sin(theta)
+    re2, im2 = w_re * w_re, w_im * w_im
+    w2 = re2 + im2
+    two_a2c2 = 2.0 * (ac * ac)
+    return (two_a2c2 + w2 * w2) / 3.0, two_a2c2 * w2, two_a2c2 * (re2 - im2)
 
 
 def labeled_roots_rows(a_coeff, t: np.ndarray) -> np.ndarray:
@@ -90,7 +94,7 @@ def cubic_roots_rows(a_coeff, b_val) -> tuple[np.ndarray, np.ndarray]:
     pos = a_coeff > 0.0
     denom = 2.0 * np.power(np.where(pos, a_coeff, 1.0), 1.5)
     t = np.arccos(np.where(pos, np.minimum(np.maximum(-b_val / denom, -1.0), 1.0), 0.0)) / 3.0
-    roots = labeled_roots_rows(np.where(pos, a_coeff, 0.0), t)
+    roots = labeled_roots_rows(np.fmax(a_coeff, 0.0), t)  # A where pos, else 0 (for NaN too)
     roots.sort(axis=-1)
     return roots[..., ::-1], t
 

@@ -69,26 +69,24 @@ def family_reduced_rows(a, b, c, d, theta, mu=0.0, nu=0.0) -> np.ndarray:
     ``[:, 1]`` to the flipped one, where Bob's second qubit carries the
     complement of R_j: level j's left factor L_j is (|0>, psi, phi) and its
     right factor R_j is (|0>, phi, psi).  The device phases e^{i nu} and
-    e^{i mu} (scalars or one per point) multiply flipped levels 1 and 2.  Entry
-    [j, k] of each matrix is <B_k|B_j> / 3 for the 4-dim Bob blocks B_j;
-    ``b`` and ``d`` are the complements of ``a`` and ``c``.
+    e^{i mu} (both scalars or both one per point) multiply flipped levels 1
+    and 2.  Entry [j, k] of each matrix is <B_k|B_j> / 3 for the 4-dim Bob
+    blocks B_j; ``b`` and ``d`` are the complements of ``a`` and ``c``.
     """
-    a = np.asarray(a, dtype=float)
-    c = np.asarray(c, dtype=float)
-    n = a.shape[0]
+    n = len(a)
     # axes (state, level, amplitude, point): with the point axis last, every
     # product and the Gram sums run along it, faster than a point-first layout
     left = np.zeros((3, 2, n), dtype=complex)
     left[0, 0] = 1.0
     left[1, 0], left[1, 1] = a, b
     left[2, 0], left[2, 1] = c, d * np.exp(1j * np.asarray(theta))
+    # R = (L_0, L_2, L_1) and its complement (-conj y, conj x), by basic slices
     right = np.empty((2,) + left.shape, dtype=complex)
-    right[0] = left[[0, 2, 1]]
-    right[1, :, 0] = -right[0, :, 1].conj()
-    right[1, :, 1] = right[0, :, 0].conj()
+    right[0, 0], right[0, 1:] = left[0], left[:0:-1]
+    np.conjugate(right[0, :, ::-1], out=right[1])
+    np.negative(right[1, :, 0], out=right[1, :, 0])
     blocks = left[None, :, :, None] * right[:, :, None, :]
-    blocks[1, 1] *= np.exp(1j * np.asarray(nu))
-    blocks[1, 2] *= np.exp(1j * np.asarray(mu))
+    blocks[1, 1:] *= np.exp(1j * np.array([nu, mu])).reshape(2, 1, 1, -1)
     blocks = blocks.reshape(2, 3, 4, n)
     return np.einsum("skmn,sjmn->nsjk", blocks.conj(), blocks) / 3.0
 

@@ -12,8 +12,9 @@ pair of (3t_initial, 3t_final), regions being the four half-open quadrants of
 the four representative pairs, between them all eight entries, reads its
 entry as that one rank chain; the test suite proves it once.  So a row's
 entry follows from its principal angles alone: :func:`check_atlas` places
-them, :func:`pattern_labels` names each row, for a sweep and a single point
-alike, and a sweep counts the rows by region code (:func:`pattern_codes`).
+them and returns each row's region code, :func:`pattern_labels` names each
+row, for a sweep and a single point alike, and a sweep counts the rows by
+region code.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class OrderingMismatchError(RuntimeError):
 _REGION_NAMES = tuple(REGION_BOUNDS)
 
 # Label ``pattern_id:chain`` of each region code 4 * initial + final (see
-# :func:`pattern_codes`), None for a region pair without an atlas entry.
+# :func:`check_atlas`), None for a region pair without an atlas entry.
 CODE_LABELS = np.array(
     [
         f"{ri}{rf}:{'>'.join(PATTERN_ATLAS[ri, rf])}" if (ri, rf) in PATTERN_ATLAS else None
@@ -65,6 +66,8 @@ CODE_LABELS = np.array(
     ],
     dtype=object,
 )
+# Whether each region code has no atlas entry.
+_UNPLACED = np.equal(CODE_LABELS, None)
 
 
 # Where Q2, Q3, Q4 and the next turn's Q1 start.
@@ -82,39 +85,36 @@ def _region_index(angle3) -> np.ndarray:
     and wraps to Q1, as 2pi mod 2pi = 0 does.
     """
     angle3 = np.asarray(angle3, dtype=float) % (2.0 * pi)
-    return np.searchsorted(_QUADRANT_STARTS, angle3, side="right") & 3
+    return _QUADRANT_STARTS.searchsorted(angle3, side="right") & 3
 
 
 def check_atlas(theta_i, theta_f) -> np.ndarray:
     """Place the principal angles 3t and 3t' of many rows, the third-angles
     :func:`qflip.kernels.grid_eval` holds, in their quadrants.
 
-    Returns their quadrant indices (n, 2), 0..3 for Q1..Q4; the region pair's
-    atlas entry names the row.  Raises :class:`OrderingMismatchError` for the
-    first row with a non-finite angle, else without an atlas entry.
+    Returns each row's region code 4 * initial + final, the quadrant indices
+    0..3 standing for Q1..Q4; ``CODE_LABELS[code]`` names the region pair's
+    atlas entry (:func:`pattern_labels`).  Raises
+    :class:`OrderingMismatchError` for the first row with a non-finite angle
+    (tested first: the modulo warns on one), else without an atlas entry.
     """
-    theta = np.array([theta_i, theta_f], dtype=float).reshape(2, -1).T
+    theta = np.array([theta_i, theta_f], dtype=float).reshape(2, -1)
     angle3 = 3.0 * theta
-    if not np.isfinite(angle3).all():
-        row = int(np.argmin(np.isfinite(angle3).all(axis=1)))
-        ti, tf = theta[row].tolist()
+    finite = np.isfinite(angle3)
+    if np.count_nonzero(finite) < finite.size:
+        row = int(np.argmin(finite.all(axis=0)))
+        ti, tf = theta[:, row].tolist()
         raise OrderingMismatchError(f"row {row} has a non-finite angle: theta_i={ti!r}, theta_f={tf!r}")
-    regions = _region_index(angle3)
-    missing = np.equal(CODE_LABELS[pattern_codes(regions)], None)
-    if missing.any():
-        row = int(np.argmax(missing))
-        pair = _REGION_NAMES[regions[row, 0]], _REGION_NAMES[regions[row, 1]]
-        raise OrderingMismatchError(f"region pair {pair} has no atlas entry")
-    return regions
+    initial, final = _region_index(angle3)
+    codes = 4 * initial + final
+    unplaced = _UNPLACED[codes]
+    if np.count_nonzero(unplaced):
+        ri, rf = divmod(int(codes[np.argmax(unplaced)]), 4)
+        raise OrderingMismatchError(f"region pair {(_REGION_NAMES[ri], _REGION_NAMES[rf])} has no atlas entry")
+    return codes
 
 
-def pattern_codes(regions: np.ndarray) -> np.ndarray:
-    """Region code 4 * initial + final of each row's principal region pair, as
-    returned by :func:`check_atlas`.  ``CODE_LABELS[code]`` names a code."""
-    return 4 * regions[:, 0] + regions[:, 1]
-
-
-def pattern_labels(regions: np.ndarray) -> np.ndarray:
-    """Label ``pattern_id:chain`` of each row's principal region pair, as
-    returned by :func:`check_atlas`."""
-    return CODE_LABELS[pattern_codes(regions)]
+def pattern_labels(codes: np.ndarray) -> np.ndarray:
+    """Label ``pattern_id:chain`` of each row's region code, as returned by
+    :func:`check_atlas`."""
+    return CODE_LABELS[codes]

@@ -134,13 +134,14 @@ def test_criterion_4_ordering_atlas_coverage(grid):
     # every point is placed in the atlas in one batched pass; the mirrors
     # 2pi - 3t of the principal angles witness the other representative pairs
     theta = np.stack([grid["theta_i"][mask], grid["theta_f"][mask]], axis=1)
-    regions = check_atlas(theta[:, 0], theta[:, 1])
+    codes = check_atlas(theta[:, 0], theta[:, 1])
+    regions = np.stack(np.divmod(codes, 4), axis=1)  # (point, spectrum) quadrant indices
     mirrors = _region_index(2.0 * pi - 3.0 * theta)
     names = tuple(REGION_BOUNDS)
     reps = np.stack([regions, mirrors], axis=2)  # (point, spectrum, representative)
     pairs = np.unique(4 * reps[:, 0, :, None] + reps[:, 1, None, :])
     witnessed = {names[code // 4] + names[code % 4] for code in pairs.tolist()}
-    pattern_counts = dict(Counter(label.split(":")[0] for label in pattern_labels(regions)))
+    pattern_counts = dict(Counter(label.split(":")[0] for label in pattern_labels(codes)))
     for i in np.flatnonzero(mask):
         try:
             assert incomparable_3dim(*grid["roots"][i])

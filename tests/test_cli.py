@@ -528,9 +528,10 @@ def test_sweep_evaluates_only_certified_points(monkeypatch, capsys):
 
 def test_sweep_and_single_point_share_one_certificate_pass(monkeypatch, capsys):
     # both paths certify through certify_rows: per certification both cubics are
-    # solved in one call, route_tolerance and the gap identity run once, the
-    # gaps from grid_eval's own roots and measure, and the atlas places
-    # grid_eval's own angles once
+    # solved in one call and the gap identity runs once, the gaps from
+    # grid_eval's own roots and measure, and the atlas places grid_eval's own
+    # angles once; route_tolerance is consulted only for a row beyond
+    # SPECTRUM_AGREEMENT_TOL, which no row here is
     calls = {"certify_rows": [], "check_atlas": [], "cubic_roots_rows": [], "route_tolerance": [], "root_gaps_rows": []}
 
     def recording(name, real):
@@ -556,12 +557,12 @@ def test_sweep_and_single_point_share_one_certificate_pass(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "sweep", "--grid", "3")
     assert code == 0
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == dict.fromkeys(targets, 1)
+    assert counts == {**dict.fromkeys(targets, 1), "route_tolerance": 0}
     for line in out.strip().splitlines()[:-1]:
         params = json.loads(line)["params"]
         general_flip_experiment(FlipParams(a=params["a"], c=params["c"], theta=params["theta"]))
     counts = {name: len(c) for name, c in calls.items()}
-    assert counts == dict.fromkeys(targets, 28)
+    assert counts == {**dict.fromkeys(targets, 28), "route_tolerance": 0}
     for certified, gaps, atlas in zip(calls["certify_rows"], calls["root_gaps_rows"], calls["check_atlas"]):
         rows = certified["rows"]
         assert gaps["roots"] is rows["roots"] and gaps["m"] is rows["m"] and gaps["a_coeff"] is rows["A"]

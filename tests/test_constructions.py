@@ -14,14 +14,16 @@ from qflip.constructions import (
     FLIPPER_WEIGHTS_FINAL,
     FLIPPER_WEIGHTS_INITIAL,
     MIN_MARGIN,
+    SPECTRUM_AGREEMENT_TOL,
     VerificationError,
     axes_experiment,
     certify_rows,
     flipper_experiment,
     flipper_reductions,
     general_flip_experiment,
+    route_tolerance,
 )
-from qflip.ordering import pattern_labels
+from qflip.ordering import OrderingMismatchError, pattern_labels
 from qflip.schmidt import Verdict, verdict
 
 from oracle import (
@@ -274,8 +276,9 @@ def _count_calls(monkeypatch, targets: dict) -> Counter:
 def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
     # both cubics are solved in one call (the one labeled-root pass), their
     # gaps taken once from those roots, and the atlas is checked and labeled
-    # once; the route gate calls route_tolerance once; b and d are computed
-    # once, for both routes of grid_eval and the degeneracy measure it returns
+    # once; the route gate consults route_tolerance only for a row beyond
+    # SPECTRUM_AGREEMENT_TOL, so never here; b and d are computed once, for
+    # both routes of grid_eval and the degeneracy measure it returns
     counts = _count_calls(
         monkeypatch,
         {
@@ -290,14 +293,14 @@ def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
     )
     result = general_flip_experiment(FlipParams(a=0.3, c=0.7, theta=1.2), mu=0.4, nu=2.0)
     assert result.ordering is not None
-    assert counts == {
+    assert {"route_tolerance": 0, **counts} == {
         "complements": 1,
         "cubic_roots_rows": 1,
         "labeled_roots_rows": 1,
         "root_gaps_rows": 1,
         "check_atlas": 1,
         "pattern_labels": 1,
-        "route_tolerance": 1,
+        "route_tolerance": 0,
     }
 
 
@@ -325,8 +328,8 @@ def _certified_batch(a, c, theta, mu, nu):
     """grid_eval and certify_rows on one batch of points, every result as an array."""
     rows = kernels.grid_eval(a, c, theta, mu, nu)
     live = np.abs(rows["m"]) > DEFAULT_DEGENERACY_MARGIN
-    max_err, regions = certify_rows(rows, live)
-    return {**rows, "max_err": max_err, "regions": regions, "ordering": pattern_labels(regions)}
+    max_err, codes = certify_rows(rows, live)
+    return {**rows, "max_err": max_err, "codes": codes, "ordering": pattern_labels(codes)}
 
 
 def test_certify_route_is_bit_identical_across_batch_sizes():
@@ -402,6 +405,117 @@ def test_certificate_needs_the_closed_form_signs(monkeypatch):
     monkeypatch.setattr(constructions.kernels, "grid_eval", lambda *args: rows)
     result = general_flip_experiment(FlipParams(a=0.3, c=0.7, theta=1.2))
     assert result.degenerate and result.verdict is Verdict.INTERCONVERTIBLE
+
+
+def _near_double_root_rows():
+    """grid_eval rows of the axes point, whose initial cubic has the double
+    root 1/6 (B = 2 A^{3/2} exactly), beside an ordinary point, twice over."""
+    rows = kernels.grid_eval(*np.tile([[AXES_PARAMS.a, 0.3], [AXES_PARAMS.c, 0.7], [AXES_PARAMS.theta, 1.2]], 2))
+    return {**rows, "spectra": rows["spectra"].copy()}
+
+
+def test_route_tolerance_widens_beyond_the_base_only_near_a_double_root(monkeypatch):
+    rows = _near_double_root_rows()
+    edge = 2.0 * rows["A"] ** 1.5
+    assert abs(edge[0] - rows["B"][0]) < 1e-9 * edge[0] and abs(edge[1] - rows["B"][1]) > 1e-3
+    widened = route_tolerance(rows["A"], rows["B_pair"])
+    assert widened[0] > 50 * SPECTRUM_AGREEMENT_TOL and widened[1] == SPECTRUM_AGREEMENT_TOL
+    consulted = []
+
+    def recording(coeff_a, b_vals):
+        consulted.append(coeff_a.tolist())
+        return route_tolerance(coeff_a, b_vals)
+
+    monkeypatch.setattr(constructions, "route_tolerance", recording)
+    # an error in (base, widened] passes the near-double-root row; only the
+    # rows beyond the base tolerance are given to route_tolerance, not the
+    # same point's row within it
+    rows["spectra"][0, 1, 0] += 0.5 * widened[0]
+    rows["spectra"][2, 1, 0] += 0.5 * SPECTRUM_AGREEMENT_TOL
+    max_err, _ = certify_rows(rows, live=True)
+    assert SPECTRUM_AGREEMENT_TOL < max_err[0] <= widened[0] and max_err[2] <= SPECTRUM_AGREEMENT_TOL
+    assert consulted == [[rows["A"][0]]]
+    # beyond the widened tolerance, or NaN, it fails, and so does an ordinary
+    # row beyond the base tolerance
+    where = f"a={AXES_PARAMS.a!r}, c={AXES_PARAMS.c!r}, theta={AXES_PARAMS.theta!r}"
+    for row, error in [(0, 2.0 * widened[0]), (0, np.nan), (1, 2.0 * SPECTRUM_AGREEMENT_TOL)]:
+        broken = {**rows, "spectra": rows["spectra"].copy()}
+        broken["spectra"][row, 1, 0] = broken["roots"][row, 1, 0] + error
+        consulted.clear()
+        first = where if row == 0 else "a=0.3, c=0.7, theta=1.2"
+        with pytest.raises(VerificationError, match=f"spectra disagree beyond 1e-09 at 1 points, first at {first}"):
+            certify_rows(broken, live=True)
+        assert consulted == ([[rows["A"][0], rows["A"][1]]] if row else [[rows["A"][0]]])
+
+
+def _broken_batch(breaks) -> dict:
+    """grid_eval rows of eight family points, each (check, row) of ``breaks``
+    made to fail that check."""
+    points = [(a, c, t) for a in (0.2, 0.7) for c in (0.3, 0.8) for t in (0.4, 2.6)]
+    rows = kernels.grid_eval(*(np.array(x) for x in zip(*points)))
+    rows = {**rows, **{key: rows[key].copy() for key in ("roots", "spectra", "theta_i", "theta_f")}}
+    for check, j in breaks:
+        if check == "route":
+            rows["spectra"][j, 1, 0] += 2e-9
+        elif check == "nan":
+            rows["spectra"][j, 0, 2] = np.nan
+        elif check == "descent":  # a2 and a3 traded in both routes
+            for key in ("roots", "spectra"):
+                rows[key][j, 0, [1, 2]] = rows[key][j, 0, [2, 1]]
+        elif check == "signs":  # a1 and b1 traded in both routes
+            for key in ("roots", "spectra"):
+                rows[key][j, :, 0] = rows[key][j, ::-1, 0]
+        elif check == "atlas":  # 3t = 0.6 lies in Q1, which has no entry
+            rows["theta_i"][j] = 0.2
+        elif check == "angle":
+            rows["theta_f"][j] = np.inf
+    return rows
+
+
+# The exception and message of each batch: the first failing check, in the
+# order route, descent, signs, atlas, names its own count and first row,
+# whatever rows fail later checks.
+FAILURE_ORDER = {
+    "route_before_descent": (
+        [("descent", 1), ("route", 5)], True, VerificationError,
+        "analytic and numeric spectra disagree beyond 1e-09 at 1 points, first at a=0.7, c=0.3, theta=2.6 "
+        "(error 2.000e-09)",
+    ),
+    "route_count_and_first": (
+        [("signs", 0), ("route", 6), ("descent", 2), ("nan", 3)], True, VerificationError,
+        "analytic and numeric spectra disagree beyond 1e-09 at 2 points, first at a=0.2, c=0.8, theta=2.6 "
+        "(error nan)",
+    ),
+    "descent_before_signs": (
+        [("signs", 1), ("descent", 4), ("atlas", 0)], True, VerificationError,
+        "closed-form roots do not descend at 1 points, first at a=0.7, c=0.3, theta=0.4: "
+        "[[0.6242643400795821, 0.07608728890719774, 0.29964837101322], "
+        "[0.6216468612557066, 0.30593276657644713, 0.0724203721678462]]",
+    ),
+    "signs_before_atlas": (
+        [("atlas", 2), ("signs", 5), ("signs", 7)], True, VerificationError,
+        "Incomparable not certified at 2 points, first at a=0.7, c=0.3, theta=2.6: gaps lam - lam' "
+        "[0.018363793201945082, -0.06137148193435819, 0.04300768873241311] closed-form, "
+        "[-0.018363793201944922, -0.06137148193435826, 0.04300768873241298] numeric, not (+, -, +) beyond 1e-14",
+    ),
+    "signs_only_where_live": (
+        [("signs", 1), ("atlas", 6)], np.arange(8) != 1, OrderingMismatchError,
+        "region pair ('Q1', 'Q2') has no atlas entry",
+    ),
+    "angle_before_entry": (
+        [("atlas", 1), ("angle", 4)], False, OrderingMismatchError,
+        "row 4 has a non-finite angle: theta_i=0.6296324831804266, theta_f=inf",
+    ),
+    "entry": ([("atlas", 3), ("atlas", 6)], True, OrderingMismatchError, "region pair ('Q1', 'Q2') has no atlas entry"),
+}
+
+
+@pytest.mark.parametrize("case", list(FAILURE_ORDER))
+def test_certificate_failures_keep_their_order(case):
+    breaks, live, error, message = FAILURE_ORDER[case]
+    with pytest.raises(error) as raised:
+        certify_rows(_broken_batch(breaks), live)
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 # Weights whose Bob qubit is reversed exactly (w1 + w1' = 1) although the

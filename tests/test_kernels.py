@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 
 from qflip import kernels
@@ -69,3 +71,39 @@ def test_grid_eval_measure_is_the_sweeps_selection_measure(rng):
     assert m[:-1].tobytes() == selection[:-1].tobytes()
     assert m[-1] == 0.0 < selection[-1]
     assert m[[0, 1, 3, 4]].tolist() == [0.0] * 4 and m[-2] > 0.0
+
+
+# sha256 of grid_eval's arrays at 2,000 seeded points with random device
+# phases, and of the spectra of every tenth point as a one-row call with float
+# phases, pinned before the phase multiply was rewritten
+GOLDEN_PHASE_ROWS = {
+    "roots": "688c05ce1d1b322d035b2e348e984d549337c7e1477419364faec4ddc2a8a357",
+    "spectra": "b3110f1c6cd5919ae9e92dfe85482e974f7103b96e3e4f196b24420cb72ed09b",
+    "A": "e2349ddfc118d13270b866fcf4c48ada2eebad5af762bde21f37c2e041452d5c",
+    "B_pair": "96d842f33ef120fdc14a40e973ab975aca75de0277cbafb6ce11875a34a13bc7",
+    "m": "5bf2fc231681d2a3eba622a13b6db02d4051a33f825309a2422a7698b7c77b79",
+    "theta_i": "0f3d355b1a5a135ca6303e0c69eb12f8ae72b0ce5051981aa0be5e71b6f37fc3",
+    "theta_f": "b48da930b9a644548e442db3eb84ac932c159b558e44d8d24ed67cf4710387f4",
+    "one_row_spectra": "a9b9a0b6a0b6f895359c4a844bc5ff70bfc8f73e777e19298af8c66ec6efa5f5",
+}
+
+
+def test_grid_eval_bytes_under_device_phases_are_pinned():
+    rng = np.random.default_rng(2026)
+    n = 2000
+    a, c = rng.uniform(0.0, 1.0, (2, n))
+    theta = rng.uniform(0.0, np.pi, n)
+    mu, nu = rng.uniform(-np.pi, np.pi, (2, n))
+    rows = kernels.grid_eval(a, c, theta, mu, nu)
+
+    def digest(*arrays):
+        sha = hashlib.sha256()
+        for array in arrays:
+            sha.update(np.ascontiguousarray(array).tobytes())
+        return sha.hexdigest()
+
+    digests = {key: digest(rows[key]) for key in GOLDEN_PHASE_ROWS if key in rows}
+    digests["one_row_spectra"] = digest(
+        *(kernels.grid_eval(a[[j]], c[[j]], theta[[j]], float(mu[j]), float(nu[j]))["spectra"] for j in range(0, n, 10))
+    )
+    assert digests == GOLDEN_PHASE_ROWS

@@ -170,9 +170,9 @@ def test_corrupted_atlas_entry_fails_the_proof(pair, chain):
 def test_axes_case_boundary_classification():
     p = FlipParams(a=1 / np.sqrt(2), c=1 / np.sqrt(2), theta=np.pi / 2)
     t_i, t_f = row = _rows([p])
-    regions = check_atlas(*row)[0]
+    code = check_atlas(*row)[0]
     # 3*theta_i sits exactly at pi, so the half-open rule files it under Q3
-    assert NAMES[regions[0]] == "Q3"
+    assert NAMES[code // 4] == "Q3"
     angle3 = 3.0 * t_i[0] % (pi / 2)
     assert min(angle3, pi / 2 - angle3) <= 1e-12
     assert _witnessed(t_i[0], t_f[0]) == {"Q3Q2", "Q3Q4"}
@@ -182,9 +182,9 @@ def test_positive_bprime_point_witnesses_four_cases(rng):
     p = FlipParams(a=0.9, c=0.9, theta=0.3)
     t_i, t_f = row = _rows([p])
     assert _grid([p])["Bprime"][0] > 0
-    regions = check_atlas(*row)
+    codes = check_atlas(*row)
     chain = ("a1", "b1", "b3", "a3", "a2", "b2")
-    assert pattern_labels(regions).tolist() == ["Q2Q2:" + ">".join(chain)]
+    assert pattern_labels(codes).tolist() == ["Q2Q2:" + ">".join(chain)]
     assert _sorted_labels(_grid([p])["A"][0], t_i[0], t_f[0]) == chain
     assert _witnessed(t_i[0], t_f[0]) == {"Q2Q2", "Q2Q3", "Q3Q2", "Q3Q3"}
 
@@ -193,8 +193,8 @@ def test_negative_bprime_point_witnesses_four_cases():
     p = FlipParams(a=0.8, c=0.6, theta=2 * np.pi / 3)
     t_i, t_f = row = _rows([p])
     assert _grid([p])["Bprime"][0] < 0
-    regions = check_atlas(*row)
-    assert pattern_labels(regions)[0].split(":")[0] == "Q2Q1"
+    codes = check_atlas(*row)
+    assert pattern_labels(codes)[0].split(":")[0] == "Q2Q1"
     assert _witnessed(t_i[0], t_f[0]) == {"Q2Q1", "Q2Q4", "Q3Q1", "Q3Q4"}
 
 
@@ -260,13 +260,13 @@ _family_point = st.tuples(
 @given(st.lists(_family_point, min_size=1, max_size=20))
 def test_batched_atlas_check_matches_one_row_calls(points):
     row_by_row = [check_atlas(*_rows([p])) for p in points]
-    regions = check_atlas(*_rows(points))
-    np.testing.assert_array_equal(regions, np.concatenate(row_by_row))
-    assert pattern_labels(regions).tolist() == [pattern_labels(r)[0] for r in row_by_row]
+    codes = check_atlas(*_rows(points))
+    np.testing.assert_array_equal(codes, np.concatenate(row_by_row))
+    assert pattern_labels(codes).tolist() == [pattern_labels(r)[0] for r in row_by_row]
 
 
-def _certified_regions(rows) -> np.ndarray:
-    """The :func:`check_atlas` regions of ``grid_eval`` rows that
+def _certified_codes(rows) -> np.ndarray:
+    """The :func:`check_atlas` region codes of ``grid_eval`` rows that
     :func:`certify_rows` returns for rows that need not be Incomparable."""
     return certify_rows(rows, live=False)[1]
 
@@ -277,7 +277,7 @@ def test_atlas_check_checks_degenerate_rows():
     edges = np.array([0.0, 5e-324, 1e-8, 1 / np.sqrt(2), 1 - 2.0**-53, 1.0])
     angles = np.array([0.0, 5e-324, pi / 2, np.nextafter(pi, 0.0), pi])
     rows = grid_eval(*(x.reshape(-1) for x in np.meshgrid(edges, edges, angles, indexing="ij")))
-    labels = set(pattern_labels(_certified_regions(rows)).tolist())
+    labels = set(pattern_labels(_certified_codes(rows)).tolist())
     assert None not in labels and len(labels) > 1
     # ... and seeded rows near a great circle: theta near 0 or pi, or a or c
     # near 0 or 1
@@ -293,7 +293,7 @@ def test_atlas_check_checks_degenerate_rows():
     rows = grid_eval(a, c, theta)
     # most of them lie within the 1e-10 gap the check once exempted
     assert (np.abs(rows["B"] - rows["Bprime"]) <= 1e-10).mean() > 0.5
-    assert None not in pattern_labels(_certified_regions(rows)).tolist()
+    assert None not in pattern_labels(_certified_codes(rows)).tolist()
 
 
 def test_atlas_check_passes_a_final_angle_at_zero():
@@ -304,12 +304,13 @@ def test_atlas_check_passes_a_final_angle_at_zero():
 
 
 def test_pattern_codes_name_the_principal_region_pair():
-    # a sweep counts patterns by code; CODE_LABELS turns a code into pattern_labels' label
+    # a sweep counts patterns by the code check_atlas returns, 4 * initial +
+    # final quadrant index; CODE_LABELS turns a code into pattern_labels' label
     points = [FlipParams(a=a, c=c, theta=t) for a in (0.2, 0.7) for c in (0.3, 0.8) for t in (0.4, 2.6)]
-    regions = check_atlas(*_rows([*points, FlipParams(a=1.0, c=0.5, theta=1.0)]))
-    codes = ordering.pattern_codes(regions)
-    assert codes.tolist() == (4 * regions[:, 0] + regions[:, 1]).tolist()
-    assert ordering.CODE_LABELS[codes].tolist() == pattern_labels(regions).tolist()
+    t_i, t_f = _rows([*points, FlipParams(a=1.0, c=0.5, theta=1.0)])
+    codes = check_atlas(t_i, t_f)
+    assert codes.tolist() == (4 * _region_index(3.0 * t_i) + _region_index(3.0 * t_f)).tolist()
+    assert ordering.CODE_LABELS[codes].tolist() == pattern_labels(codes).tolist()
     assert [ordering.CODE_LABELS[4 * NAMES.index(ri) + NAMES.index(rf)] for ri, rf in PATTERN_ATLAS] == [
         f"{ri}{rf}:{'>'.join(chain)}" for (ri, rf), chain in PATTERN_ATLAS.items()
     ]
