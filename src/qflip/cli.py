@@ -22,9 +22,7 @@ import stat
 import sys
 import tempfile
 import threading
-from collections import Counter
 from contextlib import closing, contextmanager
-from dataclasses import dataclass
 from functools import partial
 from math import isfinite, pi
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
@@ -46,7 +44,7 @@ from .constructions import (
 )
 from .ordering import CODE_LABELS, OrderingMismatchError
 from .report import CSV_HEADER, NonFiniteError, ReportRecord, fmt_float, grid_text, json_line, sweep_block
-from .schmidt import EPS_TIE, SpectrumTieError, incomparable_3dim, verdict
+from .schmidt import EPS_TIE, incomparable_3dim, verdict
 
 # Failures raised while certifying, after the arguments were accepted; they
 # exit 1.  Every other ValueError comes from validating the arguments and
@@ -54,7 +52,6 @@ from .schmidt import EPS_TIE, SpectrumTieError, incomparable_3dim, verdict
 CERTIFICATION_ERRORS = (
     VerificationError,
     OrderingMismatchError,
-    SpectrumTieError,
     NonFiniteError,
     np.linalg.LinAlgError,
 )
@@ -62,21 +59,6 @@ CERTIFICATION_ERRORS = (
 
 class OutputError(ValueError):
     """The output target cannot be written: exit 2 with a one-line message."""
-
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Grid sweep configuration; interior sampling avoids the degenerate
-    boundaries by construction (a, c at k/(N+1), theta at k*pi/(N+1))."""
-
-    grid_n: int
-    margin: float = DEFAULT_DEGENERACY_MARGIN
-    fmt: str = "json"
-
-    def __post_init__(self):
-        if self.grid_n < 2:
-            raise ValueError("grid must be at least 2")
-        check_margin(self.margin)
 
 
 @contextmanager
@@ -236,19 +218,13 @@ def _cmd_check_pair(args) -> int:
         raise ValueError(f"--lhs and --rhs totals differ by {gap:.1e}, more than the tie tolerance {EPS_TIE:.0e}")
     if args.format == "csv" and max(lhs.size, rhs.size) > 3:
         raise ValueError("--format csv holds at most three entries per vector; use --format json")
-    v = verdict(lhs, rhs)
-    closed_form = None
-    if lhs.size == 3 and rhs.size == 3:
-        try:
-            closed_form = incomparable_3dim(lhs, rhs)
-        except SpectrumTieError:
-            closed_form = None
+    closed_form = incomparable_3dim(lhs, rhs) if lhs.size == 3 and rhs.size == 3 else None
     record = ReportRecord(
         experiment_id="check-pair",
         params={"closed_form_incomparable": closed_form},
         lambda_initial=[float(x) for x in lhs],
         lambda_final=[float(x) for x in rhs],
-        verdict=str(v),
+        verdict=str(verdict(lhs, rhs)),
     )
     _emit_record(record, args.format, args.out)
     return 0
@@ -282,7 +258,7 @@ def _certify_chunk(fmt: str, text: tuple, evaluated: tuple):
     lies beyond the margin, so :func:`certify_rows` certifies it Incomparable
     or raises, and the verdict is a constant of :func:`sweep_block`'s row
     template.  Returns the chunk's record block, its largest analytic/numeric
-    error and its ordering pattern counts.
+    error and its count of rows per region code.
     """
     rows, (ia, ic, itheta) = evaluated
     max_err, patterns = certify_rows(rows, live=True)
@@ -295,9 +271,7 @@ def _certify_chunk(fmt: str, text: tuple, evaluated: tuple):
         "A": rows["A"], "B": rows["B"], "Bprime": rows["Bprime"],
         "ordering": CODE_LABELS[patterns], "max_err": max_err,
     }
-    per_code = np.bincount(patterns, minlength=CODE_LABELS.size)
-    counts = {CODE_LABELS[c]: int(per_code[c]) for c in np.flatnonzero(per_code)}
-    return sweep_block(fmt, columns), float(max_err.max()), counts
+    return sweep_block(fmt, columns), float(max_err.max()), np.bincount(patterns, minlength=CODE_LABELS.size)
 
 
 def _capture(evaluate: Callable, item, outcome: list) -> None:
@@ -339,59 +313,62 @@ def _evaluated_ahead(evaluate: Callable, items: Sequence) -> Iterator:
     yield result
 
 
-def _run_sweep(cfg: SweepConfig, out: BinaryIO) -> dict:
-    """Evaluate, certify and write every grid point beyond the margin, chunk by chunk.
+def _run_sweep(grid_n: int, margin: float, fmt: str, out: BinaryIO) -> dict:
+    """Evaluate, certify and write every point beyond ``margin`` of the grid
+    a, c = k/(N+1), theta = k*pi/(N+1), k = 1..``grid_n``, chunk by chunk.
 
-    The margin test depends only on (a, c, theta), so the kernel runs on the
-    certified points alone, ``CHUNK_ROWS`` at a time, and the chunks' records
-    are written to ``out`` (the CSV header first) in grid order.  A worker
-    thread runs the kernel on chunk k + 1 while this thread certifies,
-    formats and writes chunk k, so every record is certified on the thread
-    that writes it, just before it is written.  No record is written before
-    :func:`certify_rows` has checked it; a failure raises
+    A margin outside [``MIN_MARGIN``, 1) raises :class:`ValueError` before a
+    byte is written.  The margin test depends only on (a, c, theta), so the
+    kernel runs on the certified points alone, ``CHUNK_ROWS`` at a time, and
+    the chunks' records are written to ``out`` (the CSV header first) in grid
+    order.  A worker thread runs the kernel on chunk k + 1 while this thread
+    certifies, formats and writes chunk k, so every record is certified on
+    the thread that writes it, just before it is written.  No record is
+    written before :func:`certify_rows` has checked it; a failure raises
     :class:`VerificationError` (or :class:`OrderingMismatchError`), and the
-    caller discards ``out``.  Returns the summary.
+    caller discards ``out``.  Returns the summary, whose pattern counts name
+    each region code that occurs by its ``CODE_LABELS`` label.
     """
-    n = cfg.grid_n
+    check_margin(margin)
+    n = grid_n
     ticks = np.arange(1, n + 1) / (n + 1)
     angles = ticks * pi
     # only the flat indices of the points beyond the margin are built, from
     # the rows of (a, c) that can hold one: no array of the grid's size
-    flat = kernels.beyond_margin(ticks, angles, cfg.margin, CHUNK_ROWS)
+    flat = kernels.beyond_margin(ticks, angles, margin, CHUNK_ROWS)
     if flat.size == 0:
         raise VerificationError(
-            f"no grid point lies beyond the degeneracy margin {cfg.margin:g}; nothing was certified"
+            f"no grid point lies beyond the degeneracy margin {margin:g}; nothing was certified"
         )
-    if cfg.fmt == "csv":
+    if fmt == "csv":
         out.write(f"{CSV_HEADER}\n".encode())
     text = grid_text(ticks, angles)
     chunks = [flat[start : start + CHUNK_ROWS] for start in range(0, flat.size, CHUNK_ROWS)]
     evaluated = _evaluated_ahead(partial(_evaluate_chunk, ticks, angles), chunks)
-    max_err, pattern_counts = 0.0, Counter()
+    max_err, per_code = 0.0, np.zeros(CODE_LABELS.size, dtype=int)
     with closing(evaluated):  # joins the worker thread on every path
-        for block, chunk_err, counts in map(partial(_certify_chunk, cfg.fmt, text), evaluated):
+        for block, chunk_err, chunk_counts in map(partial(_certify_chunk, fmt, text), evaluated):
             out.write(block)
             out.write(b"\n")
             max_err = max(max_err, chunk_err)
-            pattern_counts.update(counts)
+            per_code += chunk_counts
     return {
         "experiment_id": "sweep-summary",
         "grid": n,
-        "margin": cfg.margin,
+        "margin": margin,
         "points_total": n**3,
         "points_emitted": flat.size,
         "points_degenerate_skipped": n**3 - flat.size,
-        "pattern_counts": dict(sorted(pattern_counts.items())),
+        "pattern_counts": dict(sorted((CODE_LABELS[c], int(per_code[c])) for c in np.flatnonzero(per_code))),
         "max_analytic_numeric_error": max_err,
         "non_incomparable_count": 0,  # any other verdict failed the sweep above
     }
 
 
 def _cmd_sweep(args) -> int:
-    cfg = SweepConfig(grid_n=args.grid, margin=args.margin, fmt=args.format)
     with _spool(args.out) as out:
-        summary = _run_sweep(cfg, out)
-        if cfg.fmt == "csv":
+        summary = _run_sweep(args.grid, args.margin, args.format, out)
+        if args.format == "csv":
             counts = ";".join(f"{k}={v}" for k, v in summary["pattern_counts"].items())
             line = (
                 f"# summary points_total={summary['points_total']}"

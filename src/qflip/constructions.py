@@ -23,7 +23,7 @@ import numpy as np
 from . import kernels
 from .bloch import FlipParams, density_to_bloch, flip, qubit_to_bloch, random_qubit
 from .cubic import root_gaps_rows
-from .ordering import check_atlas, pattern_labels
+from .ordering import CODE_LABELS, check_atlas
 from .schmidt import Verdict, verdict
 
 SPECTRUM_AGREEMENT_TOL = 1e-9
@@ -79,8 +79,8 @@ def route_tolerance(coeff_a, b_vals):
 
 @dataclass(frozen=True)
 class FlipExperimentResult:
-    """Full record of one certified family point; ``ordering`` is its
-    :func:`qflip.ordering.pattern_labels` label, None where it has none."""
+    """Full record of one certified family point; ``ordering`` is the
+    ``CODE_LABELS`` label of its region code, None where it is degenerate."""
 
     params: FlipParams
     coeff_a: float
@@ -174,7 +174,7 @@ def general_flip_experiment(
         numeric_final=rows["num_beta"][0],
         max_err=float(max_err[0]),
         verdict=Verdict.INTERCONVERTIBLE if rows["m"][0] == 0.0 else Verdict.INCOMPARABLE,
-        ordering=None if degenerate else pattern_labels(codes)[0],
+        ordering=None if degenerate else CODE_LABELS[codes[0]],
         degenerate=degenerate,
     )
 

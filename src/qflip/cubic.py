@@ -87,14 +87,14 @@ def cubic_roots_rows(a_coeff, b_val) -> tuple[np.ndarray, np.ndarray]:
     principal third-angle t = arccos(-B / (2 A^{3/2})) / 3.  The arccos
     argument is clamped to [-1, 1]; the clamp absorbs rounding at the
     repeated-root boundary |B| = 2 A^{3/2}, which is genuinely reachable.
-    A <= 0 collapses to the triple root 1/3.
+    A <= 0 collapses to the triple root 1/3; a NaN A gives NaN roots and t.
     """
     a_coeff = np.asarray(a_coeff, dtype=float)
     b_val = np.asarray(b_val, dtype=float)
-    pos = a_coeff > 0.0
+    pos = ~(a_coeff <= 0.0)  # NaN included, so that it reaches the roots
     denom = 2.0 * np.power(np.where(pos, a_coeff, 1.0), 1.5)
     t = np.arccos(np.where(pos, np.minimum(np.maximum(-b_val / denom, -1.0), 1.0), 0.0)) / 3.0
-    roots = labeled_roots_rows(np.fmax(a_coeff, 0.0), t)  # A where pos, else 0 (for NaN too)
+    roots = labeled_roots_rows(np.maximum(a_coeff, 0.0), t)
     roots.sort(axis=-1)
     return roots[..., ::-1], t
 

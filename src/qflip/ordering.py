@@ -12,7 +12,7 @@ pair of (3t_initial, 3t_final), regions being the four half-open quadrants of
 the four representative pairs, between them all eight entries, reads its
 entry as that one rank chain; the test suite proves it once.  So a row's
 entry follows from its principal angles alone: :func:`check_atlas` places
-them and returns each row's region code, :func:`pattern_labels` names each
+them and returns each row's region code, ``CODE_LABELS[code]`` names each
 row, for a sweep and a single point alike, and a sweep counts the rows by
 region code.
 """
@@ -94,7 +94,7 @@ def check_atlas(theta_i, theta_f) -> np.ndarray:
 
     Returns each row's region code 4 * initial + final, the quadrant indices
     0..3 standing for Q1..Q4; ``CODE_LABELS[code]`` names the region pair's
-    atlas entry (:func:`pattern_labels`).  Raises
+    atlas entry.  Raises
     :class:`OrderingMismatchError` for the first row with a non-finite angle
     (tested first: the modulo warns on one), else without an atlas entry.
     """
@@ -112,9 +112,3 @@ def check_atlas(theta_i, theta_f) -> np.ndarray:
         ri, rf = divmod(int(codes[np.argmax(unplaced)]), 4)
         raise OrderingMismatchError(f"region pair {(_REGION_NAMES[ri], _REGION_NAMES[rf])} has no atlas entry")
     return codes
-
-
-def pattern_labels(codes: np.ndarray) -> np.ndarray:
-    """Label ``pattern_id:chain`` of each row's region code, as returned by
-    :func:`check_atlas`."""
-    return CODE_LABELS[codes]

@@ -21,10 +21,6 @@ import numpy as np
 EPS_TIE = 1e-12
 
 
-class SpectrumTieError(ValueError):
-    """Raised when a spectrum violates the strict-ordering precondition."""
-
-
 class Verdict(enum.Enum):
     """Four-way LOCC convertibility classification of an (lhs, rhs) pair."""
 
@@ -73,7 +69,7 @@ def verdict(lhs, rhs) -> Verdict:
     return VERDICT_BY_CODE[2 * forward + backward]
 
 
-def incomparable_3dim(avec, bvec) -> bool:
+def incomparable_3dim(avec, bvec) -> bool | None:
     """Closed-form incomparability test for strictly ordered length-3 spectra.
 
     Returns True when either partial-sum crossing holds:
@@ -85,21 +81,19 @@ def incomparable_3dim(avec, bvec) -> bool:
     chain such as a1 > b1 > b2 > a2 > a3 > b3 implies a crossing, since
     a3 > b3 exactly when a1 + a2 < b1 + b2.  For strictly ordered spectra whose totals agree
     within ``EPS_TIE`` it answers as ``verdict(a, b) is Verdict.INCOMPARABLE``;
-    the comparisons are the verdict's own, in Python floats.  Spectra with
-    internal ties raise :class:`SpectrumTieError`: route those through
-    :func:`verdict`.
+    the comparisons are the verdict's own, in Python floats.  Where either
+    spectrum is not strictly descending beyond ``EPS_TIE`` the closed form
+    cannot decide and returns None: :func:`verdict` decides such pairs.
+    Spectra that are not of length 3 raise :class:`ValueError`.
     """
     eps = EPS_TIE
     a = np.asarray(avec, dtype=float).ravel().tolist()
     b = np.asarray(bvec, dtype=float).ravel().tolist()
     if len(a) != 3 or len(b) != 3:
         raise ValueError("both spectra must have exactly 3 entries")
-    for v, name in ((a, "first"), (b, "second")):
+    for v in (a, b):
         if not (v[0] > v[1] + eps and v[1] > v[2] + eps):
-            raise SpectrumTieError(
-                f"{name} spectrum is not strictly descending beyond {eps:.0e}; "
-                "use verdict() for degenerate spectra"
-            )
+            return None
     head_a, head_b = a[0] + a[1], b[0] + b[1]
     return (a[0] > b[0] + eps and head_b > head_a + eps) or (b[0] > a[0] + eps and head_a > head_b + eps)
 

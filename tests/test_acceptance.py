@@ -23,8 +23,8 @@ from qflip.constructions import (
     general_flip_experiment,
 )
 from qflip.cubic import cubic_coefficients_rows
-from qflip.ordering import PATTERN_ATLAS, REGION_BOUNDS, _region_index, check_atlas, pattern_labels
-from qflip.schmidt import SpectrumTieError, Verdict, incomparable_3dim, verdict
+from qflip.ordering import CODE_LABELS, PATTERN_ATLAS, REGION_BOUNDS, _region_index, check_atlas
+from qflip.schmidt import Verdict, incomparable_3dim, verdict
 
 from conftest import prob_vectors, random_prob_vector, random_strict_triple, strict_triples
 from oracle import (
@@ -141,12 +141,13 @@ def test_criterion_4_ordering_atlas_coverage(grid):
     reps = np.stack([regions, mirrors], axis=2)  # (point, spectrum, representative)
     pairs = np.unique(4 * reps[:, 0, :, None] + reps[:, 1, None, :])
     witnessed = {names[code // 4] + names[code % 4] for code in pairs.tolist()}
-    pattern_counts = dict(Counter(label.split(":")[0] for label in pattern_labels(codes)))
+    pattern_counts = dict(Counter(label.split(":")[0] for label in CODE_LABELS[codes]))
     for i in np.flatnonzero(mask):
-        try:
-            assert incomparable_3dim(*grid["roots"][i])
-        except SpectrumTieError:
+        closed_form = incomparable_3dim(*grid["roots"][i])
+        if closed_form is None:  # a tie the closed form cannot decide
             assert verdict(*grid["roots"][i]) is Verdict.INCOMPARABLE
+        else:
+            assert closed_form is True
     assert witnessed == ALL_PATTERN_IDS
     _report(
         4,

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -17,10 +18,9 @@ import pytest
 import qflip.cli as cli
 from qflip import constructions, cubic, kernels, ordering, report
 from qflip.bloch import FlipParams, complements
-from qflip.constructions import AXES_PARAMS, VerificationError, general_flip_experiment
+from qflip.constructions import AXES_PARAMS, MIN_MARGIN, VerificationError, general_flip_experiment
 from qflip.ordering import OrderingMismatchError
 from qflip.report import CSV_HEADER, NonFiniteError, fmt_float
-from qflip.schmidt import SpectrumTieError
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -231,6 +231,12 @@ def test_check_pair(capsys):
     assert len(lines[1].split(",")) == len(CSV_HEADER.split(","))
     assert lines[1] == ",,,,,,1,0,,0.5,0.5,,,BackwardCertain,,false"
 
+    # the closed form cannot decide a tied spectrum; the verdict still does
+    code, out, _ = run_cli(capsys, "check-pair", "--lhs", "0.5,0.25,0.25", "--rhs", ".49,.36,.15")
+    assert code == 0
+    assert '"closed_form_incomparable": null' in out
+    assert json.loads(out)["verdict"] == "Incomparable"
+
 
 def test_check_pair_csv_refuses_more_than_three_entries(monkeypatch, capsys):
     # a CSV row has three cells per spectrum; four entries are refused before
@@ -320,15 +326,15 @@ def test_negative_seed_is_a_usage_error_naming_the_flag(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, config, message",
+    "argv, message",
     [
-        (["--grid", "1"], {"grid_n": 1}, "argument --grid: expected an integer of at least 2, got '1'"),
+        (["--grid", "1"], "argument --grid: expected an integer of at least 2, got '1'"),
         # --jobs is kept only for the benchmark runner's --jobs 1
-        (["--grid", "3", "--jobs", "0"], None, "argument --jobs: invalid choice: 0 (choose from 1)"),
-        (["--grid", "3", "--jobs", "2"], None, "argument --jobs: invalid choice: 2 (choose from 1)"),
+        (["--grid", "3", "--jobs", "0"], "argument --jobs: invalid choice: 0 (choose from 1)"),
+        (["--grid", "3", "--jobs", "2"], "argument --jobs: invalid choice: 2 (choose from 1)"),
     ],
 )
-def test_sweep_size_errors_name_the_flag(argv, config, message, monkeypatch, capsys):
+def test_sweep_size_errors_name_the_flag(argv, message, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_run_sweep", None)
     with pytest.raises(SystemExit) as exc:
         cli.main(["sweep", *argv])
@@ -336,10 +342,16 @@ def test_sweep_size_errors_name_the_flag(argv, config, message, monkeypatch, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1] == f"qflip sweep: error: {message}"
-    if config is not None:
-        # a config built directly, without the parser, is checked as well
-        with pytest.raises(ValueError, match="must be at least"):
-            cli.SweepConfig(**config)
+
+
+@pytest.mark.parametrize("margin", [MIN_MARGIN / 2, 1.0, float("nan")], ids=["below-MIN_MARGIN", "one", "nan"])
+def test_run_sweep_rejects_a_margin_before_it_writes(margin, monkeypatch):
+    # a sweep run without the parser checks its margin as general_flip_experiment does
+    monkeypatch.setattr(cli.kernels, "grid_eval", None)
+    out = io.BytesIO()
+    with pytest.raises(ValueError, match="margin must lie in"):
+        cli._run_sweep(3, margin, "csv", out)
+    assert out.getvalue() == b""
 
 
 def test_usage_error_exit_code():
@@ -363,7 +375,7 @@ def test_verification_failure_exit_code(monkeypatch, capsys):
     [
         OrderingMismatchError("forced ordering"),
         np.linalg.LinAlgError("forced eigensolver failure"),
-        SpectrumTieError("forced spectrum tie"),
+        VerificationError("forced verification failure"),
         NonFiniteError("forced non-finite value"),
     ],
 )
@@ -378,7 +390,7 @@ def test_certification_errors_exit_one(error, monkeypatch, capsys):
     assert f"verification failed: {error}" in err
 
 
-@pytest.mark.parametrize("error", [SpectrumTieError("forced spectrum tie")])
+@pytest.mark.parametrize("error", [NonFiniteError("forced non-finite value")])
 def test_single_point_certification_errors_exit_one(error, monkeypatch, capsys):
     # internal ValueErrors raised while certifying are failures, not usage errors
     def boom(*args, **kwargs):
@@ -996,7 +1008,7 @@ def test_sparse_sweep_memory_grows_like_the_grid_squared(monkeypatch):
     def peak(grid):
         tracemalloc.start()
         try:
-            cli._run_sweep(cli.SweepConfig(grid_n=grid, margin=0.24), _Discard())
+            cli._run_sweep(grid, 0.24, "json", _Discard())
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -23,7 +23,7 @@ from qflip.constructions import (
     general_flip_experiment,
     route_tolerance,
 )
-from qflip.ordering import OrderingMismatchError, pattern_labels
+from qflip.ordering import CODE_LABELS, OrderingMismatchError
 from qflip.schmidt import Verdict, verdict
 
 from oracle import (
@@ -275,8 +275,8 @@ def _count_calls(monkeypatch, targets: dict) -> Counter:
 
 def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
     # both cubics are solved in one call (the one labeled-root pass), their
-    # gaps taken once from those roots, and the atlas is checked and labeled
-    # once; the route gate consults route_tolerance only for a row beyond
+    # gaps taken once from those roots, and the atlas is checked once; the
+    # route gate consults route_tolerance only for a row beyond
     # SPECTRUM_AGREEMENT_TOL, so never here; b and d are computed once, for
     # both routes of grid_eval and the degeneracy measure it returns
     counts = _count_calls(
@@ -287,7 +287,6 @@ def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
             "labeled_roots_rows": cubic.labeled_roots_rows,
             "root_gaps_rows": cubic.root_gaps_rows,
             "check_atlas": constructions.check_atlas,
-            "pattern_labels": constructions.pattern_labels,
             "route_tolerance": constructions.route_tolerance,
         },
     )
@@ -299,7 +298,6 @@ def test_general_experiment_evaluates_each_closed_form_once(monkeypatch):
         "labeled_roots_rows": 1,
         "root_gaps_rows": 1,
         "check_atlas": 1,
-        "pattern_labels": 1,
         "route_tolerance": 0,
     }
 
@@ -329,7 +327,7 @@ def _certified_batch(a, c, theta, mu, nu):
     rows = kernels.grid_eval(a, c, theta, mu, nu)
     live = np.abs(rows["m"]) > DEFAULT_DEGENERACY_MARGIN
     max_err, codes = certify_rows(rows, live)
-    return {**rows, "max_err": max_err, "codes": codes, "ordering": pattern_labels(codes)}
+    return {**rows, "max_err": max_err, "codes": codes, "ordering": CODE_LABELS[codes]}
 
 
 def test_certify_route_is_bit_identical_across_batch_sizes():

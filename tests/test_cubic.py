@@ -68,6 +68,15 @@ def test_cubic_roots_degenerate_coefficient():
     np.testing.assert_allclose(roots[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
+def test_cubic_roots_of_a_nan_coefficient_are_nan():
+    # a NaN A must reach the route gate as NaN, not pass as the triple root;
+    # A <= 0, signed zeros included, is still the triple root 1/3
+    roots, t = cubic_roots_rows([np.nan, -0.5, 0.0, -0.0], [0.1, 0.1, 0.0, 0.0])
+    assert np.isnan(roots[0]).all() and np.isnan(t[0])
+    np.testing.assert_allclose(roots[1:], 1 / 3, atol=1e-15)
+    np.testing.assert_allclose(t[1:], np.pi / 6, rtol=1e-15)
+
+
 def test_cubic_spectrum_invariants(rng):
     coeff_a, b_val, roots, t = _random_cubics(rng, 300)
     assert np.max(np.abs(roots.sum(axis=1) - 1.0)) < 1e-12

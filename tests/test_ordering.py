@@ -11,14 +11,14 @@ from qflip.constructions import VerificationError, certify_rows, general_flip_ex
 from qflip.cubic import cubic_roots_rows, labeled_roots_rows
 from qflip.kernels import grid_eval
 from qflip.ordering import (
+    CODE_LABELS,
     PATTERN_ATLAS,
     REGION_BOUNDS,
     OrderingMismatchError,
     _region_index,
     check_atlas,
-    pattern_labels,
 )
-from qflip.schmidt import SpectrumTieError, Verdict, incomparable_3dim, verdict
+from qflip.schmidt import Verdict, incomparable_3dim, verdict
 
 from oracle import REP_F, REP_I, RANK_OF_LABEL, division_region_index, rank_chain
 
@@ -184,7 +184,7 @@ def test_positive_bprime_point_witnesses_four_cases(rng):
     assert _grid([p])["Bprime"][0] > 0
     codes = check_atlas(*row)
     chain = ("a1", "b1", "b3", "a3", "a2", "b2")
-    assert pattern_labels(codes).tolist() == ["Q2Q2:" + ">".join(chain)]
+    assert CODE_LABELS[codes].tolist() == ["Q2Q2:" + ">".join(chain)]
     assert _sorted_labels(_grid([p])["A"][0], t_i[0], t_f[0]) == chain
     assert _witnessed(t_i[0], t_f[0]) == {"Q2Q2", "Q2Q3", "Q3Q2", "Q3Q3"}
 
@@ -194,14 +194,14 @@ def test_negative_bprime_point_witnesses_four_cases():
     t_i, t_f = row = _rows([p])
     assert _grid([p])["Bprime"][0] < 0
     codes = check_atlas(*row)
-    assert pattern_labels(codes)[0].split(":")[0] == "Q2Q1"
+    assert CODE_LABELS[codes][0].split(":")[0] == "Q2Q1"
     assert _witnessed(t_i[0], t_f[0]) == {"Q2Q1", "Q2Q4", "Q3Q1", "Q3Q4"}
 
 
 def test_degenerate_pair_is_rejected():
     # the atlas check names every row; a degenerate point reports no ordering
     p = FlipParams(a=1.0, c=0.5, theta=1.0)
-    assert pattern_labels(check_atlas(*_rows([p]))).tolist() == ["Q2Q2:a1>b1>b3>a3>a2>b2"]
+    assert CODE_LABELS[check_atlas(*_rows([p]))].tolist() == ["Q2Q2:a1>b1>b3>a3>a2>b2"]
     assert general_flip_experiment(p).ordering is None
 
 
@@ -213,7 +213,7 @@ def test_primary_chain_matches_sorted_labels(rng):
     ]
     points = [p for p, m in zip(points, _grid(points)["m"]) if abs(m) >= 1e-3]
     t_i, t_f = row = _rows(points)
-    for label, a_j, ti_j, tf_j in zip(pattern_labels(check_atlas(*row)), _grid(points)["A"], t_i, t_f):
+    for label, a_j, ti_j, tf_j in zip(CODE_LABELS[check_atlas(*row)], _grid(points)["A"], t_i, t_f):
         pattern_id, chain = label.split(":")
         sorted_labels = _sorted_labels(a_j, ti_j, tf_j)
         assert pattern_id in ALL_PATTERN_IDS
@@ -235,10 +235,11 @@ def test_sorted_interleaving_certifies_incomparability(rng):
             continue
         coeff_a, coeff_b, coeff_bp = rows["A"], rows["B"], rows["Bprime"]
         (alpha, beta), _ = cubic_roots_rows(np.append(coeff_a, coeff_a), np.append(coeff_b, coeff_bp))
-        try:
-            assert incomparable_3dim(alpha, beta)
-        except SpectrumTieError:
+        closed_form = incomparable_3dim(alpha, beta)
+        if closed_form is None:  # a tie the closed form cannot decide
             assert verdict(alpha, beta) is Verdict.INCOMPARABLE
+        else:
+            assert closed_form is True
 
 
 def test_atlas_fully_witnessed_on_coarse_grid():
@@ -262,7 +263,7 @@ def test_batched_atlas_check_matches_one_row_calls(points):
     row_by_row = [check_atlas(*_rows([p])) for p in points]
     codes = check_atlas(*_rows(points))
     np.testing.assert_array_equal(codes, np.concatenate(row_by_row))
-    assert pattern_labels(codes).tolist() == [pattern_labels(r)[0] for r in row_by_row]
+    assert CODE_LABELS[codes].tolist() == [CODE_LABELS[r][0] for r in row_by_row]
 
 
 def _certified_codes(rows) -> np.ndarray:
@@ -277,7 +278,7 @@ def test_atlas_check_checks_degenerate_rows():
     edges = np.array([0.0, 5e-324, 1e-8, 1 / np.sqrt(2), 1 - 2.0**-53, 1.0])
     angles = np.array([0.0, 5e-324, pi / 2, np.nextafter(pi, 0.0), pi])
     rows = grid_eval(*(x.reshape(-1) for x in np.meshgrid(edges, edges, angles, indexing="ij")))
-    labels = set(pattern_labels(_certified_codes(rows)).tolist())
+    labels = set(CODE_LABELS[_certified_codes(rows)].tolist())
     assert None not in labels and len(labels) > 1
     # ... and seeded rows near a great circle: theta near 0 or pi, or a or c
     # near 0 or 1
@@ -293,24 +294,23 @@ def test_atlas_check_checks_degenerate_rows():
     rows = grid_eval(a, c, theta)
     # most of them lie within the 1e-10 gap the check once exempted
     assert (np.abs(rows["B"] - rows["Bprime"]) <= 1e-10).mean() > 0.5
-    assert None not in pattern_labels(_certified_codes(rows)).tolist()
+    assert None not in CODE_LABELS[_certified_codes(rows)].tolist()
 
 
 def test_atlas_check_passes_a_final_angle_at_zero():
     # 3t' = 0 is the repeated-root boundary Bprime = -2 A^{3/2}, where the
     # arccos clamp can land; it lies in Q1, which has an entry beside Q2
     t_i, t_f = np.full(2, 2.7 / 3.0), np.array([0.0, 5e-324])
-    assert pattern_labels(check_atlas(t_i, t_f)).tolist() == ["Q2Q1:a1>b1>b3>a3>a2>b2"] * 2
+    assert CODE_LABELS[check_atlas(t_i, t_f)].tolist() == ["Q2Q1:a1>b1>b3>a3>a2>b2"] * 2
 
 
 def test_pattern_codes_name_the_principal_region_pair():
     # a sweep counts patterns by the code check_atlas returns, 4 * initial +
-    # final quadrant index; CODE_LABELS turns a code into pattern_labels' label
+    # final quadrant index; CODE_LABELS turns a code into its label
     points = [FlipParams(a=a, c=c, theta=t) for a in (0.2, 0.7) for c in (0.3, 0.8) for t in (0.4, 2.6)]
     t_i, t_f = _rows([*points, FlipParams(a=1.0, c=0.5, theta=1.0)])
     codes = check_atlas(t_i, t_f)
     assert codes.tolist() == (4 * _region_index(3.0 * t_i) + _region_index(3.0 * t_f)).tolist()
-    assert ordering.CODE_LABELS[codes].tolist() == pattern_labels(codes).tolist()
     assert [ordering.CODE_LABELS[4 * NAMES.index(ri) + NAMES.index(rf)] for ri, rf in PATTERN_ATLAS] == [
         f"{ri}{rf}:{'>'.join(chain)}" for (ri, rf), chain in PATTERN_ATLAS.items()
     ]

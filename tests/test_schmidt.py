@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from qflip.constructions import AXES_LAMBDA_FINAL, AXES_PARAMS
 from qflip.schmidt import (
     EPS_TIE,
-    SpectrumTieError,
     Verdict,
     incomparable_3dim,
     verdict,
@@ -283,10 +282,13 @@ def test_incomparable_3dim_is_the_verdict_when_totals_agree(pair):
 
 
 def test_incomparable_3dim_rejects_ties_with_verdict_fallback():
+    # a tie on either side, in either place, leaves the closed form
+    # undecided; the verdict decides the pair
     lam_i = [2 / 3, 1 / 6, 1 / 6]
     lam_f = list(AXES_LAMBDA_FINAL)
-    with pytest.raises(SpectrumTieError):
-        incomparable_3dim(lam_i, lam_f)
+    assert incomparable_3dim(lam_i, lam_f) is None
+    assert incomparable_3dim(lam_f, lam_i) is None
+    assert incomparable_3dim(lam_f, [0.4, 0.4, 0.2]) is None
     assert verdict(lam_i, lam_f) is Verdict.INCOMPARABLE
 
 
