@@ -6,8 +6,10 @@ and on the working tree, side by side.
 
 ``git archive REV`` exports the base into a temporary directory, and the
 working tree's tracked and untracked (not ignored) files are copied beside
-it, so both run from the same layout; both are byte-compiled first.  Each
-measurement runs on the base, then on the working tree:
+it, so both run from the same layout; both are byte-compiled first.  The
+two trees alternate measurement by measurement, and the tree that goes first
+alternates too, so that a drift in the host's speed over the run falls on
+both sides alike.  The measurements:
 - ``perfbench/run.py --trace 0`` on all three workloads (end-to-end metrics);
 - ``perfbench/run.py --trace 1`` on ``scalar`` and ``sweep-dense`` (layers);
 - ``python3 -m qflip sweep --grid 40 --out FILE``, timed end to end from
@@ -97,11 +99,21 @@ def main(argv=None) -> None:
     }
     with tempfile.TemporaryDirectory() as scratch:
         trees = export_trees(args.base, Path(scratch))
-        for name, side in sides.items():
-            side["end_to_end"] = {w: perfbench(trees[name], w, 0, seconds) for w in UNTRACED}
-            side["layers"] = {w: perfbench(trees[name], w, 1, seconds) for w in TRACED}
-            runs = [sweep_seconds(trees[name], Path(scratch) / "sweep.json") for _ in range(SWEEPS)]
-            side["sweep_grid40_s"] = {"runs": runs, "median": statistics.median(runs)}
+        measurements = [
+            *(("end_to_end", w) for w in UNTRACED),
+            *(("layers", w) for w in TRACED),
+            *(("sweep_grid40_s", k) for k in range(SWEEPS)),
+        ]
+        for turn, (key, item) in enumerate(measurements):
+            for name in ("base", "change") if turn % 2 == 0 else ("change", "base"):
+                if key == "sweep_grid40_s":
+                    value = sweep_seconds(trees[name], Path(scratch) / "sweep.json")
+                else:
+                    value = perfbench(trees[name], item, int(key == "layers"), seconds)
+                sides[name].setdefault(key, {})[item] = value
+    for side in sides.values():
+        runs = list(side["sweep_grid40_s"].values())
+        side["sweep_grid40_s"] = {"runs": runs, "median": statistics.median(runs)}
     record = {
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy,
                  "machine": platform.machine()},

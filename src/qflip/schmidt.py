@@ -14,7 +14,6 @@ by :func:`incomparable_3dim`.
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
 
 import numpy as np
 
@@ -55,15 +54,22 @@ def verdict(lhs, rhs) -> Verdict:
     partial sums NaN, so neither direction holds.  An empty side raises
     :class:`ValueError`.
     """
-    a, b = (sorted(np.asarray(side, dtype=float).ravel().tolist(), reverse=True) for side in (lhs, rhs))
+    a = np.asarray(lhs, dtype=float).ravel().tolist()
+    b = np.asarray(rhs, dtype=float).ravel().tolist()
     if not a or not b:
         raise ValueError(f"expected two non-empty spectra, got {len(a)} and {len(b)} entries")
+    a.sort(reverse=True)
+    b.sort(reverse=True)
     pad = len(a) - len(b)
-    a += [0.0] * -pad
-    b += [0.0] * pad
+    if pad:
+        a += [0.0] * -pad
+        b += [0.0] * pad
     forward = backward = True
-    # accumulate adds left to right, never compensated as sum() is on 3.12+
-    for x, y in zip(accumulate(a), accumulate(b)):
+    x = y = 0.0
+    # partial sums added left to right, never compensated as sum() is on 3.12+
+    for u, v in zip(a, b):
+        x += u
+        y += v
         forward = forward and x <= y + EPS_TIE
         backward = backward and y <= x + EPS_TIE
     return VERDICT_BY_CODE[2 * forward + backward]
@@ -91,9 +97,9 @@ def incomparable_3dim(avec, bvec) -> bool | None:
     b = np.asarray(bvec, dtype=float).ravel().tolist()
     if len(a) != 3 or len(b) != 3:
         raise ValueError("both spectra must have exactly 3 entries")
-    for v in (a, b):
-        if not (v[0] > v[1] + eps and v[1] > v[2] + eps):
-            return None
-    head_a, head_b = a[0] + a[1], b[0] + b[1]
-    return (a[0] > b[0] + eps and head_b > head_a + eps) or (b[0] > a[0] + eps and head_a > head_b + eps)
-
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    if not (a1 > a2 + eps and a2 > a3 + eps and b1 > b2 + eps and b2 > b3 + eps):
+        return None
+    head_a, head_b = a1 + a2, b1 + b2
+    return (a1 > b1 + eps and head_b > head_a + eps) or (b1 > a1 + eps and head_a > head_b + eps)

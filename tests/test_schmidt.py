@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -83,6 +85,32 @@ def test_verdict_agrees_with_brute_force_and_stacked_verdict(stacks):
             (False, True): Verdict.BACKWARD_CERTAIN,
             (False, False): Verdict.INCOMPARABLE,
         }[(forward, backward)]
+
+
+def _kronecker_spectrum(rng, dims):
+    """A Kronecker product of Dirichlet spectra of dimensions ``dims``, flat
+    or peaked at random, unsorted as ``np.kron`` leaves it."""
+    concentration = rng.choice((0.3, 1.0, 5.0))
+    return reduce(np.kron, [rng.dirichlet(np.full(d, concentration)) for d in dims])
+
+
+def test_verdict_agrees_with_stacked_verdict_on_long_kronecker_pairs():
+    # 27 to 108 entries, the widths of the catalysis tests' products, where
+    # the drawn pairs stop at 9; a pair of unequal widths is zero-padded
+    rng = np.random.default_rng(5)
+    seen = {True: set(), False: set()}  # verdicts by "equal widths"
+    for _ in range(200):
+        x = _kronecker_spectrum(rng, (3, 3, rng.integers(3, 13)))
+        y = _kronecker_spectrum(rng, (3, 3, rng.integers(3, 13)))
+        padded = np.append(y, np.zeros(rng.integers(0, 9)))
+        # mixing with the flat spectrum is doubly stochastic: majorized by y
+        mixed = padded + rng.uniform(0.05, 0.95) * (1.0 / padded.size - padded)
+        for lhs, rhs in ((x, y), (x, rng.permutation(x)), (y, padded), (mixed, y), (y, mixed)):
+            assert 27 <= min(lhs.size, rhs.size) and max(lhs.size, rhs.size) <= 116
+            result = verdict(lhs, rhs)
+            assert result is stacked_verdict(lhs, rhs)
+            seen[lhs.size == rhs.size].add(result)
+    assert seen == {True: set(Verdict), False: set(Verdict)}
 
 
 def test_majorization_tie_at_eps_is_inclusive():
@@ -290,6 +318,28 @@ def test_incomparable_3dim_rejects_ties_with_verdict_fallback():
     assert incomparable_3dim(lam_f, lam_i) is None
     assert incomparable_3dim(lam_f, [0.4, 0.4, 0.2]) is None
     assert verdict(lam_i, lam_f) is Verdict.INCOMPARABLE
+
+
+# (a, b) in every form the closed form reads as a triple, with its answer:
+# tuples, (3, 1) and (1, 3) arrays, int entries, and non-finite entries (a
+# NaN fails every strict descent, so it leaves the closed form undecided)
+_TRIPLE_INPUTS = [
+    ((0.51, 0.30, 0.19), (0.49, 0.36, 0.15), True),
+    (np.array([[0.51], [0.30], [0.19]]), np.array([[0.49, 0.36, 0.15]]), True),
+    (np.array([[0.5, 0.3, 0.2]]), np.array([[0.6], [0.3], [0.1]]), False),
+    ([51, 30, 19], (49, 36, 15), True),
+    (np.array([5, 3, 2]), [6, 3, 1], False),
+    ([np.nan, 0.3, 0.2], [0.6, 0.3, 0.1], None),
+    ([0.5, 0.3, 0.2], [0.6, np.nan, 0.1], None),
+    ([0.5, 0.3, 0.2], [0.6, 0.3, np.nan], None),
+    ([np.inf, 0.5, 0.2], [0.5, 0.3, 0.2], False),
+]
+
+
+@pytest.mark.parametrize("a, b, expected", _TRIPLE_INPUTS, ids=[f"a{j}-b{j}" for j in range(len(_TRIPLE_INPUTS))])
+def test_incomparable_3dim_reads_every_input_form(a, b, expected):
+    assert incomparable_3dim(a, b) is expected
+    assert incomparable_3dim(b, a) is expected
 
 
 def test_incomparable_3dim_requires_three_entries():
