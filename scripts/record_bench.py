@@ -13,7 +13,8 @@ both sides alike.  The measurements:
 - ``perfbench/run.py --trace 0`` on all three workloads (end-to-end metrics);
 - ``perfbench/run.py --trace 1`` on ``scalar`` and ``sweep-dense`` (layers);
 - ``python3 -m qflip sweep --grid 40 --out FILE``, timed end to end from
-  outside, ``SWEEPS`` times.
+  outside, ``SWEEPS`` times; the sha256 of its output is recorded beside the
+  times, so the file shows whether the two trees wrote the same bytes.
 perfbench runs for the ``run_seconds`` of ``BENCHMARK.json``.  The file holds
 the host (nproc, Python, numpy), each tree's commit and source digest, and
 every number.  Standard library only.
@@ -22,6 +23,7 @@ every number.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -74,13 +76,15 @@ def perfbench(tree: Path, workload: str, trace: int, seconds: float) -> dict:
     }
 
 
-def sweep_seconds(tree: Path, out: Path) -> float:
-    """Wall time of ``qflip sweep --grid 40 --out FILE`` in a fresh process."""
+def sweep_seconds(tree: Path, out: Path) -> tuple[float, str]:
+    """Wall time of ``qflip sweep --grid 40 --out FILE`` in a fresh process,
+    and the sha256 of the file it wrote."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
     start = time.perf_counter()
     subprocess.run([sys.executable, "-m", "qflip", "sweep", "--grid", "40", "--out", str(out)],
                    cwd=tree, env=env, check=True, capture_output=True)
-    return time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    return seconds, hashlib.sha256(out.read_bytes()).hexdigest()
 
 
 def main(argv=None) -> None:
@@ -107,13 +111,16 @@ def main(argv=None) -> None:
         for turn, (key, item) in enumerate(measurements):
             for name in ("base", "change") if turn % 2 == 0 else ("change", "base"):
                 if key == "sweep_grid40_s":
-                    value = sweep_seconds(trees[name], Path(scratch) / "sweep.json")
+                    value, digest = sweep_seconds(trees[name], Path(scratch) / "sweep.json")
+                    sides[name].setdefault("sweep_grid40_sha256", []).append(digest)
                 else:
                     value = perfbench(trees[name], item, int(key == "layers"), seconds)
                 sides[name].setdefault(key, {})[item] = value
     for side in sides.values():
         runs = list(side["sweep_grid40_s"].values())
         side["sweep_grid40_s"] = {"runs": runs, "median": statistics.median(runs)}
+        # one digest where every run wrote the same bytes
+        side["sweep_grid40_sha256"] = sorted(set(side["sweep_grid40_sha256"]))
     record = {
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(), "numpy": numpy,
                  "machine": platform.machine()},

@@ -76,15 +76,14 @@ class FlipParams:
 
     The triple is (|0>, a|0> + b|1>, c|0> + d e^{i theta}|1>) with
     b = sqrt(1 - a^2) and d = sqrt(1 - c^2), as :func:`complements` gives
-    them.  For the generic family theta must lie strictly inside (0, pi);
-    boundary values are only meaningful for deliberately degenerate
-    (great-circle) configurations and require ``allow_boundary_theta``.
+    them.  Each lies in its closed range, a and c in [0, 1] and theta in
+    [0, pi]; on an end of any of them the three states lie on a great circle
+    and the family is degenerate.
     """
 
     a: float
     c: float
     theta: float
-    allow_boundary_theta: bool = False
 
     def __post_init__(self):
         for name in ("a", "c", "theta"):
@@ -94,8 +93,6 @@ class FlipParams:
             raise ValueError(f"a and c must lie in [0, 1], got a={self.a}, c={self.c}")
         if not 0.0 <= self.theta <= pi:
             raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not self.allow_boundary_theta and not 0.0 < self.theta < pi:
-            raise ValueError("theta on the boundary of (0, pi) requires allow_boundary_theta=True")
 
 
 def complements(a, c) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,7 @@ Subcommands::
     qflip verify axes [--chi R --eta R] [--format json|csv] [--out PATH]
     qflip verify flipper [--seed N] [--format json|csv] [--out PATH]
     qflip verify general --a R --c R --theta R [--mu R --nu R] [--margin R]
-        [--degenerate-mode] [--format json|csv] [--out PATH]
+        [--format json|csv] [--out PATH]
     qflip sweep --grid N [--margin R] [--format json|csv] [--out PATH]
     qflip check-pair --lhs p1,p2,... --rhs q1,q2,... [--format json|csv] [--out PATH]
 
@@ -21,11 +21,11 @@ import shutil
 import stat
 import sys
 import tempfile
-import threading
-from contextlib import closing, contextmanager
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from functools import partial
 from math import isfinite, pi
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -187,9 +187,7 @@ def _cmd_verify_flipper(args) -> int:
 
 
 def _cmd_verify_general(args) -> int:
-    p = FlipParams(
-        a=args.a, c=args.c, theta=args.theta, allow_boundary_theta=args.degenerate_mode
-    )
+    p = FlipParams(a=args.a, c=args.c, theta=args.theta)
     result = general_flip_experiment(p, mu=args.mu, nu=args.nu, margin=args.margin)
     return _emit_family_point("verify-general", {"mu": args.mu, "nu": args.nu, "margin": args.margin}, result, args)
 
@@ -274,45 +272,6 @@ def _certify_chunk(fmt: str, text: tuple, evaluated: tuple):
     return sweep_block(fmt, columns), float(max_err.max()), np.bincount(patterns, minlength=CODE_LABELS.size)
 
 
-def _capture(evaluate: Callable, item, outcome: list) -> None:
-    """Set ``outcome`` to ``evaluate(item)`` and None, or to None and the exception it raised."""
-    try:
-        outcome[:] = evaluate(item), None
-    except BaseException as exc:  # raised again by the thread that reads outcome
-        outcome[:] = None, exc
-
-
-def _evaluated_ahead(evaluate: Callable, items: Sequence) -> Iterator:
-    """``map(evaluate, items)`` over a non-empty sequence, evaluating the next
-    item on a worker thread while the caller uses the current result.
-
-    The first item is evaluated on the calling thread, so one item starts no
-    thread, and no item is evaluated more than one ahead of the result the
-    caller holds.  An exception the worker raised is raised here in its
-    item's turn.  The worker is joined before the next result is handed out
-    and when the generator is closed: close it if the caller stops early.
-
-    The sweep hands it the kernel alone (:func:`_evaluate_chunk`).  Only work
-    in numpy calls that release the interpreter lock overlaps the caller's,
-    and every call the worker makes must take the lock back from a caller
-    that formats records in Python; numpy's eigensolver does not run in
-    parallel within one process, so a second worker would gain nothing.
-    """
-    result = evaluate(items[0])
-    for item in items[1:]:
-        outcome = []
-        worker = threading.Thread(target=_capture, args=(evaluate, item, outcome), name="qflip-evaluate")
-        worker.start()
-        try:
-            yield result
-        finally:
-            worker.join()
-        result, error = outcome
-        if error is not None:
-            raise error
-    yield result
-
-
 def _run_sweep(grid_n: int, margin: float, fmt: str, out: BinaryIO) -> dict:
     """Evaluate, certify and write every point beyond ``margin`` of the grid
     a, c = k/(N+1), theta = k*pi/(N+1), k = 1..``grid_n``, chunk by chunk.
@@ -321,13 +280,17 @@ def _run_sweep(grid_n: int, margin: float, fmt: str, out: BinaryIO) -> dict:
     byte is written.  The margin test depends only on (a, c, theta), so the
     kernel runs on the certified points alone, ``CHUNK_ROWS`` at a time, and
     the chunks' records are written to ``out`` (the CSV header first) in grid
-    order.  A worker thread runs the kernel on chunk k + 1 while this thread
-    certifies, formats and writes chunk k, so every record is certified on
-    the thread that writes it, just before it is written.  No record is
-    written before :func:`certify_rows` has checked it; a failure raises
-    :class:`VerificationError` (or :class:`OrderingMismatchError`), and the
-    caller discards ``out``.  Returns the summary, whose pattern counts name
-    each region code that occurs by its ``CODE_LABELS`` label.
+    order.  Chunk 0's kernel runs on this thread; after that one worker
+    thread, the same for the whole sweep, runs the kernel on chunk k + 1
+    while this thread certifies, formats and writes chunk k, so every record
+    is certified on the thread that writes it, just before it is written.  A
+    sweep of one chunk starts no thread.  No record is written before
+    :func:`certify_rows` has checked it; a failure raises
+    :class:`VerificationError` (or :class:`OrderingMismatchError`), a failure
+    of the worker's kernel is raised in its chunk's turn, the worker is
+    joined on every path, and the caller discards ``out``.  Returns the
+    summary, whose pattern counts name each region code that occurs by its
+    ``CODE_LABELS`` label.
     """
     check_margin(margin)
     n = grid_n
@@ -344,14 +307,23 @@ def _run_sweep(grid_n: int, margin: float, fmt: str, out: BinaryIO) -> dict:
         out.write(f"{CSV_HEADER}\n".encode())
     text = grid_text(ticks, angles)
     chunks = [flat[start : start + CHUNK_ROWS] for start in range(0, flat.size, CHUNK_ROWS)]
-    evaluated = _evaluated_ahead(partial(_evaluate_chunk, ticks, angles), chunks)
+    evaluate = partial(_evaluate_chunk, ticks, angles)
     max_err, per_code = 0.0, np.zeros(CODE_LABELS.size, dtype=int)
-    with closing(evaluated):  # joins the worker thread on every path
-        for block, chunk_err, chunk_counts in map(partial(_certify_chunk, fmt, text), evaluated):
+    evaluated = evaluate(chunks[0])
+    # One worker, and at most one chunk ahead: only numpy calls that release
+    # the interpreter lock overlap this thread's formatting, and numpy's
+    # eigensolver does not run in parallel within one process, so a second
+    # worker would gain nothing.  Leaving the block joins the worker.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="qflip-evaluate") as worker:
+        for k in range(len(chunks)):
+            ahead = worker.submit(evaluate, chunks[k + 1]) if k + 1 < len(chunks) else None
+            block, chunk_err, chunk_counts = _certify_chunk(fmt, text, evaluated)
             out.write(block)
             out.write(b"\n")
             max_err = max(max_err, chunk_err)
             per_code += chunk_counts
+            if ahead is not None:
+                evaluated = ahead.result()
     return {
         "experiment_id": "sweep-summary",
         "grid": n,
@@ -445,11 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--mu", type=finite_float, default=0.0)
     p_gen.add_argument("--nu", type=finite_float, default=0.0)
     p_gen.add_argument("--margin", type=finite_float, default=DEFAULT_DEGENERACY_MARGIN)
-    p_gen.add_argument(
-        "--degenerate-mode",
-        action="store_true",
-        help="allow boundary theta (0 or pi) for deliberately degenerate runs",
-    )
     _add_output_flags(p_gen)
     p_gen.set_defaults(func=_cmd_verify_general)
 

@@ -188,7 +188,6 @@ def test_criterion_6_degenerate_family():
                 a=rng.uniform(0.05, 0.95),
                 c=rng.uniform(0.05, 0.95),
                 theta=0.0 if k % 2 else pi,
-                allow_boundary_theta=True,
             )
         )
     assert len(points) == 100

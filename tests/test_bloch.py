@@ -80,8 +80,10 @@ def test_flip_params_validation():
     with pytest.raises(ValueError):
         FlipParams(a=0.5, c=-0.1, theta=1.0)
     with pytest.raises(ValueError):
-        FlipParams(a=0.5, c=0.5, theta=0.0)
-    p = FlipParams(a=0.5, c=0.5, theta=0.0, allow_boundary_theta=True)
+        FlipParams(a=0.5, c=0.5, theta=-1e-12)
+    with pytest.raises(ValueError):
+        FlipParams(a=0.5, c=0.5, theta=np.nextafter(np.pi, 4.0))
+    p = FlipParams(a=0.5, c=0.5, theta=0.0)
     b, d = complements(p.a, p.c)
     assert degeneracy(p.a, b, p.c, d, p.theta) == 0.0
     # the float pi stands for the boundary pi, where the measure vanishes too

@@ -199,18 +199,25 @@ def test_degenerate_point_off_the_great_circle_prints_the_closed_form_verdict(ca
     assert record["ordering"] is None
 
 
-def test_verify_general_boundary_theta_requires_flag(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["verify", "general", "--a", "0.5", "--c", "0.5", "--theta", "0.0"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    code, out, _ = run_cli(
-        capsys,
-        "verify", "general",
-        "--a", "0.5", "--c", "0.5", "--theta", "0.0", "--degenerate-mode",
-    )
+@pytest.mark.parametrize("theta", ["0.0", repr(np.pi)], ids=["zero", "pi"])
+def test_verify_general_boundary_theta_is_a_degenerate_point(theta, capsys):
+    # on either end of [0, pi] the three states lie on a great circle, as at
+    # a or c of 0 or 1: m = 0, so the pair is interconvertible and flagged
+    code, out, _ = run_cli(capsys, "verify", "general", "--a", "0.5", "--c", "0.5", "--theta", theta)
     assert code == 0
-    assert json.loads(out)["degeneracyFlag"] is True
+    record = json.loads(out)
+    assert record["degeneracyFlag"] is True
+    assert record["verdict"] == "Interconvertible"
+
+
+@pytest.mark.parametrize("theta", ["-1e-12", "3.1415926535897936"])
+def test_verify_general_theta_outside_its_range_is_a_usage_error(theta, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "general", "--a", "0.5", "--c", "0.5", "--theta", theta])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "theta" in err.splitlines()[-1]
 
 
 def test_check_pair(capsys):
@@ -298,6 +305,7 @@ def test_check_pair_rejects_totals_beyond_the_tie_tolerance(rhs, monkeypatch, ca
         ["verify", "general", "--a", "0.5", "--c", "0.5", "--theta", "1.0", "--nu", "inf"],
         ["verify", "general", "--a", "0.5", "--c", "0.5", "--theta", "1.0", "--margin", "nan"],
         ["verify", "general", "--a", "nan", "--c", "0.5", "--theta", "1.0"],
+        ["verify", "general", "--a", "0.5", "--c", "0.5", "--theta", "inf"],
         ["verify", "axes", "--chi", "nan"],
         ["verify", "axes", "--eta=-inf"],
         ["sweep", "--grid", "3", "--margin", "nan"],
@@ -888,14 +896,16 @@ def test_sweep_reports_a_formatting_failure_before_the_next_chunks_failure(monke
     assert threading.active_count() == threads
 
 
-@pytest.mark.parametrize("chunk_rows, threads", [(8192, 0), (1000, 1)], ids=["one-chunk", "two-chunks"])
-def test_sweep_starts_a_thread_for_each_chunk_after_the_first(chunk_rows, threads, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "chunk_rows, threads", [(8192, 0), (1000, 1), (100, 1)], ids=["one-chunk", "two-chunks", "eighteen-chunks"]
+)
+def test_sweep_starts_one_worker_thread_at_most(chunk_rows, threads, monkeypatch, capsys):
     # grid 12 certifies 1728 points: a sweep of one chunk, like perfbench's
-    # sweep-sparse, starts no thread at all; one of two chunks starts one
+    # sweep-sparse, starts no thread at all; two chunks or eighteen start one
     real_thread, started = threading.Thread, []
 
     def counted_thread(*args, **kwargs):
-        assert len(started) < threads, "the sweep started a thread beyond one per later chunk"
+        assert len(started) < threads, "the sweep started a thread beyond its one worker"
         started.append(kwargs["name"])
         return real_thread(*args, **kwargs)
 
